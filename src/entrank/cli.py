@@ -31,12 +31,12 @@ from .linalg import (
     DEFAULT_RTOL,
     RankTolerance,
     hermitian_eigenvalues,
-    numerical_rank,
 )
 from .states import (
     DensityMatrix,
     PureState,
     State,
+    canonical_pure,
     normalize_subset,
     partial_transpose,
     subset_rank,
@@ -97,20 +97,14 @@ def _tolerance(args: argparse.Namespace) -> RankTolerance:
 
 
 def _as_pure(state: State, tol: RankTolerance) -> PureState:
-    """Pure input passes through; a rank-1 density matrix is converted."""
-    if isinstance(state, PureState):
-        return state
-    rank = numerical_rank(state.matrix, tol)
-    if rank != 1:
+    """The state as a PureState when its factor V has one column."""
+    factor = state.factored(tol).factor
+    if factor.shape[1] != 1:
         raise InputError(
-            f"factorization handles pure states only; this density matrix has rank {rank}"
+            "factorization handles pure states only;"
+            f" this state is a mixture of {factor.shape[1]} components"
         )
-    sym = (state.matrix + state.matrix.conj().T) / 2
-    _, vectors = np.linalg.eigh(sym)
-    vec = vectors[:, -1]
-    k = int(np.argmax(np.abs(vec)))
-    vec = vec * np.conj(vec[k] / abs(vec[k]))
-    return PureState(dims=state.dims, amplitudes=vec / np.linalg.norm(vec))
+    return canonical_pure(state.dims, factor[:, 0])
 
 
 def _print_report(report: dict, as_json: bool, human: str) -> None:
@@ -142,12 +136,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     n = state.n
     started = time.perf_counter()
 
+    state = state.factored(tol)
     if n == 1:
         depth = 0
         lattice = criteria.RankLattice(
-            state_rank=1 if isinstance(state, PureState) else numerical_rank(state.matrix, tol),
-            entries={},
-            max_depth=0,
+            state_rank=subset_rank(state, (0,), tol), entries={}, max_depth=0
         )
     else:
         depth = args.depth if args.depth is not None else criteria.default_depth(n)
@@ -264,7 +257,6 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             {
                 "step": rec.step,
                 "remainder": _one_based(rec.remainder),
-                "verify": rec.verify,
                 "tested": [
                     {"subset": _one_based(subset), "rank": rank} for subset, rank in rec.tested
                 ],
@@ -285,10 +277,9 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         lines.append(f"  {_fmt_subset(part)}: {flag}")
     lines.append(f"residual: {result.residual:.3e}")
     for rec in result.trace_log:
-        kind = "verify" if rec.verify else "search"
         accepted = " ".join(_fmt_subset(s) for s in rec.accepted) or "none"
         lines.append(
-            f"  step {rec.step} ({kind}): tested {len(rec.tested)} subsets of"
+            f"  step {rec.step}: tested {len(rec.tested)} subsets of"
             f" {_fmt_subset(rec.remainder)}, accepted {accepted}"
         )
     _print_report(report, args.json, "\n".join(lines) + "\n")
@@ -307,14 +298,14 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
 
     pair_rows = []
     for (u, v), verdict in pair_verdicts.items():
-        composite = tuple(sorted(u + v))
+        rank_u, rank_v, rank_composite = verdict.ranks
         pair_rows.append(
             {
                 "u": _one_based(u),
                 "v": _one_based(v),
-                "rank_u": subset_rank(state, u, tol),
-                "rank_v": subset_rank(state, v, tol),
-                "rank_composite": subset_rank(state, composite, tol),
+                "rank_u": rank_u,
+                "rank_v": rank_v,
+                "rank_composite": rank_composite,
                 "verdict": verdict.tag,
             }
         )
@@ -379,6 +370,15 @@ def cmd_ppt(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- gen
 
 
+def _mixture_terms(rho: DensityMatrix) -> list[tuple[float, PureState]]:
+    """(w_j, psi_j) from the factor columns √w_j·psi_j of a mixture."""
+    weights = np.sum(np.abs(rho.factor) ** 2, axis=0)
+    return [
+        (float(w), PureState(dims=rho.dims, amplitudes=column / np.sqrt(w)))
+        for w, column in zip(weights, rho.factor.T)
+    ]
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     name = args.name
     metadata: dict = {"name": name}
@@ -412,6 +412,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
     if isinstance(state, PureState):
         payload = statefile.pure_payload(state, metadata=metadata)
+    elif state.factor is not None:
+        payload = statefile.mixture_payload(_mixture_terms(state), metadata=metadata)
     else:
         payload = statefile.density_payload(state, metadata=metadata)
     statefile.write_state_file(args.out, payload)

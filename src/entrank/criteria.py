@@ -9,6 +9,9 @@ no witness is INCONCLUSIVE, never "separable".
 
 For pure states rank arguments are exact: a pure state is entangled iff some
 reduced matrix has rank above 1, and fully entangled iff they all do.
+
+Every rank comes from ``states.subset_rank``; callers that take many ranks of
+one state factor it once (``state.factored(tol)``) and pass that along.
 """
 
 from __future__ import annotations
@@ -19,14 +22,8 @@ from math import comb
 from typing import Mapping, Optional, Sequence
 
 from .errors import EnumerationLimitError, InputError, PartitionError
-from .linalg import DEFAULT_TOLERANCE, RankTolerance, numerical_rank
-from .states import (
-    DensityMatrix,
-    PureState,
-    State,
-    normalize_subset,
-    subset_rank,
-)
+from .linalg import DEFAULT_TOLERANCE, RankTolerance
+from .states import PureState, State, normalize_subset, subset_rank
 
 ENTANGLED = "ENTANGLED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -71,6 +68,14 @@ class Verdict:
     witnesses: tuple[Violation, ...] = ()
 
 
+@dataclass(frozen=True)
+class PairVerdict(Verdict):
+    """A pair check's verdict with the ranks it compared: (rank of u, rank
+    of v, rank of u and v together)."""
+
+    ranks: tuple[int, int, int] = (0, 0, 0)
+
+
 def default_depth(n: int) -> int:
     """Half the particle count: for pure states the complement symmetry makes
     deeper levels redundant; mixed-state callers may extend up to n - 1."""
@@ -93,8 +98,8 @@ def rank_lattice(
 ) -> RankLattice:
     """Ranks of every reduced state with 1..max_depth particles traced out.
 
-    Accepts a density matrix or, for speed, a pure state (whose reduced ranks
-    come from bipartition spectra instead of explicit partial traces).
+    The state is factored once; each entry, and the state rank (the full
+    particle set), is one ``subset_rank`` call on that factor.
     """
     n = state.n
     if max_depth is None:
@@ -103,11 +108,8 @@ def rank_lattice(
         raise InputError(f"max_depth must lie in 1..{n - 1}, got {max_depth}")
     _check_enumeration(n, max_depth, max_subsets)
 
-    if isinstance(state, PureState):
-        state_rank = 1
-    else:
-        state_rank = numerical_rank(state.matrix, tol)
-
+    state = state.factored(tol)
+    state_rank = subset_rank(state, range(n), tol)
     entries: dict[tuple[int, ...], int] = {}
     for size in range(1, max_depth + 1):
         for traced in combinations(range(n), size):
@@ -163,7 +165,7 @@ def check_partition_pair(
     u: Sequence[int],
     v: Sequence[int],
     tol: RankTolerance = DEFAULT_TOLERANCE,
-) -> Verdict:
+) -> PairVerdict:
     """Two-part check: if either part's reduced rank exceeds the rank of the
     combined part's reduced state, the two parts are entangled with each other.
 
@@ -179,6 +181,7 @@ def check_partition_pair(
         raise PartitionError(f"parts overlap: {u} and {v}")
 
     composite = tuple(sorted(u + v))
+    rho = rho.factored(tol)
     rank_u = subset_rank(rho, u, tol)
     rank_v = subset_rank(rho, v, tol)
     rank_uv = subset_rank(rho, composite, tol)
@@ -200,16 +203,15 @@ def check_partition_pair(
                     parent_rank=rank_uv,
                 )
             )
-    if witnesses:
-        return Verdict(tag=ENTANGLED, witnesses=tuple(witnesses))
-    return Verdict(tag=INCONCLUSIVE)
+    tag = ENTANGLED if witnesses else INCONCLUSIVE
+    return PairVerdict(tag=tag, witnesses=tuple(witnesses), ranks=(rank_u, rank_v, rank_uv))
 
 
 def check_partition(
     rho: State,
     parts: Sequence[Sequence[int]],
     tol: RankTolerance = DEFAULT_TOLERANCE,
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Verdict]:
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], PairVerdict]:
     """Pairwise verdicts for a full partition of the particles.
 
     Parts must be disjoint and cover every particle. Merged-part effects can
@@ -231,7 +233,8 @@ def check_partition(
         missing = sorted(set(range(n)) - seen)
         raise PartitionError(f"partition does not cover particles {missing}")
 
-    results: dict[tuple[tuple[int, ...], tuple[int, ...]], Verdict] = {}
+    rho = rho.factored(tol)
+    results: dict[tuple[tuple[int, ...], tuple[int, ...]], PairVerdict] = {}
     for a, b in combinations(sorted(norm_parts), 2):
         results[(a, b)] = check_partition_pair(rho, a, b, tol)
     return results
@@ -247,38 +250,13 @@ def overall_verdict(pair_verdicts: Mapping[object, Verdict]) -> Verdict:
     return Verdict(tag=INCONCLUSIVE)
 
 
-def pure_entangled(
-    psi: PureState,
-    tol: RankTolerance = DEFAULT_TOLERANCE,
-    full_scan: bool = False,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-) -> bool:
+def pure_entangled(psi: PureState, tol: RankTolerance = DEFAULT_TOLERANCE) -> bool:
     """True iff the pure state is entangled across any cut.
 
-    The default scans single particles only: if every one-particle reduced
-    state is pure the state is a full product, so no larger subset can be
-    mixed either. ``full_scan`` checks every subset up to half the particles
-    instead (same answer, used for verification).
+    Single particles suffice: if every one-particle reduced state is pure the
+    state is a full product, so no larger subset can be mixed either.
     """
-    n = psi.n
-    if n == 1:
-        return False
-    if full_scan:
-        return not pure_fully_separable_scan(psi, tol, max_subsets)
-    return any(subset_rank(psi, (i,), tol) > 1 for i in range(n))
-
-
-def pure_fully_separable_scan(
-    psi: PureState, tol: RankTolerance, max_subsets: int
-) -> bool:
-    """Exhaustive check that every subset up to n//2 has a pure reduced state."""
-    n = psi.n
-    _check_enumeration(n, n // 2, max_subsets)
-    for size in range(1, n // 2 + 1):
-        for subset in combinations(range(n), size):
-            if subset_rank(psi, subset, tol) > 1:
-                return False
-    return True
+    return psi.n > 1 and any(subset_rank(psi, (i,), tol) > 1 for i in range(psi.n))
 
 
 def pure_fully_entangled(

@@ -5,10 +5,8 @@ pure (rank 1) splits off as a tensor factor; everything it leaves behind is
 still pure, so the sweep continues on the remainder. A size-k sweep is only
 worthwhile while the remainder keeps at least 2k particles: any larger
 separable subset is the complement of a smaller one that an earlier sweep
-already covered. After the loop a verification sweep re-tests the final
-remainder at every size up to half its width; by the complement argument it
-can never find anything new, but it is cheap (ranks are cached) and guards
-the implementation.
+already covered, so when the loop ends the remainder is fully entangled and
+no subset is tested twice.
 
 Accepted subsets of one sweep are provably disjoint: an overlap would imply
 a smaller separable subset that an earlier sweep would have accepted. This
@@ -19,15 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from .errors import EnumerationLimitError, InternalInconsistencyError, PartitionError
-from .linalg import DEFAULT_TOLERANCE, RankTolerance, frobenius_distance, rank_from_values
-from .states import PureState, bipartition_matrix, bipartition_spectrum, density_from_pure
+from .criteria import DEFAULT_MAX_SUBSETS, _check_enumeration
+from .errors import InternalInconsistencyError, PartitionError
+from .linalg import DEFAULT_TOLERANCE, RankTolerance, rank_from_values
+from .states import PureState, bipartition_matrix, bipartition_spectrum, canonical_pure
 
-DEFAULT_MAX_SUBSETS = 100_000
 DEFAULT_RESIDUAL_THRESHOLD = 1e-8
 
 
@@ -36,15 +33,13 @@ class StepRecord:
     """One sweep of the search: subsets of size ``step`` over ``remainder``.
 
     ``tested`` holds (subset, reduced rank) pairs in enumeration order;
-    ``accepted`` the subsets split off as factors. ``verify`` marks the
-    post-loop sweep over the final remainder.
+    ``accepted`` the subsets split off as factors.
     """
 
     step: int
     remainder: tuple[int, ...]
     tested: tuple[tuple[tuple[int, ...], int], ...]
     accepted: tuple[tuple[int, ...], ...]
-    verify: bool = False
 
 
 @dataclass(frozen=True)
@@ -72,9 +67,8 @@ def _extract_factor(psi: PureState, part: tuple[int, ...], tol: RankTolerance) -
     amplitude matrix; for a genuine factor the second singular value is
     negligible. Rank above 1 here means an earlier acceptance was wrong.
     """
-    n = psi.n
-    if len(part) == n:
-        vec = psi.amplitudes.copy()
+    if len(part) == psi.n:
+        vec = psi.amplitudes
     else:
         m = bipartition_matrix(psi, part)
         u, s, _ = np.linalg.svd(m, full_matrices=False)
@@ -83,11 +77,7 @@ def _extract_factor(psi: PureState, part: tuple[int, ...], tol: RankTolerance) -
                 f"part {part} accepted as a factor but its reduced state is mixed"
             )
         vec = u[:, 0]
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    vec = vec * np.conj(phase)
-    vec = vec / np.linalg.norm(vec)
-    return PureState(dims=tuple(psi.dims[i] for i in part), amplitudes=vec)
+    return canonical_pure([psi.dims[i] for i in part], vec)
 
 
 def _sweep(
@@ -95,16 +85,12 @@ def _sweep(
     remainder: list[int],
     size: int,
     tol: RankTolerance,
-    cache: dict[tuple[int, ...], int],
 ) -> StepRecord:
     tested: list[tuple[tuple[int, ...], int]] = []
     accepted: list[tuple[int, ...]] = []
     taken: set[int] = set()
     for subset in combinations(remainder, size):
-        rank = cache.get(subset)
-        if rank is None:
-            rank = rank_from_values(bipartition_spectrum(psi, subset), tol)
-            cache[subset] = rank
+        rank = rank_from_values(bipartition_spectrum(psi, subset), tol)
         tested.append((subset, rank))
         if rank == 1:
             if taken & set(subset):
@@ -137,49 +123,20 @@ def factorize_pure(
     inconsistency.
     """
     n = psi.n
-    budget = sum(comb(n, k) for k in range(1, n // 2 + 1))
-    if budget > max_subsets:
-        raise EnumerationLimitError(
-            f"{budget} candidate subsets exceed the cap {max_subsets}"
-        )
+    _check_enumeration(n, n // 2, max_subsets)
 
-    cache: dict[tuple[int, ...], int] = {}
     log: list[StepRecord] = []
     parts: list[tuple[int, ...]] = []
     remainder = list(range(n))
 
     size = 1
     while 2 * size <= len(remainder):
-        record = _sweep(psi, remainder, size, tol, cache)
+        record = _sweep(psi, remainder, size, tol)
         log.append(record)
         for subset in record.accepted:
             parts.append(subset)
             remainder = [i for i in remainder if i not in set(subset)]
         size += 1
-
-    # Verification sweep over the final remainder. The complement argument
-    # says nothing new can appear; if something does, accept it anyway and
-    # keep shrinking until the sweep comes back empty.
-    changed = True
-    while changed and len(remainder) >= 2:
-        changed = False
-        for k in range(1, len(remainder) // 2 + 1):
-            record = _sweep(psi, remainder, k, tol, cache)
-            log.append(
-                StepRecord(
-                    step=record.step,
-                    remainder=record.remainder,
-                    tested=record.tested,
-                    accepted=record.accepted,
-                    verify=True,
-                )
-            )
-            if record.accepted:
-                for subset in record.accepted:
-                    parts.append(subset)
-                    remainder = [i for i in remainder if i not in set(subset)]
-                changed = True
-                break
 
     if remainder:
         parts.append(tuple(remainder))
@@ -221,9 +178,11 @@ def _reconstruction_residual(
     inverse = np.argsort(flat)
     rebuilt = rebuilt.reshape(perm_dims).transpose(inverse).reshape(-1)
 
-    target = density_from_pure(psi).matrix
-    candidate = np.outer(rebuilt, rebuilt.conj())
-    return frobenius_distance(target, candidate)
+    # ‖ψψ† − φφ†‖_F = √(2(1 − |c|²)) with c = ⟨φ|ψ⟩, evaluated without the
+    # cancellation in 1 − |c|²: with θ = arg c, ‖ψ − e^{iθ}φ‖² = 2(1 − |c|).
+    overlap = complex(np.vdot(rebuilt, psi.amplitudes))
+    aligned = np.exp(1j * np.angle(overlap)) * rebuilt
+    return float(np.linalg.norm(psi.amplitudes - aligned) * np.sqrt(1.0 + abs(overlap)))
 
 
 def verify_factorization(psi: PureState, result: FactorizationResult) -> float:
@@ -231,7 +190,8 @@ def verify_factorization(psi: PureState, result: FactorizationResult) -> float:
 
     The factor states are tensored in partition order, the particles are
     permuted back to their original positions, and the two projectors are
-    compared. Small residuals certify the partition; a wrong partition shows
-    up as a distance of order one.
+    compared through the overlap of the vectors, in O(d) memory. Small
+    residuals certify the partition; a wrong partition shows up as a
+    distance of order one.
     """
     return _reconstruction_residual(psi, result.partition, result.factors)

@@ -7,17 +7,25 @@ Particles are indexed 0-based internally (the CLI layer translates to the
 multi-index (i_1, ..., i_N) is sum_k i_k * prod_{l>k} d_l, so particle 0 is
 the most significant digit and a ket string like |011⟩ reads left to right.
 
-A PureState stores the amplitude vector, a DensityMatrix the full matrix;
-both carry the tuple of local dimensions. All operations are pure functions
-and safe for concurrent use.
+Every state is held as a factor V (d × r) with ρ = V V†: a PureState is the
+case r = 1 (V is its amplitude column), a mixture keeps the columns
+√w_j·ψ_j of its terms, and a DensityMatrix given only as a matrix gets V from
+one eigendecomposition (``factored``). The rank of the reduced state of a
+subset S is then the rank of V reshaped to (d_S, d_rest·r), the Schmidt rank
+of the purification across S | rest+ancilla, and one kernel
+(``bipartition_spectrum``/``subset_rank``) serves every state; the full
+particle set gives the rank of the state itself. A DensityMatrix also keeps
+its matrix exactly as given or built, for the partial-transpose baseline.
+
+All operations are pure functions and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
-from math import prod
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, replace
+from math import prod, sqrt
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,13 +87,27 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
+    @property
+    def factor(self) -> np.ndarray:
+        """V = the amplitude column (d × 1)."""
+        return self.amplitudes[:, None]
+
+    def factored(self, tol: RankTolerance = DEFAULT_TOLERANCE) -> PureState:
+        """A pure state carries its factor already."""
+        return self
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix over the joint basis of ``dims``."""
+    """Hermitian, PSD, unit-trace matrix over the joint basis of ``dims``.
+
+    ``factor`` is V (d × r) with ``matrix`` = V V†, when known; ``factored``
+    supplies it for a matrix given without one.
+    """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+    factor: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -94,6 +116,23 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def factored(self, tol: RankTolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
+        """This state with its factor V; a bare matrix gets it from one eigh.
+
+        The smallest eigenpairs are dropped while their total weight is at
+        most tol.cutoff(λ_max) / √d. Every reduced state has λ_max(ρ_S) >=
+        λ_max / √d, so the dropped part stays below every cutoff a rank is
+        taken at and cannot add a significant eigenvalue. Dropping up to
+        tol.cutoff(λ_max) itself could: a reduced state's cutoff is smaller
+        when its λ_max is. Ranks should be taken with the same ``tol``.
+        """
+        if self.factor is not None:
+            return self
+        values, vectors = np.linalg.eigh(self.matrix)
+        tail = tol.cutoff(float(values[-1])) / sqrt(self.dim)
+        keep = np.cumsum(np.clip(values, 0.0, None)) > tail
+        return replace(self, factor=vectors[:, keep] * np.sqrt(values[keep]))
 
 
 State = Union[PureState, DensityMatrix]
@@ -118,6 +157,14 @@ def pure_state(
     if abs(norm - 1.0) > norm_atol:
         raise NormalizationError(f"state vector norm {norm!r} is not 1")
     return PureState(dims=dims, amplitudes=amps)
+
+
+def canonical_pure(dims: Sequence[int], vec: np.ndarray) -> PureState:
+    """PureState along ``vec``: normalized, with the global phase fixed so
+    that the largest-magnitude amplitude is real and positive."""
+    k = int(np.argmax(np.abs(vec)))
+    vec = vec * np.conj(vec[k] / abs(vec[k]))
+    return PureState(dims=tuple(dims), amplitudes=vec / np.linalg.norm(vec))
 
 
 def density_matrix(
@@ -158,11 +205,12 @@ def density_matrix(
 def density_from_pure(psi: PureState) -> DensityMatrix:
     """Projector |psi><psi| as a DensityMatrix (rank 1 by construction)."""
     amps = psi.amplitudes
-    return DensityMatrix(dims=psi.dims, matrix=np.outer(amps, amps.conj()))
+    return DensityMatrix(dims=psi.dims, matrix=np.outer(amps, amps.conj()), factor=psi.factor)
 
 
 def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> DensityMatrix:
-    """Convex mixture sum_j w_j |psi_j><psi_j| of pure states on shared dims."""
+    """Convex mixture sum_j w_j |psi_j><psi_j| of pure states on shared dims,
+    with the factor V = [√w_1·psi_1, ..., √w_r·psi_r]."""
     if not terms:
         raise ShapeError("mixture requires at least one term")
     dims = terms[0][1].dims
@@ -179,7 +227,8 @@ def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> 
     out = np.zeros((d, d), dtype=np.complex128)
     for weight, psi in terms:
         out += weight * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(dims=dims, matrix=out)
+    factor = np.stack([sqrt(weight) * psi.amplitudes for weight, psi in terms], axis=1)
+    return DensityMatrix(dims=dims, matrix=out, factor=factor)
 
 
 def tensor_product(
@@ -247,30 +296,34 @@ def partial_transpose(rho: DensityMatrix, part: SubsetLike) -> np.ndarray:
     return tensor.transpose(perm).reshape(d, d)
 
 
-def purity_check(rho: DensityMatrix, tol: RankTolerance = DEFAULT_TOLERANCE) -> bool:
-    """True when the state is pure, i.e. its matrix has numerical rank 1."""
-    from .linalg import numerical_rank
-
-    return numerical_rank(rho.matrix, tol) == 1
+def purity_check(rho: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> bool:
+    """True when the state is pure, i.e. it has numerical rank 1."""
+    return subset_rank(rho, range(rho.n), tol) == 1
 
 
-def bipartition_matrix(psi: PureState, subset: SubsetLike) -> np.ndarray:
-    """Amplitudes reshaped to a (d_subset, d_rest) matrix for the cut subset|rest."""
-    n = psi.n
+def bipartition_matrix(state: State, subset: SubsetLike) -> np.ndarray:
+    """The factor V reshaped to (d_subset, d_rest · r) for the cut subset|rest.
+
+    Its squared singular values are the nonzero eigenvalues of the reduced
+    state of ``subset``; for the full particle set it is V itself. ``state``
+    must carry its factor: a PureState, or the result of ``factored``.
+    """
+    n = state.n
     subset = normalize_subset(subset, n)
-    if not subset or len(subset) == n:
-        raise PartitionError("bipartition needs a nonempty proper subset")
+    if not subset:
+        raise PartitionError("subset must be nonempty")
     rest = _complement(subset, n)
-    d_s = prod(psi.dims[i] for i in subset)
-    tensor = psi.amplitudes.reshape(psi.dims)
-    return tensor.transpose(subset + rest).reshape(d_s, -1)
+    v = state.factor
+    d_s = prod(state.dims[i] for i in subset)
+    tensor = v.reshape(state.dims + (v.shape[1],))
+    return tensor.transpose(subset + rest + (n,)).reshape(d_s, -1)
 
 
-def bipartition_spectrum(psi: PureState, subset: SubsetLike) -> np.ndarray:
-    """Descending eigenvalues of the reduced state of ``subset`` (or its
-    complement: the two sides share a spectrum up to padding zeros)."""
-    m = bipartition_matrix(psi, subset)
-    s = np.linalg.svd(m, compute_uv=False)
+def bipartition_spectrum(state: State, subset: SubsetLike) -> np.ndarray:
+    """Descending eigenvalues of the reduced state of ``subset`` (all but
+    zeros beyond min(d_subset, d_rest · r)); for a pure state the complement
+    has the same spectrum."""
+    s = np.linalg.svd(bipartition_matrix(state, subset), compute_uv=False)
     return s * s
 
 
@@ -290,6 +343,9 @@ def schmidt_rank(
     The coefficients are the eigenvalues of either side's reduced density
     matrix, so the result is identical when called with the complement.
     """
+    part = normalize_subset(part, psi.n)
+    if len(part) == psi.n:
+        raise PartitionError("a Schmidt decomposition needs a proper subset")
     lam = bipartition_spectrum(psi, part)
     k = rank_from_values(lam, tol)
     return SchmidtData(coefficients=lam[:k].copy(), schmidt_rank=k)
@@ -298,25 +354,14 @@ def schmidt_rank(
 def subset_rank(
     state: State, subset: SubsetLike, tol: RankTolerance = DEFAULT_TOLERANCE
 ) -> int:
-    """Rank of the reduced density matrix of ``subset``.
+    """Rank of the reduced density matrix of ``subset``; the full particle set
+    gives the rank of the state.
 
-    Pure states go through the bipartition spectrum (cheap); density matrices
-    through an explicit partial trace of the complement.
+    The rank is the number of significant squared singular values of the
+    factor V reshaped to (d_subset, d_rest · r). Callers that take many ranks
+    of one state pass ``state.factored(tol)`` so that V is built once.
     """
-    from .linalg import numerical_rank
-
-    n = state.n
-    subset = normalize_subset(subset, n)
-    if not subset:
-        raise PartitionError("subset must be nonempty")
-    if len(subset) == n:
-        if isinstance(state, PureState):
-            return 1
-        return numerical_rank(state.matrix, tol)
-    if isinstance(state, PureState):
-        return rank_from_values(bipartition_spectrum(state, subset), tol)
-    reduced = partial_trace(state, _complement(subset, n))
-    return numerical_rank(reduced.matrix, tol)
+    return rank_from_values(bipartition_spectrum(state.factored(tol), subset), tol)
 
 
 def apply_local_unitaries(psi: PureState, unitaries: Sequence[np.ndarray]) -> PureState:

@@ -240,6 +240,24 @@ def test_check_partition_product(capsys, product_file):
     assert "overall: INCONCLUSIVE" in out
 
 
+def test_check_partition_takes_each_rank_once(capsys, monkeypatch, ghz3_file):
+    """Three ranks per pair, taken by the pair check and reused by the report."""
+    from entrank import cli, criteria
+
+    calls = []
+    original = criteria.subset_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "subset_rank", counting)
+    monkeypatch.setattr(cli, "subset_rank", counting)
+    code, out, _ = run(capsys, "check-partition", ghz3_file, "1|2|3", "--json")
+    assert code == 0
+    assert len(calls) == 3 * len(json.loads(out)["pairs"]) == 9
+
+
 def test_check_partition_malformed_expression(capsys, ghz3_file):
     code, _, err = run(capsys, "check-partition", ghz3_file, "1||3")
     assert code == 2
@@ -331,6 +349,21 @@ def test_gen_is_deterministic(capsys, tmp_path):
         run(capsys, "gen", "random", "--kind", "haar_pure", "--dims", "2,3",
             "--seed", 11, "--out", path)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_mixed_of_rank_writes_a_mixture(capsys, tmp_path):
+    from entrank.catalog import mixed_of_rank
+    from entrank.statefile import load_state
+
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        code, _, _ = run(capsys, "gen", "random", "--dims", "2,3,2", "--kind",
+                         "mixed_of_rank_r", "--rank", "3", "--seed", "11", "--out", path)
+        assert code == 0
+    assert json.loads(paths[0].read_text())["kind"] == "mixture"
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    expected = mixed_of_rank((2, 3, 2), 11, 3).matrix
+    assert np.max(np.abs(load_state(paths[0]).matrix - expected)) <= 1e-12
 
 
 def test_gen_records_seed_metadata(capsys, tmp_path):

@@ -28,6 +28,7 @@ from entrank.criteria import (
 from entrank.errors import EnumerationLimitError, InputError, PartitionError
 from entrank.factorize import factorize_pure
 from entrank.states import (
+    DensityMatrix,
     density_from_pure,
     density_matrix,
     mix,
@@ -86,8 +87,10 @@ def test_lattice_pure_and_density_paths_agree():
     psi = haar_pure((2, 3, 2), seed=3)
     via_psi = rank_lattice(psi, 2)
     via_rho = rank_lattice(density_from_pure(psi), 2)
-    assert via_psi.entries == via_rho.entries
-    assert via_psi.state_rank == via_rho.state_rank == 1
+    bare = DensityMatrix(dims=psi.dims, matrix=density_from_pure(psi).matrix)
+    via_matrix = rank_lattice(bare, 2)
+    assert via_psi.entries == via_rho.entries == via_matrix.entries
+    assert via_psi.state_rank == via_rho.state_rank == via_matrix.state_rank == 1
 
 
 # ---------------------------------------------------------- check_rank_monotonicity
@@ -200,17 +203,6 @@ def test_pure_fully_entangled_examples():
     zero = pure_state((2,), np.array([1.0, 0.0]))
     assert not pure_fully_entangled(tensor_pure(bell(), zero))
     assert pure_fully_entangled(w(4))
-
-
-def test_single_particle_scan_matches_full_scan():
-    states = [
-        product_pure((2, 2, 2, 2), seed=8),
-        haar_pure((2, 2, 2, 2), seed=9),
-        tensor_pure(bell(), bell()),
-        tensor_pure(haar_pure((2,), seed=10), ghz(3, 2)),
-    ]
-    for psi in states:
-        assert pure_entangled(psi) == pure_entangled(psi, full_scan=True)
 
 
 # -------------------------------------------------------------- properties

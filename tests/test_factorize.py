@@ -45,10 +45,10 @@ def test_six_qubit_benchmark_partition_and_log():
     assert result.fully_entangled_parts == ((1, 2), (3, 4, 5))
 
     step1, step2 = result.trace_log[0], result.trace_log[1]
-    assert step1.step == 1 and not step1.verify
+    assert step1.step == 1
     assert dict(step1.tested)[(0,)] == 1
     assert step1.accepted == ((0,),)
-    assert step2.step == 2 and not step2.verify
+    assert step2.step == 2
     assert dict(step2.tested)[(1, 2)] == 1
     assert step2.accepted == ((1, 2),)
     assert len(step2.tested) == 10  # all pairs of the remaining five qubits
@@ -128,6 +128,32 @@ def test_verify_trivial_single_part_is_exact():
     assert verify_factorization(psi, trivial) == 0.0
 
 
+def test_residual_matches_projector_distance():
+    from entrank.linalg import frobenius_distance
+
+    psi = haar_pure((3, 2, 3, 2, 3, 2, 3, 2), seed=70)
+    result = factorize_pure(psi)
+    (factor,) = result.factors
+    projector = np.outer(factor.amplitudes, factor.amplitudes.conj())
+    reference = frobenius_distance(density_from_pure(psi).matrix, projector)
+    assert result.residual <= 1e-12
+    assert abs(result.residual - reference) <= 1e-14
+
+
+def test_factorize_memory_is_linear_in_dimension():
+    """No d x d matrix: a d = 4096 projector alone would take 268 MB."""
+    import tracemalloc
+
+    psi = ghz(12, 2)
+    tracemalloc.start()
+    try:
+        factorize_pure(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_verify_rejects_non_covering_partition():
     psi = ghz(3, 2)
     broken = FactorizationResult(
@@ -147,6 +173,8 @@ def test_verify_rejects_non_covering_partition():
 def test_remainder_reduced_state_is_pure_after_each_acceptance():
     psi = six_qubit_benchmark()
     result = factorize_pure(psi)
+    tested = [subset for record in result.trace_log for subset, _ in record.tested]
+    assert len(tested) == len(set(tested))
     remainder = list(range(6))
     for record in result.trace_log:
         for accepted in record.accepted:

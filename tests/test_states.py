@@ -1,7 +1,17 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from entrank.catalog import bell, ghz, haar_pure, product_pure, random_unitary
+from entrank.catalog import (
+    bell,
+    ghz,
+    haar_pure,
+    mixed_of_rank,
+    product_pure,
+    random_unitary,
+    separable_mixture,
+)
 from entrank.errors import (
     NormalizationError,
     PartitionError,
@@ -10,6 +20,7 @@ from entrank.errors import (
 )
 from entrank.linalg import RankTolerance, numerical_rank
 from entrank.states import (
+    DensityMatrix,
     apply_local_unitaries,
     density_from_pure,
     density_matrix,
@@ -23,7 +34,7 @@ from entrank.states import (
     tensor_product,
     tensor_pure,
 )
-from oracles import ptrace_loop
+from oracles import ptrace_loop, rank_by_eigvalsh
 
 
 def ket(dims, index):
@@ -316,3 +327,86 @@ def test_subset_rank_tolerance_is_shared():
     psi = haar_pure((2, 2), seed=24)
     loose = RankTolerance(rtol=0.9)
     assert subset_rank(psi, (0,), loose) == 1
+
+
+# -------------------------------------------------- one kernel vs reference
+
+
+def reference_ranks(state, rtol, atol):
+    """{traced set: rank} for every traced set of 0..n-1 particles, from an
+    index-loop partial trace and eigenvalues (no factor, no SVD)."""
+    n = state.n
+    out = {}
+    for size in range(n):
+        for traced in combinations(range(n), size):
+            reduced = ptrace_loop(state.matrix, state.dims, traced) if traced else state.matrix
+            out[traced] = rank_by_eigvalsh(reduced, rtol, atol)
+    return out
+
+
+def kernel_ranks(state, tol):
+    n = state.n
+    factored = state.factored(tol)
+    return {
+        traced: subset_rank(factored, tuple(i for i in range(n) if i not in traced), tol)
+        for size in range(n)
+        for traced in combinations(range(n), size)
+    }
+
+
+def bare(rho):
+    """The same matrix without its factor, as a dense file would load it."""
+    return DensityMatrix(dims=rho.dims, matrix=rho.matrix)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
+def test_subset_rank_matches_partial_trace_reference(dims):
+    states = [mixed_of_rank(dims, seed=30 + r, rank=r) for r in (1, 2, 5)]
+    states.append(separable_mixture(dims, seed=35))
+    states += [bare(rho) for rho in states]
+    for rho in states:
+        assert kernel_ranks(rho, RankTolerance()) == reference_ranks(rho, 1e-10, 1e-12)
+
+
+def planted(base, eps, seed):
+    """base plus a component at eps * lambda_max, orthogonal to base's support,
+    renormalized: its eigenvalue ratio to lambda_max is exactly eps."""
+    values, vectors = np.linalg.eigh(base.matrix)
+    support = vectors[:, values > 1e-12]
+    phi = haar_pure(base.dims, seed=seed).amplitudes
+    phi = phi - support @ (support.conj().T @ phi)
+    phi /= np.linalg.norm(phi)
+    matrix = base.matrix + eps * values[-1] * np.outer(phi, phi.conj())
+    return DensityMatrix(dims=base.dims, matrix=matrix / np.trace(matrix).real)
+
+
+def structured(dims, eps):
+    """(|00> + |11>)/sqrt(2) on particles 0, 1 times |0...0> on the rest, plus
+    |0...01> at eps * lambda_max. Tracing out particle 1 halves lambda_max, so
+    at eps = 0.9 * rtol the component still counts in that reduced state."""
+    n = len(dims)
+    bell_part = np.zeros(int(np.prod(dims)), dtype=complex)
+    for k in (0, 1):
+        bell_part[np.ravel_multi_index((k, k) + (0,) * (n - 2), dims)] = 1 / np.sqrt(2)
+    extra = np.zeros_like(bell_part)
+    extra[np.ravel_multi_index((0,) * (n - 1) + (1,), dims)] = 1.0
+    matrix = np.outer(bell_part, bell_part) + eps * np.outer(extra, extra)
+    return DensityMatrix(dims=tuple(dims), matrix=matrix / (1 + eps))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
+@pytest.mark.parametrize("eps", [1e-12, 9e-11, 1.1e-10, 1e-9])
+def test_subset_rank_near_threshold_components(dims, eps):
+    states = [planted(bare(mixed_of_rank(dims, seed=40, rank=2)), eps, seed=50),
+              structured(dims, eps)]
+    for k, rho in enumerate(states):
+        for rtol in (1e-10, 1e-6, 1e-13):
+            tol = RankTolerance(rtol=rtol, atol=0.0)
+            assert kernel_ranks(rho, tol) == reference_ranks(rho, rtol, 0.0), (k, rtol)
+
+
+def test_structured_component_counts_in_a_reduced_state():
+    """The case a truncation at tol.cutoff(lambda_max) would get wrong."""
+    rho = structured((2, 2, 2), 9e-11)
+    assert subset_rank(rho, range(3)) == 1
+    assert subset_rank(rho, (0, 2)) == reference_ranks(rho, 1e-10, 1e-12)[(1,)] == 3
