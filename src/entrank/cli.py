@@ -25,21 +25,16 @@ import numpy as np
 
 from . import catalog, criteria, factorize as factorize_mod, statefile
 from .errors import EntrankError, InputError, PartitionError
-from .linalg import (
-    DEFAULT_ATOL,
-    DEFAULT_MAX_DIM,
-    DEFAULT_RTOL,
-    RankTolerance,
-    hermitian_eigenvalues,
-)
+from .linalg import DEFAULT_ATOL, DEFAULT_MAX_DIM, DEFAULT_RTOL, RankTolerance
 from .states import (
     DensityMatrix,
     PureState,
     State,
     canonical_pure,
     normalize_subset,
-    partial_transpose,
+    ppt_minimum,
     subset_rank,
+    validate_dims,
 )
 
 PPT_NEG_TOL = 1e-9
@@ -107,24 +102,9 @@ def _as_pure(state: State, tol: RankTolerance) -> PureState:
     return canonical_pure(state.dims, factor[:, 0])
 
 
-def _print_report(report: dict, as_json: bool, human: str) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(human, end="")
-
-
-def _ppt_min_eigenvalue(rho: DensityMatrix, part: Sequence[int]) -> float:
-    transposed = partial_transpose(rho, part)
-    return float(hermitian_eigenvalues(transposed)[-1])
-
-
-def _to_density(state: State) -> DensityMatrix:
-    if isinstance(state, DensityMatrix):
-        return state
-    from .states import density_from_pure
-
-    return density_from_pure(state)
+def _print_json(report: dict) -> int:
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return 0
 
 
 # ---------------------------------------------------------------- analyze
@@ -155,9 +135,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     ppt_rows = []
     if args.ppt and n >= 2:
-        rho = _to_density(state)
         for i in range(n):
-            value = _ppt_min_eigenvalue(rho, (i,))
+            value = ppt_minimum(state, (i,))
             ppt_rows.append(
                 {
                     "part": [i + 1],
@@ -193,6 +172,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     if args.ppt:
         report["ppt"] = ppt_rows
+    if args.json:
+        return _print_json(report)
 
     lines = [
         f"input: {args.file}",
@@ -220,7 +201,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             part = "{" + ",".join(str(i) for i in row["part"]) + "}"
             lines.append(f"  part {part}: {row['min_eigenvalue']:+.6e}  {row['flag']}")
     lines.append(f"verdict: {verdict}")
-    _print_report(report, args.json, "\n".join(lines) + "\n")
+    print("\n".join(lines))
     return 0
 
 
@@ -266,6 +247,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         ],
         "timing_seconds": elapsed,
     }
+    if args.json:
+        return _print_json(report)
 
     partition_text = " | ".join(_fmt_subset(p) for p in result.partition)
     lines = [
@@ -282,7 +265,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             f"  step {rec.step}: tested {len(rec.tested)} subsets of"
             f" {_fmt_subset(rec.remainder)}, accepted {accepted}"
         )
-    _print_report(report, args.json, "\n".join(lines) + "\n")
+    print("\n".join(lines))
     return 0
 
 
@@ -320,6 +303,8 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
         "pairs": pair_rows,
         "overall": overall.tag,
     }
+    if args.json:
+        return _print_json(report)
 
     lines = [f"input: {args.file}", "pair checks (rank_u, rank_v vs rank of the pair together):"]
     for row in pair_rows:
@@ -330,7 +315,7 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
             f" {row['rank_composite']}) -> {row['verdict']}"
         )
     lines.append(f"overall: {overall.tag}")
-    _print_report(report, args.json, "\n".join(lines) + "\n")
+    print("\n".join(lines))
     return 0
 
 
@@ -339,13 +324,8 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
 
 def cmd_ppt(args: argparse.Namespace) -> int:
     state = statefile.load_state(args.file, max_dim=args.max_dim)
-    if state.n < 2:
-        raise InputError("the partial-transpose check needs at least two particles")
     part = _parse_indices(args.part, state.n, "part")
-    if len(part) == state.n:
-        raise PartitionError("part must leave at least one particle untransposed")
-    rho = _to_density(state)
-    value = _ppt_min_eigenvalue(rho, part)
+    value = ppt_minimum(state, part)
     flag = PPT_ENTANGLED if value < -PPT_NEG_TOL else PPT_NOT_DETECTED
 
     report = {
@@ -357,13 +337,14 @@ def cmd_ppt(args: argparse.Namespace) -> int:
         "min_eigenvalue": value,
         "flag": flag,
     }
-    human = (
+    if args.json:
+        return _print_json(report)
+    print(
         f"input: {args.file}\n"
         f"part: {_fmt_subset(part)}\n"
         f"minimum eigenvalue of the partial transpose: {value:+.9e}\n"
-        f"flag: {flag}\n"
+        f"flag: {flag}"
     )
-    _print_report(report, args.json, human)
     return 0
 
 
@@ -428,9 +409,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _bench_member(kind: str, dims: tuple[int, ...], seed: int, index: int, args) -> State:
     if kind == "product_mixture":
-        return catalog.separable_mixture(dims, seed=seed + index, max_terms=args.max_terms)
+        return catalog.separable_mixture(
+            dims, seed=seed + index, max_terms=args.max_terms, max_dim=args.max_dim
+        )
     if kind == "haar_pure":
-        return catalog.haar_pure(dims, seed=seed + index)
+        return catalog.haar_pure(dims, seed=seed + index, max_dim=args.max_dim)
     raise InputError(f"unknown bench kind {kind!r}")
 
 
@@ -442,7 +425,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InputError(f"count must be >= 1, got {args.count}")
 
     if args.kind == "werner":
-        dims = (2, 2)
+        dims = validate_dims((2, 2), args.max_dim)
         members: list[State] = [
             catalog.werner(float(p)) for p in np.linspace(args.p_start, args.p_stop, args.count)
         ]
@@ -463,10 +446,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         depth = args.depth if args.depth is not None else criteria.default_depth(n)
         verdict = criteria.entanglement_verdict(state, depth, tol)
         rank_detected = verdict.tag == criteria.ENTANGLED
-        rho = _to_density(state)
-        ppt_detected = any(
-            _ppt_min_eigenvalue(rho, (i,)) < -PPT_NEG_TOL for i in range(n)
-        )
+        ppt_detected = any(ppt_minimum(state, (i,)) < -PPT_NEG_TOL for i in range(n))
         rank_hits += rank_detected
         ppt_hits += ppt_detected
         both += rank_detected and ppt_detected
@@ -497,20 +477,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
-                        help="relative singular-value threshold for ranks")
-    common.add_argument("--atol", type=float, default=DEFAULT_ATOL,
-                        help="absolute singular-value floor for ranks")
-    common.add_argument("--depth", type=int, default=None,
-                        help="largest traced-out set size (default: half the particles)")
-    common.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON report")
-    common.add_argument("--seed", type=int, default=0, help="seed for random generation")
-    common.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                        help="maximum joint dimension")
+SHARED_FLAGS = {
+    "--rtol": dict(type=float, default=DEFAULT_RTOL,
+                   help="relative singular-value threshold for ranks"),
+    "--atol": dict(type=float, default=DEFAULT_ATOL,
+                   help="absolute singular-value floor for ranks"),
+    "--depth": dict(type=int, default=None,
+                    help="largest traced-out set size (default: half the particles)"),
+    "--json": dict(action="store_true", help="emit a machine-readable JSON report"),
+    "--seed": dict(type=int, default=0, help="seed for random generation"),
+    "--max-dim": dict(type=int, default=DEFAULT_MAX_DIM, help="maximum joint dimension"),
+}
 
+
+def _subcommand(sub, name: str, flags: Sequence[str], **kwargs) -> argparse.ArgumentParser:
+    """A subcommand parser with the shared flags it reads, and no others."""
+    p = sub.add_parser(name, **kwargs)
+    for flag in flags:
+        p.add_argument(flag, **SHARED_FLAGS[flag])
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrank",
         description="Entanglement detection and pure-state factorization"
@@ -518,34 +506,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="rank lattice, violations, and verdict for a state file")
+    p = _subcommand(sub, "analyze", ("--rtol", "--atol", "--depth", "--json", "--max-dim"),
+                    help="rank lattice, violations, and verdict for a state file")
     p.add_argument("file", help="state file (pure, mixture, or dense)")
     p.add_argument("--ppt", action="store_true",
                    help="also report single-particle partial-transpose minima")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("factorize", parents=[common],
-                       help="finest tensor-product partition of a pure state")
+    p = _subcommand(sub, "factorize", ("--rtol", "--atol", "--json", "--max-dim"),
+                    help="finest tensor-product partition of a pure state")
     p.add_argument("file", help="state file containing a pure state")
     p.add_argument("--factors-out", default=None,
                    help="directory for per-part factor state files")
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("check-partition", parents=[common],
-                       help="pairwise rank checks for a user partition")
+    p = _subcommand(sub, "check-partition", ("--rtol", "--atol", "--json", "--max-dim"),
+                    help="pairwise rank checks for a user partition")
     p.add_argument("file", help="state file")
     p.add_argument("partition",
                    help="parts separated by '|', indices by ',', e.g. 1|2,3|4,5,6")
     p.set_defaults(func=cmd_check_partition)
 
-    p = sub.add_parser("ppt", parents=[common],
-                       help="minimum eigenvalue of the partial transpose")
+    p = _subcommand(sub, "ppt", ("--json", "--max-dim"),
+                    help="minimum eigenvalue of the partial transpose")
     p.add_argument("file", help="state file")
     p.add_argument("part", help="particles to transpose, e.g. 1 or 1,3")
     p.set_defaults(func=cmd_ppt)
 
-    p = sub.add_parser("gen", parents=[common], help="write a catalog state to a file")
+    p = _subcommand(sub, "gen", ("--seed", "--max-dim"), help="write a catalog state to a file")
     p.add_argument("name", choices=GEN_NAMES, help="state name")
     p.add_argument("--out", required=True, help="output state file path")
     p.add_argument("--n", type=int, default=3, help="particle count (ghz, w)")
@@ -557,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=1, help="component count for mixed_of_rank_r")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="compare rank detection against the PPT baseline over an ensemble")
+    p = _subcommand(sub, "bench", ("--rtol", "--atol", "--depth", "--seed", "--max-dim"),
+                    help="compare rank detection against the PPT baseline over an ensemble")
     p.add_argument("--kind", required=True, choices=BENCH_KINDS, help="ensemble kind")
     p.add_argument("--count", type=int, required=True, help="ensemble size")
     p.add_argument("--dims", default=None, help="local dimensions, e.g. 2,2")

@@ -25,7 +25,7 @@ from .errors import InternalInconsistencyError, PartitionError
 from .linalg import DEFAULT_TOLERANCE, RankTolerance, rank_from_values
 from .states import PureState, bipartition_matrix, bipartition_spectrum, canonical_pure
 
-DEFAULT_RESIDUAL_THRESHOLD = 1e-8
+RESIDUAL_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -111,16 +111,15 @@ def factorize_pure(
     psi: PureState,
     tol: RankTolerance = DEFAULT_TOLERANCE,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
-    residual_threshold: float = DEFAULT_RESIDUAL_THRESHOLD,
 ) -> FactorizationResult:
     """Split a pure state into its finest tensor-product partition.
 
     Every part of size one is a disentangled particle; every larger part is
     fully entangled (no subset of it has a pure reduced state). The result
     carries the sweep-by-sweep trace and the reconstruction residual; a
-    residual above ``residual_threshold`` means the rank tolerance accepted
-    a cut that is not actually a product and is reported as an internal
-    inconsistency.
+    residual above ``RESIDUAL_THRESHOLD`` (1e-8) means the rank tolerance
+    accepted a cut that is not actually a product and is reported as an
+    internal inconsistency.
     """
     n = psi.n
     _check_enumeration(n, n // 2, max_subsets)
@@ -145,9 +144,9 @@ def factorize_pure(
     factors = tuple(_extract_factor(psi, part, tol) for part in parts)
     fully_entangled = tuple(p for p in parts if len(p) >= 2)
     residual = _reconstruction_residual(psi, tuple(parts), factors)
-    if residual > residual_threshold:
+    if residual > RESIDUAL_THRESHOLD:
         raise InternalInconsistencyError(
-            f"reconstruction residual {residual:.3e} exceeds {residual_threshold:.1e};"
+            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_THRESHOLD:.1e};"
             " the rank tolerance accepted a non-product cut"
         )
 

@@ -12,9 +12,13 @@ basis states are zero, and no complex literals appear, so files stay
 dimension-explicit and portable. An optional ``metadata`` object records
 provenance such as generator names and seeds.
 
-Loaded pure and mixture payloads must be normalized within ``load_tol``
-(default 1e-6); they are rescaled only when the norm is off by more than
-1e-12, so writing and re-reading a normalized state is bit-identical.
+Loaded payloads must be normalized within ``LOAD_TOL`` (1e-6): the norm of
+each pure amplitude list, the sum of mixture weights, and the trace, the
+relative Hermiticity defect and the negative eigenvalues of a dense matrix.
+Amplitudes and dense matrices are rescaled only when they are off by more
+than 1e-12, so writing and re-reading a normalized state is bit-identical.
+A dense matrix goes through ``states.density_matrix`` alone, which keeps its
+Hermitian part at unit trace.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 from .errors import StateFileError
 from .linalg import DEFAULT_MAX_DIM
 from .states import (
+    RESCALE_GUARD,
     DensityMatrix,
     PureState,
     State,
@@ -39,8 +44,7 @@ from .states import (
 )
 
 FORMAT_VERSION = "1"
-DEFAULT_LOAD_TOL = 1e-6
-_RESCALE_GUARD = 1e-12
+LOAD_TOL = 1e-6
 
 
 def _require(payload: dict, key: str, context: str) -> Any:
@@ -85,11 +89,11 @@ def _parse_amplitudes(
     return amps
 
 
-def _normalized(amps: np.ndarray, load_tol: float, where: str) -> np.ndarray:
+def _normalized(amps: np.ndarray, where: str) -> np.ndarray:
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > load_tol:
-        raise StateFileError(f"{where}: amplitude norm {norm!r} is not 1 within {load_tol}")
-    if abs(norm - 1.0) > _RESCALE_GUARD:
+    if abs(norm - 1.0) > LOAD_TOL:
+        raise StateFileError(f"{where}: amplitude norm {norm!r} is not 1 within {LOAD_TOL}")
+    if abs(norm - 1.0) > RESCALE_GUARD:
         amps = amps / norm
     return amps
 
@@ -113,7 +117,6 @@ def _parse_matrix(rows: Any, d: int, where: str) -> np.ndarray:
 
 def parse_state(
     payload: dict,
-    load_tol: float = DEFAULT_LOAD_TOL,
     max_dim: int = DEFAULT_MAX_DIM,
     context: str = "state file",
 ) -> State:
@@ -138,7 +141,7 @@ def parse_state(
 
     if kind == "pure":
         amps = _parse_amplitudes(_require(payload, "amplitudes", context), dims, context)
-        amps = _normalized(amps, load_tol, context)
+        amps = _normalized(amps, context)
         return pure_state(dims, amps, max_dim=max_dim)
 
     if kind == "mixture":
@@ -152,33 +155,19 @@ def parse_state(
                 raise StateFileError(f"{ctx}: expected an object")
             weight = _parse_float(_require(term, "weight", ctx), ctx)
             amps = _parse_amplitudes(_require(term, "amplitudes", ctx), dims, ctx)
-            amps = _normalized(amps, load_tol, ctx)
+            amps = _normalized(amps, ctx)
             terms.append((weight, pure_state(dims, amps, max_dim=max_dim)))
-        return mix(terms, weight_atol=load_tol)
+        return mix(terms, weight_atol=LOAD_TOL)
 
     if kind == "dense":
-        d = prod(dims)
-        matrix = _parse_matrix(_require(payload, "matrix", context), d, context)
-        rho = density_matrix(
-            dims,
-            matrix,
-            max_dim=max_dim,
-            herm_atol=load_tol,
-            trace_atol=load_tol,
-            psd_atol=load_tol,
-        )
-        mat = (rho.matrix + rho.matrix.conj().T) / 2
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > _RESCALE_GUARD:
-            mat = mat / tr
-        return DensityMatrix(dims=dims, matrix=mat)
+        matrix = _parse_matrix(_require(payload, "matrix", context), prod(dims), context)
+        return density_matrix(dims, matrix, max_dim=max_dim, atol=LOAD_TOL)
 
     raise StateFileError(f"{context}: unknown kind {kind!r}")
 
 
 def load_state(
     path: Union[str, Path],
-    load_tol: float = DEFAULT_LOAD_TOL,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> State:
     """Read and validate a state file; errors carry file and position context."""
@@ -193,7 +182,7 @@ def load_state(
         raise StateFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_state(payload, load_tol=load_tol, max_dim=max_dim, context=str(path))
+    return parse_state(payload, max_dim=max_dim, context=str(path))
 
 
 def _amplitude_entries(dims: tuple[int, ...], amps: np.ndarray) -> list[dict]:

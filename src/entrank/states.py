@@ -14,8 +14,10 @@ one eigendecomposition (``factored``). The rank of the reduced state of a
 subset S is then the rank of V reshaped to (d_S, d_rest·r), the Schmidt rank
 of the purification across S | rest+ancilla, and one kernel
 (``bipartition_spectrum``/``subset_rank``) serves every state; the full
-particle set gives the rank of the state itself. A DensityMatrix also keeps
-its matrix exactly as given or built, for the partial-transpose baseline.
+particle set gives the rank of the state itself. Every state also gives ρ
+as ``matrix`` for the partial-transpose baseline ``ppt_minimum`` (a PureState
+builds ψψ† on each access), and a dense matrix from outside enters through
+``density_matrix`` alone, which validates it once.
 
 All operations are pure functions and safe for concurrent use.
 """
@@ -44,7 +46,8 @@ from .linalg import (
 )
 
 NORM_ATOL = 1e-9
-PSD_ATOL = 1e-9
+DENSITY_ATOL = 1e-9
+RESCALE_GUARD = 1e-12
 
 SubsetLike = Iterable[int]
 
@@ -91,6 +94,11 @@ class PureState:
     def factor(self) -> np.ndarray:
         """V = the amplitude column (d × 1)."""
         return self.amplitudes[:, None]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """ρ = ψψ† (d × d), built on each access and never stored."""
+        return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def factored(self, tol: RankTolerance = DEFAULT_TOLERANCE) -> PureState:
         """A pure state carries its factor already."""
@@ -142,7 +150,6 @@ def pure_state(
     dims: Sequence[int],
     amplitudes: np.ndarray,
     max_dim: int = DEFAULT_MAX_DIM,
-    norm_atol: float = NORM_ATOL,
 ) -> PureState:
     """Validated PureState constructor; the amplitudes are used as given."""
     dims = validate_dims(dims, max_dim)
@@ -154,7 +161,7 @@ def pure_state(
     if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
         raise ShapeError("amplitudes contain NaN or Inf")
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > norm_atol:
+    if abs(norm - 1.0) > NORM_ATOL:
         raise NormalizationError(f"state vector norm {norm!r} is not 1")
     return PureState(dims=dims, amplitudes=amps)
 
@@ -171,16 +178,14 @@ def density_matrix(
     dims: Sequence[int],
     matrix: np.ndarray,
     max_dim: int = DEFAULT_MAX_DIM,
-    herm_atol: float = 1e-9,
-    trace_atol: float = 1e-9,
-    psd_atol: float = PSD_ATOL,
-    check_psd: bool = True,
+    atol: float = DENSITY_ATOL,
 ) -> DensityMatrix:
-    """Validated DensityMatrix constructor.
+    """Validated DensityMatrix constructor, the one intake for a dense matrix.
 
-    Hermiticity is relative in Frobenius norm, the trace must be 1, and with
-    ``check_psd`` the minimum eigenvalue must be >= -psd_atol. Operations that
-    preserve these invariants by construction build instances directly.
+    ‖M − M†‖_F must be at most atol·‖M‖_F and the trace within atol of 1. The
+    Hermitian part (M + M†)/2 is stored, divided by its trace when that is off
+    by more than 1e-12, and must have no eigenvalue below -atol. Operations
+    that preserve these invariants by construction build instances directly.
     """
     dims = validate_dims(dims, max_dim)
     mat = as_matrix(matrix)
@@ -188,24 +193,24 @@ def density_matrix(
     if mat.shape != (d, d):
         raise ShapeError(f"matrix shape {mat.shape} does not match dims {dims}")
     norm = np.linalg.norm(mat)
-    if np.linalg.norm(mat - mat.conj().T) > herm_atol * max(norm, 1e-300):
+    if np.linalg.norm(mat - mat.conj().T) > atol * max(norm, 1e-300):
         raise NormalizationError("density matrix is not Hermitian within tolerance")
     tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > trace_atol:
+    if abs(tr - 1.0) > atol:
         raise NormalizationError(f"density matrix trace {tr!r} is not 1")
-    if check_psd:
-        low = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
-        if low < -psd_atol:
-            raise NormalizationError(
-                f"density matrix has negative eigenvalue {low:.3e}"
-            )
+    # The diagonal of (M + M†)/2 is exactly Re M_ii, so its trace is tr.real.
+    mat = (mat + mat.conj().T) / 2
+    if abs(tr.real - 1.0) > RESCALE_GUARD:
+        mat = mat / tr.real
+    low = float(np.linalg.eigvalsh(mat)[0])
+    if low < -atol:
+        raise NormalizationError(f"density matrix has negative eigenvalue {low:.3e}")
     return DensityMatrix(dims=dims, matrix=mat)
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:
     """Projector |psi><psi| as a DensityMatrix (rank 1 by construction)."""
-    amps = psi.amplitudes
-    return DensityMatrix(dims=psi.dims, matrix=np.outer(amps, amps.conj()), factor=psi.factor)
+    return DensityMatrix(dims=psi.dims, matrix=psi.matrix, factor=psi.factor)
 
 
 def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> DensityMatrix:
@@ -280,8 +285,8 @@ def partial_trace(rho: DensityMatrix, traced: SubsetLike) -> DensityMatrix:
     )
 
 
-def partial_transpose(rho: DensityMatrix, part: SubsetLike) -> np.ndarray:
-    """Transpose the indices of ``part`` only; Hermitian but not necessarily PSD."""
+def partial_transpose(rho: State, part: SubsetLike) -> np.ndarray:
+    """ρ with the indices of ``part`` transposed; Hermitian but not necessarily PSD."""
     n = rho.n
     part = normalize_subset(part, n)
     if not part:
@@ -294,6 +299,18 @@ def partial_transpose(rho: DensityMatrix, part: SubsetLike) -> np.ndarray:
         perm[i], perm[n + i] = perm[n + i], perm[i]
     d = rho.dim
     return tensor.transpose(perm).reshape(d, d)
+
+
+def ppt_minimum(state: State, part: SubsetLike) -> float:
+    """Smallest eigenvalue of ρ transposed on ``part``; negative proves
+    entanglement across part | rest (the PPT baseline).
+
+    ρ^{T_A} − (ρ^{T_A})† = (ρ − ρ†)^{T_A}, so the Hermiticity defect is ρ's,
+    already bounded by validation or construction: the transpose is only
+    symmetrized, and the value equals ``hermitian_eigenvalues(...)[-1]``.
+    """
+    pt = partial_transpose(state, part)
+    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
 
 
 def purity_check(rho: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> bool:

@@ -436,3 +436,79 @@ def test_bench_haar_pure_detected_by_both(capsys):
 def test_bench_rejects_bad_spec(capsys):
     code, _, _ = run(capsys, "bench", "--kind", "product_mixture", "--count", 3)
     assert code == 2  # missing dims
+
+
+REMOVED_FLAGS = [
+    ("analyze", "--seed", "1"),
+    ("factorize", "--depth", "1"),
+    ("factorize", "--seed", "1"),
+    ("check-partition", "--depth", "1"),
+    ("check-partition", "--seed", "1"),
+    ("ppt", "--rtol", "0.1"),
+    ("ppt", "--atol", "0.1"),
+    ("ppt", "--depth", "1"),
+    ("ppt", "--seed", "1"),
+    ("gen", "--rtol", "0.1"),
+    ("gen", "--atol", "0.1"),
+    ("gen", "--depth", "1"),
+    ("gen", "--json", None),
+    ("bench", "--json", None),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+def test_unread_flag_exits_2(command, flag, value, capsys, ghz3_file, tmp_path):
+    base = {
+        "analyze": ["analyze", ghz3_file],
+        "factorize": ["factorize", ghz3_file],
+        "check-partition": ["check-partition", ghz3_file, "1|2|3"],
+        "ppt": ["ppt", ghz3_file, "1"],
+        "gen": ["gen", "bell", "--out", tmp_path / "bell.json"],
+        "bench": ["bench", "--kind", "werner", "--count", "2"],
+    }[command]
+    assert run(capsys, *base)[0] == 0
+    extra = [flag] if value is None else [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in base + extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "haar_pure", "--dims", "2,2,2", "--count", "1", "--max-dim", "4"],
+        ["--kind", "product_mixture", "--dims", "2,3", "--count", "1", "--max-dim", "5"],
+        ["--kind", "werner", "--count", "1", "--max-dim", "3"],
+    ],
+)
+def test_bench_enforces_max_dim(argv, capsys):
+    code, out, err = run(capsys, "bench", *argv)
+    assert code == 3
+    assert out == ""
+    assert "exceeds the maximum" in err
+
+
+def test_dense_input_with_negative_eigenvalue_exits_2(capsys, tmp_path):
+    from entrank.states import DensityMatrix
+
+    matrix = np.diag([0.6, 0.4 + 2e-6, -2e-6, 0.0]).astype(complex)
+    path = tmp_path / "negative.json"
+    write_state_file(path, density_payload(DensityMatrix(dims=(2, 2), matrix=matrix)))
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert out == ""
+    assert "negative eigenvalue -2.000e-06" in err
+
+
+def test_json_reports_build_no_human_text(capsys, monkeypatch, ghz3_file):
+    import entrank.cli as cli
+
+    def refuse(subset):
+        raise AssertionError("human text built for a --json report")
+
+    monkeypatch.setattr(cli, "_fmt_subset", refuse)
+    assert run(capsys, "analyze", ghz3_file, "--json", "--ppt")[0] == 0
+    assert run(capsys, "factorize", ghz3_file, "--json")[0] == 0
+    assert run(capsys, "ppt", ghz3_file, "1", "--json")[0] == 0
+    assert run(capsys, "check-partition", ghz3_file, "1|2|3", "--json")[0] == 0

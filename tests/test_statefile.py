@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from entrank.catalog import bell, haar_pure, werner
+from entrank.catalog import bell, haar_pure, mixed_of_rank, werner
 from entrank.errors import StateFileError
 from entrank.statefile import (
     density_payload,
@@ -197,3 +197,17 @@ def test_complex_literal_rejected():
     }
     with pytest.raises(StateFileError, match="expected a number"):
         parse_state(payload)
+
+
+def test_dense_load_symmetrizes_and_rescales_once(tmp_path):
+    """A dense payload off by a 1e-8 relative Hermitian defect and a trace of
+    1 + 1e-7 loads as exactly ((m + m†)/2) / tr."""
+    rho = mixed_of_rank((2, 2), seed=9, rank=2).matrix
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    skew = g - g.conj().T
+    m = (1 + 1e-7) * rho + 0.5e-8 * np.linalg.norm(rho) / np.linalg.norm(skew) * skew
+    assert np.linalg.norm(m - m.conj().T) / np.linalg.norm(m) == pytest.approx(1e-8, rel=1e-3)
+    state = load_state(write(tmp_path, density_payload(DensityMatrix(dims=(2, 2), matrix=m))))
+    sym = (m + m.conj().T) / 2
+    assert np.array_equal(state.matrix, sym / np.trace(sym).real)

@@ -18,7 +18,7 @@ from entrank.errors import (
     ShapeError,
     SizeLimitError,
 )
-from entrank.linalg import RankTolerance, numerical_rank
+from entrank.linalg import RankTolerance, hermitian_eigenvalues, numerical_rank
 from entrank.states import (
     DensityMatrix,
     apply_local_unitaries,
@@ -27,6 +27,7 @@ from entrank.states import (
     mix,
     partial_trace,
     partial_transpose,
+    ppt_minimum,
     pure_state,
     purity_check,
     schmidt_rank,
@@ -231,6 +232,58 @@ def test_partial_transpose_is_involution():
     once = partial_transpose(rho, (1,))
     again = partial_transpose(DensityMatrix(dims=rho.dims, matrix=once), (1,))
     np.testing.assert_allclose(again, rho.matrix, atol=1e-15)
+
+
+def _ppt_state(name, tmp_path):
+    from entrank.catalog import werner
+    from entrank.statefile import density_payload, load_state, write_state_file
+
+    if name == "haar_pure":
+        return haar_pure((2, 3, 2), seed=21)
+    if name == "mixed_of_rank":
+        return mixed_of_rank((2, 2, 2), seed=22, rank=3)
+    if name == "werner":
+        return werner(0.6)
+    mixture = mixed_of_rank((2, 3, 2), seed=23, rank=2)
+    dense = DensityMatrix(dims=mixture.dims, matrix=mixture.matrix)
+    path = tmp_path / "dense.json"
+    write_state_file(path, density_payload(dense))
+    return load_state(path)
+
+
+@pytest.mark.parametrize("name", ["haar_pure", "mixed_of_rank", "werner", "dense_file"])
+def test_ppt_minimum_equals_checked_eigenvalues_exactly(name, tmp_path):
+    state = _ppt_state(name, tmp_path)
+    parts = [(i,) for i in range(state.n)] + ([(0, 2)] if state.n > 2 else [])
+    for part in parts:
+        expected = hermitian_eigenvalues(partial_transpose(state, part))[-1]
+        assert ppt_minimum(state, part) == expected
+
+
+def test_pure_state_matrix_is_the_projector():
+    psi = haar_pure((2, 3), seed=24)
+    assert np.array_equal(psi.matrix, density_from_pure(psi).matrix)
+    assert "matrix" not in vars(psi)
+
+
+def test_density_matrix_stores_hermitian_part():
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m = np.diag([0.5, 0.3, 0.2]) + 1e-11 * (g - g.conj().T)
+    rho = density_matrix((3,), m)
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert np.array_equal(rho.matrix, (m + m.conj().T) / 2)
+
+
+def test_density_matrix_one_tolerance():
+    skewed = np.array([[0.5, 1e-7], [0.0, 0.5]])
+    with pytest.raises(NormalizationError, match="Hermitian"):
+        density_matrix((2,), skewed)
+    assert density_matrix((2,), skewed, atol=1e-6).matrix[0, 1] == 0.5e-7
+    with pytest.raises(NormalizationError, match="trace"):
+        density_matrix((2,), np.diag([0.5, 0.5 + 1e-7]))
+    rescaled = density_matrix((2,), np.diag([0.5, 0.5 + 1e-7]), atol=1e-6).matrix
+    assert np.trace(rescaled).real == pytest.approx(1.0, abs=1e-15)
 
 
 # ------------------------------------------------------------------- purity
