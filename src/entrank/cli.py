@@ -116,7 +116,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     n = state.n
     started = time.perf_counter()
 
-    state = state.factored(tol)
     if n == 1:
         depth = 0
         lattice = criteria.RankLattice(
@@ -135,6 +134,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     ppt_rows = []
     if args.ppt and n >= 2:
+        # The state as loaded, not factored: a dense file's PPT value is that of
+        # its stored matrix, whatever the rank tolerance.
         for i in range(n):
             value = ppt_minimum(state, (i,))
             ppt_rows.append(

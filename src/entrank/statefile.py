@@ -53,10 +53,27 @@ def _require(payload: dict, key: str, context: str) -> Any:
     return payload[key]
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_index(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_float(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise StateFileError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _checked_complex(entry: dict, where: str) -> complex:
+    """complex(entry["re"], entry["im"]), or an error naming ``where`` and the
+    bad field. The cell loops test the valid case inline and call this only
+    otherwise, so a valid file builds no message."""
+    re = _parse_float(_require(entry, "re", where), where)
+    im = _parse_float(_require(entry, "im", where), where)
+    return complex(re, im)
 
 
 def _parse_amplitudes(
@@ -66,26 +83,34 @@ def _parse_amplitudes(
         raise StateFileError(f"{where}: amplitude list expected")
     amps = np.zeros(prod(dims), dtype=np.complex128)
     seen: set[int] = set()
+
+    def at(pos: int) -> str:
+        return f"{where}, amplitude {pos}"
+
     for pos, entry in enumerate(entries):
-        ctx = f"{where}, amplitude {pos}"
         if not isinstance(entry, dict):
-            raise StateFileError(f"{ctx}: expected an object")
-        index = _require(entry, "index", ctx)
-        if (
-            not isinstance(index, list)
-            or len(index) != len(dims)
-            or not all(isinstance(i, int) and not isinstance(i, bool) for i in index)
+            raise StateFileError(f"{at(pos)}: expected an object")
+        index = entry.get("index")
+        if not (
+            isinstance(index, list) and len(index) == len(dims) and all(map(_is_index, index))
         ):
-            raise StateFileError(f"{ctx}: index must list one integer per particle")
-        if any(i < 0 or i >= d for i, d in zip(index, dims)):
-            raise StateFileError(f"{ctx}: index {index} out of range for dims {list(dims)}")
-        flat = int(np.ravel_multi_index(tuple(index), dims))
+            _require(entry, "index", at(pos))
+            raise StateFileError(f"{at(pos)}: index must list one integer per particle")
+        flat = 0
+        for i, d in zip(index, dims):
+            if not 0 <= i < d:
+                raise StateFileError(
+                    f"{at(pos)}: index {index} out of range for dims {list(dims)}"
+                )
+            flat = flat * d + i
         if flat in seen:
-            raise StateFileError(f"{ctx}: duplicate basis index {index}")
+            raise StateFileError(f"{at(pos)}: duplicate basis index {index}")
         seen.add(flat)
-        re = _parse_float(_require(entry, "re", ctx), ctx)
-        im = _parse_float(_require(entry, "im", ctx), ctx)
-        amps[flat] = complex(re, im)
+        re, im = entry.get("re"), entry.get("im")
+        if _is_number(re) and _is_number(im):
+            amps[flat] = complex(re, im)
+        else:
+            amps[flat] = _checked_complex(entry, at(pos))
     return amps
 
 
@@ -101,17 +126,23 @@ def _normalized(amps: np.ndarray, where: str) -> np.ndarray:
 def _parse_matrix(rows: Any, d: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != d:
         raise StateFileError(f"{where}: matrix must have {d} rows")
-    out = np.zeros((d, d), dtype=np.complex128)
+    out = np.empty((d, d), dtype=np.complex128)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != d:
             raise StateFileError(f"{where}, row {i}: expected {d} entries")
-        for j, cell in enumerate(row):
-            ctx = f"{where}, row {i}, column {j}"
+        values: list[complex] = []
+        for cell in row:
+            if isinstance(cell, dict):
+                re, im = cell.get("re"), cell.get("im")
+                if _is_number(re) and _is_number(im):
+                    values.append(complex(re, im))
+                    continue
+            # The cell's column is len(values); only a bad cell gets here.
+            ctx = f"{where}, row {i}, column {len(values)}"
             if not isinstance(cell, dict):
                 raise StateFileError(f"{ctx}: expected an object with re/im")
-            re = _parse_float(_require(cell, "re", ctx), ctx)
-            im = _parse_float(_require(cell, "im", ctx), ctx)
-            out[i, j] = complex(re, im)
+            values.append(_checked_complex(cell, ctx))
+        out[i] = values
     return out
 
 

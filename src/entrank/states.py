@@ -14,10 +14,14 @@ one eigendecomposition (``factored``). The rank of the reduced state of a
 subset S is then the rank of V reshaped to (d_S, d_rest·r), the Schmidt rank
 of the purification across S | rest+ancilla, and one kernel
 (``bipartition_spectrum``/``subset_rank``) serves every state; the full
-particle set gives the rank of the state itself. Every state also gives ρ
-as ``matrix`` for the partial-transpose baseline ``ppt_minimum`` (a PureState
-builds ψψ† on each access), and a dense matrix from outside enters through
-``density_matrix`` alone, which validates it once.
+particle set gives the rank of the state itself. The partial-transpose
+baseline ``ppt_minimum`` uses an exact factor too (a PureState, or a mixture
+from ``mix``): when d_A·r < d_rest for the transposed part A, it compresses
+the rest to ρ's support and solves a d_A²·r eigenproblem. A bare matrix, and a
+factor too wide to shrink, take the full d × d transpose of ``matrix`` (a
+PureState builds ψψ† on each access); the truncated factor ``factored`` gives
+a bare matrix is not exact and is not what the CLI passes. A dense matrix from
+outside enters through ``density_matrix`` alone, which validates it once.
 
 All operations are pure functions and safe for concurrent use.
 """
@@ -228,12 +232,10 @@ def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> 
         total += float(weight)
     if abs(total - 1.0) > weight_atol:
         raise NormalizationError(f"mixture weights sum to {total!r}, expected 1")
-    d = prod(dims)
-    out = np.zeros((d, d), dtype=np.complex128)
-    for weight, psi in terms:
-        out += weight * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    factor = np.stack([sqrt(weight) * psi.amplitudes for weight, psi in terms], axis=1)
-    return DensityMatrix(dims=dims, matrix=out, factor=factor)
+    columns = np.stack([psi.amplitudes for _, psi in terms], axis=1)
+    weights = np.array([float(weight) for weight, _ in terms])
+    matrix = (columns * weights) @ columns.conj().T
+    return DensityMatrix(dims=dims, matrix=matrix, factor=columns * np.sqrt(weights))
 
 
 def tensor_product(
@@ -285,14 +287,19 @@ def partial_trace(rho: DensityMatrix, traced: SubsetLike) -> DensityMatrix:
     )
 
 
-def partial_transpose(rho: State, part: SubsetLike) -> np.ndarray:
-    """ρ with the indices of ``part`` transposed; Hermitian but not necessarily PSD."""
-    n = rho.n
+def _transposed_part(part: SubsetLike, n: int) -> tuple[int, ...]:
     part = normalize_subset(part, n)
     if not part:
         raise PartitionError("partial transpose needs a nonempty particle set")
     if len(part) == n:
         raise PartitionError("partial transpose needs a proper subset of particles")
+    return part
+
+
+def partial_transpose(rho: State, part: SubsetLike) -> np.ndarray:
+    """ρ with the indices of ``part`` transposed; Hermitian but not necessarily PSD."""
+    n = rho.n
+    part = _transposed_part(part, n)
     tensor = rho.matrix.reshape(rho.dims + rho.dims)
     perm = list(range(2 * n))
     for i in part:
@@ -302,14 +309,40 @@ def partial_transpose(rho: State, part: SubsetLike) -> np.ndarray:
 
 
 def ppt_minimum(state: State, part: SubsetLike) -> float:
-    """Smallest eigenvalue of ρ transposed on ``part``; negative proves
-    entanglement across part | rest (the PPT baseline).
+    """Smallest eigenvalue of ρ transposed on ``part`` = A; negative proves
+    entanglement across A | rest (the PPT baseline).
 
+    A state that carries an exact factor V (d × r: a PureState, or a mixture
+    built by ``mix``) is first compressed to ρ's support on the rest when
+    d_A·r < d_rest. With V regrouped as W (d_rest × d_A·r) = Q R, ρ =
+    (1_A ⊗ Q) ρ′ (1_A ⊗ Q)† for the state ρ′ on A ⊗ C^{d_A·r} whose factor is
+    R regrouped, and a transpose on A commutes with the isometry on the rest.
+    So ρ^{T_A} has the spectrum of ρ′^{T_A} (d_A²·r square) plus at least one
+    exact zero, and the value is min(λ_min(ρ′^{T_A}), 0); it agrees with the
+    dense value to rounding (≤ 1e-14 on unit-trace states), not bit for bit.
+
+    A bare matrix (a dense file, ``werner``, ``tensor_product``) and a factor
+    too wide to shrink take one eigvalsh of the full d × d transpose, which
+    equals ``hermitian_eigenvalues(partial_transpose(...))[-1]`` exactly:
     ρ^{T_A} − (ρ^{T_A})† = (ρ − ρ†)^{T_A}, so the Hermiticity defect is ρ's,
-    already bounded by validation or construction: the transpose is only
-    symmetrized, and the value equals ``hermitian_eigenvalues(...)[-1]``.
+    already bounded by validation or construction, and the transpose is only
+    symmetrized. The truncated factor that ``DensityMatrix.factored`` gives a
+    bare matrix drops an eigen-tail set by a rank tolerance, so it is not
+    exact: pass the matrix as loaded, not its ``factored`` form.
     """
-    pt = partial_transpose(state, part)
+    part = _transposed_part(part, state.n)
+    d_a = prod(state.dims[i] for i in part)
+    v = state.factor
+    if v is not None and d_a * v.shape[1] < state.dim // d_a:
+        r = v.shape[1]
+        w = bipartition_matrix(state, _complement(part, state.n))
+        core = np.linalg.qr(w, mode="r").reshape(-1, d_a, r).transpose(1, 0, 2).reshape(-1, r)
+        compressed = DensityMatrix(dims=(d_a, d_a * r), matrix=core @ core.conj().T)
+        return min(_min_eigenvalue(partial_transpose(compressed, (0,))), 0.0)
+    return _min_eigenvalue(partial_transpose(state, part))
+
+
+def _min_eigenvalue(pt: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
 
 

@@ -293,6 +293,45 @@ def test_ppt_product_state(capsys, product_file):
     assert report["flag"] == "NOT-DETECTED"
 
 
+def test_analyze_ppt_of_dense_file_ignores_rank_tolerance(capsys, tmp_path):
+    """The PPT rows are those of the stored matrix, not of the factor that
+    --rtol truncates: at rtol 1e-3 the factor drops the 1e-4 white-noise tail."""
+    from entrank.catalog import haar_pure
+    from entrank.linalg import RankTolerance
+    from entrank.statefile import load_state
+    from entrank.states import DensityMatrix, ppt_minimum
+
+    psi = haar_pure((2, 2, 2), seed=5)
+    noisy = (1 - 1e-4) * psi.matrix + 1e-4 * np.eye(8) / 8
+    path = tmp_path / "noisy.json"
+    write_state_file(path, density_payload(DensityMatrix(dims=(2, 2, 2), matrix=noisy)))
+    code, out, _ = run(capsys, "analyze", path, "--json", "--ppt", "--rtol", "1e-3")
+    assert code == 0
+    loaded = load_state(path)
+    truncated = loaded.factored(RankTolerance(rtol=1e-3, atol=0.0))
+    assert truncated.factor.shape[1] == 1
+    for i, row in enumerate(json.loads(out)["ppt"]):
+        assert row["min_eigenvalue"] == ppt_minimum(loaded, (i,))
+        assert row["min_eigenvalue"] != ppt_minimum(truncated, (i,))
+
+
+def test_ppt_of_wide_pure_state_builds_no_dense_matrix(capsys, tmp_path):
+    """GHZ(12) transposed on one qubit: a d × d ψψ† alone would take 268 MB."""
+    import tracemalloc
+
+    path = tmp_path / "ghz12.json"
+    write_state_file(path, pure_payload(ghz(12, 2)))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "ppt", path, "1", "--json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-15)
+    assert peak < 16 * 2**20
+
+
 def test_ppt_bad_part(capsys, werner06_file):
     code, _, err = run(capsys, "ppt", werner06_file, "1,2")
     assert code == 2

@@ -211,3 +211,76 @@ def test_dense_load_symmetrizes_and_rescales_once(tmp_path):
     state = load_state(write(tmp_path, density_payload(DensityMatrix(dims=(2, 2), matrix=m))))
     sym = (m + m.conj().T) / 2
     assert np.array_equal(state.matrix, sym / np.trace(sym).real)
+
+
+def _dense_payload(cells):
+    return {"format_version": "1", "kind": "dense", "dims": [3], "matrix": cells}
+
+
+def _diagonal_cells():
+    return [
+        [{"re": 1 / 3 if i == j else 0.0, "im": 0.0} for j in range(3)] for i in range(3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ([0.0, 0.0], "state file, row 2, column 1: expected an object with re/im"),
+        ({"im": 0.0}, "state file, row 2, column 1: missing required field 're'"),
+        ({"re": 0.0}, "state file, row 2, column 1: missing required field 'im'"),
+        ({"re": True, "im": 0.0}, "state file, row 2, column 1: expected a number, got True"),
+        ({"re": 0.0, "im": "0"}, "state file, row 2, column 1: expected a number, got '0'"),
+        (None, "state file, row 2: expected 3 entries"),
+    ],
+    ids=["not-object", "missing-re", "missing-im", "bool", "string", "short-row"],
+)
+def test_dense_cell_error_messages(cell, message):
+    cells = _diagonal_cells()
+    if cell is None:
+        cells[2].pop()
+    else:
+        cells[2][1] = cell
+    with pytest.raises(StateFileError) as info:
+        parse_state(_dense_payload(cells))
+    assert str(info.value) == message
+
+
+def test_dense_cells_accept_ints_and_floats():
+    cells = _diagonal_cells()
+    cells[0][0] = {"re": 1, "im": 0}
+    cells[1][1] = {"re": 0, "im": 0}
+    cells[2][2] = {"re": 0, "im": 0}
+    assert np.array_equal(parse_state(_dense_payload(cells)).matrix, np.diag([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([1], "expected an object"),
+        ({"re": 0.6, "im": 0.0}, "missing required field 'index'"),
+        ({"index": [1], "re": 0.6, "im": 0.0}, "index must list one integer per particle"),
+        ({"index": [1, True], "re": 0.6, "im": 0.0},
+         "index must list one integer per particle"),
+        ({"index": [1, 3], "re": 0.6, "im": 0.0}, "index [1, 3] out of range for dims [2, 3]"),
+        ({"index": [0, 0], "re": 0.6, "im": 0.0}, "duplicate basis index [0, 0]"),
+        ({"index": [1, 2], "im": 0.0}, "missing required field 're'"),
+        ({"index": [1, 2], "re": 0.6}, "missing required field 'im'"),
+        ({"index": [1, 2], "re": False, "im": 0.0}, "expected a number, got False"),
+        ({"index": [1, 2], "re": 0.6, "im": None}, "expected a number, got None"),
+    ],
+    ids=["not-object", "missing-index", "short-index", "bool-index", "out-of-range",
+         "duplicate", "missing-re", "missing-im", "bool", "null"],
+)
+def test_amplitude_error_messages(entry, message):
+    payload = {
+        "format_version": "1",
+        "kind": "mixture",
+        "dims": [2, 3],
+        "terms": [
+            {"weight": 1.0, "amplitudes": [{"index": [0, 0], "re": 0.8, "im": 0.0}, entry]}
+        ],
+    }
+    with pytest.raises(StateFileError) as info:
+        parse_state(payload)
+    assert str(info.value) == f"state file, term 0, amplitude 1: {message}"

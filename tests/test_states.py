@@ -12,6 +12,7 @@ from entrank.catalog import (
     random_unitary,
     separable_mixture,
 )
+from entrank.cli import PPT_NEG_TOL
 from entrank.errors import (
     NormalizationError,
     PartitionError,
@@ -238,8 +239,6 @@ def _ppt_state(name, tmp_path):
     from entrank.catalog import werner
     from entrank.statefile import density_payload, load_state, write_state_file
 
-    if name == "haar_pure":
-        return haar_pure((2, 3, 2), seed=21)
     if name == "mixed_of_rank":
         return mixed_of_rank((2, 2, 2), seed=22, rank=3)
     if name == "werner":
@@ -251,13 +250,77 @@ def _ppt_state(name, tmp_path):
     return load_state(path)
 
 
-@pytest.mark.parametrize("name", ["haar_pure", "mixed_of_rank", "werner", "dense_file"])
+@pytest.mark.parametrize("name", ["mixed_of_rank", "werner", "dense_file"])
 def test_ppt_minimum_equals_checked_eigenvalues_exactly(name, tmp_path):
     state = _ppt_state(name, tmp_path)
     parts = [(i,) for i in range(state.n)] + ([(0, 2)] if state.n > 2 else [])
     for part in parts:
         expected = hermitian_eigenvalues(partial_transpose(state, part))[-1]
         assert ppt_minimum(state, part) == expected
+
+
+factor_path_dims = pytest.mark.parametrize(
+    "dims", [(2, 3, 2), (3, 2, 2, 2), (2,) * 6], ids=lambda dims: "x".join(map(str, dims))
+)
+
+
+def _all_parts(n):
+    return [part for k in range(1, n) for part in combinations(range(n), k)]
+
+
+def _eigvalsh_sizes(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+@factor_path_dims
+@pytest.mark.parametrize("kind", ["pure", "mix1", "mix2", "mix3", "mix4"])
+def test_ppt_factor_path_agrees_with_dense_reference(dims, kind, monkeypatch):
+    """A state with an exact factor V (d × r) is compressed to ρ's support on
+    the rest when d_A·r < d_rest; over every proper part its value agrees
+    with the full d × d transpose and gives the same flag."""
+    state = (
+        haar_pure(dims, seed=21)
+        if kind == "pure"
+        else mixed_of_rank(dims, seed=30 + len(dims), rank=int(kind[-1]))
+    )
+    r = state.factor.shape[1]
+    d = int(np.prod(dims))
+    sizes = _eigvalsh_sizes(monkeypatch)
+    for part in _all_parts(len(dims)):
+        reference = hermitian_eigenvalues(partial_transpose(state, part))[-1]
+        del sizes[:]
+        value = ppt_minimum(state, part)
+        d_a = int(np.prod([dims[i] for i in part]))
+        compressed = d_a * r < d // d_a
+        assert sizes == [d_a * d_a * r if compressed else d], part
+        assert abs(value - reference) <= 1e-14, part
+        # The discarded directions carry exact zeros of ρ^{T_A}.
+        assert value <= 0.0 or not compressed, part
+        assert (value < -PPT_NEG_TOL) == (reference < -PPT_NEG_TOL), part
+
+
+@factor_path_dims
+def test_ppt_factor_path_never_flags_separable_mixtures(dims):
+    compressed = 0
+    for seed in range(20):
+        state = separable_mixture(dims, seed=seed)
+        r = state.factor.shape[1]
+        for part in _all_parts(len(dims)):
+            value = ppt_minimum(state, part)
+            assert value >= -PPT_NEG_TOL, (seed, part)
+            d_a = int(np.prod([dims[i] for i in part]))
+            if d_a * r < state.dim // d_a:
+                compressed += 1
+                assert value <= 0.0, (seed, part)
+    assert compressed > 0
 
 
 def test_pure_state_matrix_is_the_projector():
