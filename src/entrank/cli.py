@@ -18,6 +18,7 @@ import io
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,6 +39,7 @@ from .states import (
 )
 
 PPT_NEG_TOL = 1e-9
+JSON_BATCH = 8192  # encoder chunks joined per write of a --json report
 PPT_ENTANGLED = "ENTANGLED"
 PPT_NOT_DETECTED = "NOT-DETECTED"
 
@@ -103,7 +105,12 @@ def _as_pure(state: State, tol: RankTolerance) -> PureState:
 
 
 def _print_json(report: dict) -> int:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    """Write the report as ``json.dumps(report, indent=2, sort_keys=True)``
+    would, in batches of encoder chunks instead of one joined string."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    for batch in iter(lambda: "".join(islice(chunks, JSON_BATCH)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -10,8 +10,8 @@ no witness is INCONCLUSIVE, never "separable".
 For pure states rank arguments are exact: a pure state is entangled iff some
 reduced matrix has rank above 1, and fully entangled iff they all do.
 
-Every rank comes from ``states.subset_rank``; callers that take many ranks of
-one state factor it once (``state.factored(tol)``) and pass that along.
+Every rank comes from the one kernel ``states.subset_ranks``, called once
+per lattice, pair or sweep with all the subsets it needs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import EnumerationLimitError, InputError, PartitionError
 from .linalg import DEFAULT_TOLERANCE, RankTolerance
-from .states import PureState, State, normalize_subset, subset_rank
+from .states import PureState, State, normalize_subset, subset_ranks
 
 ENTANGLED = "ENTANGLED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -98,8 +98,8 @@ def rank_lattice(
 ) -> RankLattice:
     """Ranks of every reduced state with 1..max_depth particles traced out.
 
-    The state is factored once; each entry, and the state rank (the full
-    particle set), is one ``subset_rank`` call on that factor.
+    The state rank (the full particle set) and every entry come from one
+    ``subset_ranks`` call, which factors the state once.
     """
     n = state.n
     if max_depth is None:
@@ -108,14 +108,12 @@ def rank_lattice(
         raise InputError(f"max_depth must lie in 1..{n - 1}, got {max_depth}")
     _check_enumeration(n, max_depth, max_subsets)
 
-    state = state.factored(tol)
-    state_rank = subset_rank(state, range(n), tol)
-    entries: dict[tuple[int, ...], int] = {}
-    for size in range(1, max_depth + 1):
-        for traced in combinations(range(n), size):
-            kept = tuple(i for i in range(n) if i not in traced)
-            entries[traced] = subset_rank(state, kept, tol)
-    return RankLattice(state_rank=state_rank, entries=entries, max_depth=max_depth)
+    traced_sets = [t for size in range(1, max_depth + 1) for t in combinations(range(n), size)]
+    kept = [tuple(i for i in range(n) if i not in traced) for traced in traced_sets]
+    state_rank, *ranks = subset_ranks(state, [tuple(range(n))] + kept, tol)
+    return RankLattice(
+        state_rank=state_rank, entries=dict(zip(traced_sets, ranks)), max_depth=max_depth
+    )
 
 
 def check_rank_monotonicity(lattice: RankLattice) -> list[Violation]:
@@ -181,10 +179,7 @@ def check_partition_pair(
         raise PartitionError(f"parts overlap: {u} and {v}")
 
     composite = tuple(sorted(u + v))
-    rho = rho.factored(tol)
-    rank_u = subset_rank(rho, u, tol)
-    rank_v = subset_rank(rho, v, tol)
-    rank_uv = subset_rank(rho, composite, tol)
+    rank_u, rank_v, rank_uv = subset_ranks(rho, (u, v, composite), tol)
 
     def traced(kept: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         rest = tuple(i for i in range(n) if i not in kept)
@@ -256,7 +251,7 @@ def pure_entangled(psi: PureState, tol: RankTolerance = DEFAULT_TOLERANCE) -> bo
     Single particles suffice: if every one-particle reduced state is pure the
     state is a full product, so no larger subset can be mixed either.
     """
-    return psi.n > 1 and any(subset_rank(psi, (i,), tol) > 1 for i in range(psi.n))
+    return psi.n > 1 and max(subset_ranks(psi, [(i,) for i in range(psi.n)], tol)) > 1
 
 
 def pure_fully_entangled(
@@ -266,15 +261,14 @@ def pure_fully_entangled(
 ) -> bool:
     """True iff every reduced state of the pure state is mixed.
 
-    Only subsets up to half the particles are scanned; each larger subset
-    shares its rank with its complement.
+    Only subsets up to half the particles are scanned, one ``subset_ranks``
+    call per size; each larger subset shares its rank with its complement.
     """
     n = psi.n
     if n == 1:
         return False
     _check_enumeration(n, n // 2, max_subsets)
-    for size in range(1, n // 2 + 1):
-        for subset in combinations(range(n), size):
-            if subset_rank(psi, subset, tol) <= 1:
-                return False
-    return True
+    return all(
+        min(subset_ranks(psi, combinations(range(n), size), tol)) > 1
+        for size in range(1, n // 2 + 1)
+    )

@@ -23,7 +23,7 @@ import numpy as np
 from .criteria import DEFAULT_MAX_SUBSETS, _check_enumeration
 from .errors import InternalInconsistencyError, PartitionError
 from .linalg import DEFAULT_TOLERANCE, RankTolerance, rank_from_values
-from .states import PureState, bipartition_matrix, bipartition_spectrum, canonical_pure
+from .states import PureState, bipartition_matrix, canonical_pure, subset_ranks
 
 RESIDUAL_THRESHOLD = 1e-8
 
@@ -86,12 +86,11 @@ def _sweep(
     size: int,
     tol: RankTolerance,
 ) -> StepRecord:
-    tested: list[tuple[tuple[int, ...], int]] = []
+    subsets = list(combinations(remainder, size))
+    tested = tuple(zip(subsets, subset_ranks(psi, subsets, tol)))
     accepted: list[tuple[int, ...]] = []
     taken: set[int] = set()
-    for subset in combinations(remainder, size):
-        rank = rank_from_values(bipartition_spectrum(psi, subset), tol)
-        tested.append((subset, rank))
+    for subset, rank in tested:
         if rank == 1:
             if taken & set(subset):
                 raise InternalInconsistencyError(
@@ -102,7 +101,7 @@ def _sweep(
     return StepRecord(
         step=size,
         remainder=tuple(remainder),
-        tested=tuple(tested),
+        tested=tested,
         accepted=tuple(accepted),
     )
 

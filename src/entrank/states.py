@@ -12,23 +12,37 @@ case r = 1 (V is its amplitude column), a mixture keeps the columns
 √w_j·ψ_j of its terms, and a DensityMatrix given only as a matrix gets V from
 one eigendecomposition (``factored``). The rank of the reduced state of a
 subset S is then the rank of V reshaped to (d_S, d_rest·r), the Schmidt rank
-of the purification across S | rest+ancilla, and one kernel
-(``bipartition_spectrum``/``subset_rank``) serves every state; the full
-particle set gives the rank of the state itself. The partial-transpose
-baseline ``ppt_minimum`` uses an exact factor too (a PureState, or a mixture
-from ``mix``): when d_A·r < d_rest for the transposed part A, it compresses
-the rest to ρ's support and solves a d_A²·r eigenproblem. A bare matrix, and a
-factor too wide to shrink, take the full d × d transpose of ``matrix`` (a
-PureState builds ψψ† on each access); the truncated factor ``factored`` gives
-a bare matrix is not exact and is not what the CLI passes. A dense matrix from
-outside enters through ``density_matrix`` alone, which validates it once.
+of the purification across S | rest+ancilla, and one kernel,
+``subset_ranks``, takes every rank of every state (``subset_rank`` is its
+one-subset form); the full particle set gives the rank of the state itself.
+The kernel factors the state once and, for a pure state (r = 1), computes a
+subset and its complement once, since they are the same cut. It stacks the
+reshaped factors of equal shape into chunks of at most ``CHUNK_BYTES`` and
+takes one stacked SVD per chunk, which is the LAPACK call a single SVD makes
+on the same bytes. When the work spans more than one chunk, the chunks are
+shared out among one thread per core the process's CPU affinity allows
+(``taskset`` limits them), started for the call and joined before it
+returns; there is no setting. On one allowed core, or for work within one
+chunk, everything runs in the calling thread and no thread is started.
+
+The partial-transpose baseline ``ppt_minimum`` transposes the smaller side of
+the cut (ρ^{T_A} = (ρ^{T_rest})^T has the same spectrum) and uses an exact
+factor (a PureState, or a mixture from ``mix``): when d_A·r < d_rest for the
+transposed part A, it compresses the rest to ρ's support and solves a d_A²·r
+eigenproblem. A bare matrix, and a factor too wide to shrink, take the full
+d × d transpose of ``matrix`` (a PureState builds ψψ† on each access); the
+truncated factor ``factored`` gives a bare matrix is not exact and is not what
+the CLI passes. A dense matrix from outside enters through ``density_matrix``
+alone, which validates it once.
 
 All operations are pure functions and safe for concurrent use.
 """
 
 from __future__ import annotations
 
+import os
 import string
+import threading
 from dataclasses import dataclass, replace
 from math import prod, sqrt
 from typing import Iterable, Optional, Sequence, Union
@@ -52,6 +66,7 @@ from .linalg import (
 NORM_ATOL = 1e-9
 DENSITY_ATOL = 1e-9
 RESCALE_GUARD = 1e-12
+CHUNK_BYTES = 1 << 20
 
 SubsetLike = Iterable[int]
 
@@ -312,6 +327,10 @@ def ppt_minimum(state: State, part: SubsetLike) -> float:
     """Smallest eigenvalue of ρ transposed on ``part`` = A; negative proves
     entanglement across A | rest (the PPT baseline).
 
+    When d_A > d_rest the rest is transposed instead: ρ^{T_A} = (ρ^{T_rest})^T
+    has the same spectrum, and the smaller side is the one that compresses.
+    The value then agrees with the transpose on A to rounding (≤ 1e-14).
+
     A state that carries an exact factor V (d × r: a PureState, or a mixture
     built by ``mix``) is first compressed to ρ's support on the rest when
     d_A·r < d_rest. With V regrouped as W (d_rest × d_A·r) = Q R, ρ =
@@ -332,6 +351,9 @@ def ppt_minimum(state: State, part: SubsetLike) -> float:
     """
     part = _transposed_part(part, state.n)
     d_a = prod(state.dims[i] for i in part)
+    if d_a * d_a > state.dim:
+        part = _complement(part, state.n)
+        d_a = state.dim // d_a
     v = state.factor
     if v is not None and d_a * v.shape[1] < state.dim // d_a:
         r = v.shape[1]
@@ -401,17 +423,113 @@ def schmidt_rank(
     return SchmidtData(coefficients=lam[:k].copy(), schmidt_rank=k)
 
 
+def subset_ranks(
+    state: State, subsets: Iterable[SubsetLike], tol: RankTolerance = DEFAULT_TOLERANCE
+) -> list[int]:
+    """Ranks of the reduced density matrices of ``subsets``, in input order;
+    the full particle set gives the rank of the state.
+
+    Each rank counts the squared singular values of the factor V reshaped to
+    (d_subset, d_rest · r) above tol.cutoff of the largest, from the same
+    LAPACK call on the same bytes as ``rank_from_values(bipartition_spectrum(
+    state, subset), tol)``. The state is factored once. A repeated subset is
+    computed once, and so are a pure state's subset and its complement: they
+    are the same cut, and the one listed first is decomposed. Cuts of one
+    shape are stacked into chunks of at most ``CHUNK_BYTES`` with one SVD
+    each; when the work spans more than one chunk, the chunks are shared out
+    among one thread per core the process may use.
+    """
+    state = state.factored(tol)
+    n, v = state.n, state.factor
+    tensor = v.reshape(state.dims + (v.shape[1],))
+    slot: dict[tuple[int, ...], int] = {}
+    order = []
+    n_cuts = 0
+    groups: dict[tuple, list] = {}  # (d_subset, permuted shape) -> [(cut, axis order)]
+    for subset in subsets:
+        subset = normalize_subset(subset, n)
+        if not subset:
+            raise PartitionError("subset must be nonempty")
+        if subset not in slot:
+            rest = _complement(subset, n)
+            if v.shape[1] == 1 and rest in slot:
+                slot[subset] = slot[rest]
+            else:
+                slot[subset] = n_cuts
+                axes = subset + rest + (n,)
+                key = (prod(state.dims[i] for i in subset), tensor.transpose(axes).shape)
+                groups.setdefault(key, []).append((n_cuts, axes))
+                n_cuts += 1
+        order.append(slot[subset])
+
+    step = max(1, CHUNK_BYTES // v.nbytes)
+    chunks = [
+        (rows, shape, members[lo : lo + step])
+        for (rows, shape), members in groups.items()
+        for lo in range(0, len(members), step)
+    ]
+    # Work beyond one chunk is split into interleaved shares, one thread per
+    # core the process may use, while this thread waits (with it taking a
+    # share, two threads ran the stacked SVDs no faster than one). Each share
+    # reuses one stack buffer allocated here: memory a worker thread allocated
+    # would stay in its own heap, which nothing else reuses, and add to the
+    # process's peak.
+    workers = min(len(chunks), _workers()) if n_cuts * v.nbytes > CHUNK_BYTES else 1
+    largest = max((len(members) for _, _, members in chunks), default=0)
+    buffers = [np.empty(largest * v.size, v.dtype) for _ in range(workers)]
+    shares: list = [None] * workers
+
+    def share(k: int) -> None:
+        try:
+            shares[k] = [_chunk_ranks(tensor, c, buffers[k], tol) for c in chunks[k::workers]]
+        except Exception as exc:  # raised below, after every thread has ended
+            shares[k] = exc
+
+    if workers == 1:
+        share(0)
+    else:
+        threads = [threading.Thread(target=share, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    ranks = [0] * n_cuts
+    for k, counts in enumerate(shares):
+        if isinstance(counts, Exception):
+            raise counts
+        for (_, _, members), chunk_counts in zip(chunks[k::workers], counts):
+            for (cut, _), count in zip(members, chunk_counts):
+                ranks[cut] = count
+    return [ranks[k] for k in order]
+
+
+def _chunk_ranks(
+    tensor: np.ndarray, chunk: tuple, buffer: np.ndarray, tol: RankTolerance
+) -> list[int]:
+    """Ranks of one chunk: its cuts' axis orders of ``tensor`` copied into
+    ``buffer`` as one stack of (rows, rest) matrices, one SVD, and per matrix
+    the count of squared singular values above tol.cutoff of its largest."""
+    rows, shape, members = chunk
+    stack = buffer[: len(members) * tensor.size].reshape((len(members),) + shape)
+    for j, (_, axes) in enumerate(members):
+        stack[j] = tensor.transpose(axes)
+    s = np.linalg.svd(stack.reshape(len(members), rows, -1), compute_uv=False)
+    s2 = s * s
+    return (s2 > np.maximum(tol.atol, tol.rtol * s2[:, :1])).sum(axis=1).tolist()
+
+
 def subset_rank(
     state: State, subset: SubsetLike, tol: RankTolerance = DEFAULT_TOLERANCE
 ) -> int:
-    """Rank of the reduced density matrix of ``subset``; the full particle set
-    gives the rank of the state.
+    """Rank of the reduced density matrix of ``subset`` (``subset_ranks`` of one)."""
+    return subset_ranks(state, [subset], tol)[0]
 
-    The rank is the number of significant squared singular values of the
-    factor V reshaped to (d_subset, d_rest · r). Callers that take many ranks
-    of one state pass ``state.factored(tol)`` so that V is built once.
-    """
-    return rank_from_values(bipartition_spectrum(state.factored(tol), subset), tol)
+
+def _workers() -> int:
+    """Cores this process may run on: its CPU affinity, which taskset limits."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def apply_local_unitaries(psi: PureState, unitaries: Sequence[np.ndarray]) -> PureState:

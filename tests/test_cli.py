@@ -241,21 +241,23 @@ def test_check_partition_product(capsys, product_file):
 
 
 def test_check_partition_takes_each_rank_once(capsys, monkeypatch, ghz3_file):
-    """Three ranks per pair, taken by the pair check and reused by the report."""
+    """Three ranks per pair, taken by the pair check in one kernel call and
+    reused by the report."""
     from entrank import cli, criteria
 
     calls = []
-    original = criteria.subset_rank
+    original = criteria.subset_ranks
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counting(state, subsets, *args, **kwargs):
+        calls.append(list(subsets))
+        return original(state, calls[-1], *args, **kwargs)
 
-    monkeypatch.setattr(criteria, "subset_rank", counting)
-    monkeypatch.setattr(cli, "subset_rank", counting)
+    monkeypatch.setattr(criteria, "subset_ranks", counting)
+    monkeypatch.setattr(cli, "subset_rank", lambda state, subset, *a, **k: calls.append([subset]))
     code, out, _ = run(capsys, "check-partition", ghz3_file, "1|2|3", "--json")
     assert code == 0
-    assert len(calls) == 3 * len(json.loads(out)["pairs"]) == 9
+    pairs = len(json.loads(out)["pairs"])
+    assert [len(subsets) for subsets in calls] == [3] * pairs == [3, 3, 3]
 
 
 def test_check_partition_malformed_expression(capsys, ghz3_file):
@@ -551,3 +553,19 @@ def test_json_reports_build_no_human_text(capsys, monkeypatch, ghz3_file):
     assert run(capsys, "factorize", ghz3_file, "--json")[0] == 0
     assert run(capsys, "ppt", ghz3_file, "1", "--json")[0] == 0
     assert run(capsys, "check-partition", ghz3_file, "1|2|3", "--json")[0] == 0
+
+
+def test_json_report_bytes_are_those_of_json_dumps(capsys, tmp_path):
+    """The batched --json writer prints what json.dumps(report, indent=2,
+    sort_keys=True) and a newline would, here over more than one batch."""
+    from entrank.catalog import haar_pure
+    from entrank.cli import JSON_BATCH
+
+    path = tmp_path / "haar12.json"
+    write_state_file(path, pure_payload(haar_pure((2,) * 12, seed=70)))
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    assert sum(1 for _ in chunks) > 2 * JSON_BATCH

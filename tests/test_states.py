@@ -19,10 +19,12 @@ from entrank.errors import (
     ShapeError,
     SizeLimitError,
 )
-from entrank.linalg import RankTolerance, hermitian_eigenvalues, numerical_rank
+from entrank.linalg import RankTolerance, hermitian_eigenvalues, numerical_rank, rank_from_values
 from entrank.states import (
     DensityMatrix,
+    PureState,
     apply_local_unitaries,
+    bipartition_spectrum,
     density_from_pure,
     density_matrix,
     mix,
@@ -33,6 +35,7 @@ from entrank.states import (
     purity_check,
     schmidt_rank,
     subset_rank,
+    subset_ranks,
     tensor_product,
     tensor_pure,
 )
@@ -284,8 +287,9 @@ def _eigvalsh_sizes(monkeypatch):
 @pytest.mark.parametrize("kind", ["pure", "mix1", "mix2", "mix3", "mix4"])
 def test_ppt_factor_path_agrees_with_dense_reference(dims, kind, monkeypatch):
     """A state with an exact factor V (d × r) is compressed to ρ's support on
-    the rest when d_A·r < d_rest; over every proper part its value agrees
-    with the full d × d transpose and gives the same flag."""
+    the rest when d_A·r < d_rest, A being the smaller side of the cut; over
+    every proper part its value agrees with the full d × d transpose and
+    gives the same flag."""
     state = (
         haar_pure(dims, seed=21)
         if kind == "pure"
@@ -299,6 +303,7 @@ def test_ppt_factor_path_agrees_with_dense_reference(dims, kind, monkeypatch):
         del sizes[:]
         value = ppt_minimum(state, part)
         d_a = int(np.prod([dims[i] for i in part]))
+        d_a = min(d_a, d // d_a)
         compressed = d_a * r < d // d_a
         assert sizes == [d_a * d_a * r if compressed else d], part
         assert abs(value - reference) <= 1e-14, part
@@ -321,6 +326,37 @@ def test_ppt_factor_path_never_flags_separable_mixtures(dims):
                 compressed += 1
                 assert value <= 0.0, (seed, part)
     assert compressed > 0
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        ghz(6, 2),
+        haar_pure((2, 3, 2), seed=25),
+        mixed_of_rank((3, 2, 2, 2), seed=26, rank=2),
+        "dense_file",
+    ],
+    ids=["ghz6", "pure-2x3x2", "mix2-3x2x2x2", "dense-2x3x2"],
+)
+def test_ppt_of_a_part_larger_than_its_complement(state, monkeypatch, tmp_path):
+    """A part with d_A > d_rest is answered by transposing the rest: the
+    value agrees with the transpose on the part itself, and a pure state
+    solves the small compressed problem of the rest."""
+    if state == "dense_file":
+        state = _ppt_state("dense_file", tmp_path)
+    dims, d = state.dims, state.dim
+    sizes = _eigvalsh_sizes(monkeypatch)
+    larger = [p for p in _all_parts(len(dims)) if np.prod([dims[i] for i in p]) ** 2 > d]
+    for part in larger[-10:]:  # the largest parts
+        reference = hermitian_eigenvalues(partial_transpose(state, part))[-1]
+        del sizes[:]
+        value = ppt_minimum(state, part)
+        assert abs(value - reference) <= 1e-14, part
+        assert (value < -PPT_NEG_TOL) == (reference < -PPT_NEG_TOL), part
+        if isinstance(state, PureState):
+            d_rest = d // int(np.prod([dims[i] for i in part]))
+            assert sizes == [d_rest * d_rest], part
+    assert larger
 
 
 def test_pure_state_matrix_is_the_projector():
@@ -526,3 +562,192 @@ def test_structured_component_counts_in_a_reduced_state():
     rho = structured((2, 2, 2), 9e-11)
     assert subset_rank(rho, range(3)) == 1
     assert subset_rank(rho, (0, 2)) == reference_ranks(rho, 1e-10, 1e-12)[(1,)] == 3
+
+
+# ---------------------------------------------------------- stacked kernel
+
+
+def per_subset_ranks(state, subsets, tol):
+    """The kernel's contract: one SVD of the reshaped factor per subset."""
+    factored = state.factored(tol)
+    return [rank_from_values(bipartition_spectrum(factored, s), tol) for s in subsets]
+
+
+def every_subset_twice(n):
+    subsets = [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+    return subsets + subsets[::-3]
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 3, 2), (3, 2, 2, 2), (3, 2) * 4], ids=lambda d: "x".join(map(str, d))
+)
+def test_subset_ranks_equal_one_svd_per_subset(dims):
+    states = [haar_pure(dims, seed=60), product_pure(dims, seed=61)]
+    states += [mixed_of_rank(dims, seed=62 + r, rank=r) for r in (1, 2, 3)]
+    states.append(separable_mixture(dims, seed=66))
+    subsets = every_subset_twice(len(dims))
+    for k, state in enumerate(states):
+        tol = RankTolerance()
+        assert subset_ranks(state, subsets, tol) == per_subset_ranks(state, subsets, tol), k
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
+@pytest.mark.parametrize("eps", [1e-12, 9e-11, 1.1e-10, 1e-9])
+def test_subset_ranks_near_threshold_components(dims, eps):
+    states = [planted(bare(mixed_of_rank(dims, seed=40, rank=2)), eps, seed=50),
+              structured(dims, eps)]
+    subsets = every_subset_twice(len(dims))
+    for k, rho in enumerate(states):
+        for rtol in (1e-10, 1e-6, 1e-13):
+            tol = RankTolerance(rtol=rtol, atol=0.0)
+            expected = per_subset_ranks(rho, subsets, tol)
+            assert subset_ranks(rho, subsets, tol) == expected, (k, rtol)
+
+
+def test_subset_ranks_of_no_subsets_and_of_bad_subsets():
+    psi = ghz(3, 2)
+    assert subset_ranks(psi, []) == []
+    with pytest.raises(PartitionError):
+        subset_ranks(psi, [(0,), ()])
+    with pytest.raises(PartitionError):
+        subset_ranks(psi, [(0,), (3,)])
+
+
+def test_subset_ranks_decomposes_each_cut_once(monkeypatch):
+    """A pure state's subset and its complement are one cut, and a repeated
+    subset is taken once: a 6-qubit lattice at depth 3 lists 42 subsets, of
+    which 20 form 10 complementary pairs, so 32 matrices are decomposed."""
+    decomposed = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        decomposed.append(a.shape[0] if a.ndim == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    kept = [tuple(range(6))] + [
+        tuple(i for i in range(6) if i not in traced)
+        for k in range(1, 4)
+        for traced in combinations(range(6), k)
+    ]
+    psi = haar_pure((2,) * 6, seed=69)
+    subsets = kept + kept[:5]
+    expected = per_subset_ranks(psi, subsets, RankTolerance())
+    del decomposed[:]
+    assert subset_ranks(psi, subsets) == expected
+    assert sum(decomposed) == 32
+    del decomposed[:]
+    subset_ranks(mixed_of_rank((2,) * 6, seed=69, rank=2), subsets)
+    assert sum(decomposed) == len(kept) == 42
+
+
+def depth5_kept():
+    """The kept sets of a 10-particle lattice at depth 5."""
+    return [
+        tuple(i for i in range(10) if i not in traced)
+        for k in range(1, 6)
+        for traced in combinations(range(10), k)
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_subset_ranks_threaded_and_inline_paths_agree(workers, monkeypatch):
+    """Haar 2^10 at depth 5: 637 cuts of 16 kB, more than one chunk. With two
+    allowed cores the chunks run on two worker threads, with one they run in
+    the calling thread."""
+    import threading
+
+    from entrank import states
+
+    ran_on = set()
+    chunk_ranks = states._chunk_ranks
+
+    def recording(*args):
+        ran_on.add(threading.current_thread())
+        return chunk_ranks(*args)
+
+    monkeypatch.setattr(states, "_workers", lambda: workers)
+    monkeypatch.setattr(states, "_chunk_ranks", recording)
+    psi = haar_pure((2,) * 10, seed=67)
+    kept = depth5_kept()
+    assert len(kept) == 637
+    tol = RankTolerance()
+    assert subset_ranks(psi, kept, tol) == per_subset_ranks(psi, kept, tol)
+    if workers == 1:
+        assert ran_on == {threading.current_thread()}
+    else:
+        assert len(ran_on) == 2 and threading.current_thread() not in ran_on
+
+
+def test_subset_ranks_raises_a_worker_error_after_joining(monkeypatch):
+    import threading
+
+    from entrank import states
+
+    def failing(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(states, "_workers", lambda: 2)
+    monkeypatch.setattr(states, "_chunk_ranks", failing)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError):
+        subset_ranks(haar_pure((2,) * 10, seed=67), depth5_kept())
+    assert threading.active_count() == before
+
+
+def test_subset_ranks_from_more_caller_threads_than_cores(monkeypatch):
+    """Concurrent callers, each with its own worker threads, get their own ranks."""
+    import sys
+    import threading
+
+    from entrank import states
+
+    monkeypatch.setattr(states, "_workers", lambda: 2)
+    tol = RankTolerance()
+    cases = [haar_pure((2,) * 10, seed=71 + k) for k in range(2)] + [ghz(10, 2)]
+    subsets = [s for k in range(5, 10) for s in combinations(range(10), k)]
+    expected = [per_subset_ranks(psi, subsets, tol) for psi in cases]
+    results = {}
+
+    def call(k):
+        results[k] = subset_ranks(cases[k % 3], subsets, tol)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == {k: expected[k % 3] for k in range(6)}
+
+
+def _run_python(code):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_small_lattice_starts_no_thread_and_cli_skips_concurrent_futures():
+    """Work within one chunk runs inline: a bench-sized lattice starts no
+    thread, and neither it nor importing the CLI loads concurrent.futures."""
+    _run_python(
+        "import sys, threading\n"
+        "import entrank.cli\n"
+        "from entrank.catalog import haar_pure\n"
+        "from entrank.criteria import rank_lattice\n"
+        "before = threading.active_count()\n"
+        "rank_lattice(haar_pure((2,) * 5, seed=68), 2)\n"
+        "assert threading.active_count() == before, threading.enumerate()\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
