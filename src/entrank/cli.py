@@ -18,7 +18,7 @@ import io
 import json
 import sys
 import time
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -104,6 +104,39 @@ def _as_pure(state: State, tol: RankTolerance) -> PureState:
     return canonical_pure(state.dims, factor[:, 0])
 
 
+def _lattice_report(lattice: criteria.RankLattice, verdict: criteria.Verdict) -> dict:
+    """The state rank, lattice rows and violation rows of a report, in
+    1-based particles."""
+    return {
+        "state_rank": lattice.state_rank,
+        "lattice": [
+            {"traced_out": _one_based(traced), "rank": rank}
+            for traced, rank in lattice.entries.items()
+        ],
+        "violations": [
+            {
+                "child": _one_based(v.child),
+                "parent": None if v.parent is None else _one_based(v.parent),
+                "child_rank": v.child_rank,
+                "parent_rank": v.parent_rank,
+            }
+            for v in verdict.witnesses
+        ],
+    }
+
+
+def _violation_lines(verdict: criteria.Verdict) -> list[str]:
+    """The human ``violations:`` block, empty when there is no witness."""
+    lines = ["violations:"] if verdict.witnesses else []
+    for v in verdict.witnesses:
+        parent = "full state" if v.parent is None else f"traced {_fmt_subset(v.parent)}"
+        lines.append(
+            f"  traced {_fmt_subset(v.child)} has rank {v.child_rank}"
+            f" > {v.parent_rank} ({parent})"
+        )
+    return lines
+
+
 def _print_json(report: dict) -> int:
     """Write the report as ``json.dumps(report, indent=2, sort_keys=True)``
     would, in batches of encoder chunks instead of one joined string."""
@@ -126,18 +159,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if n == 1:
         depth = 0
         lattice = criteria.RankLattice(
-            state_rank=subset_rank(state, (0,), tol), entries={}, max_depth=0
+            state_rank=subset_rank(state, (0,), tol), entries={}, max_depth=0, parts=((0,),)
         )
     else:
         depth = args.depth if args.depth is not None else criteria.default_depth(n)
         lattice = criteria.rank_lattice(state, depth, tol)
-    violations = criteria.check_rank_monotonicity(lattice)
-    if violations:
-        verdict = criteria.ENTANGLED
-    elif lattice.state_rank == 1:
-        verdict = criteria.SEPARABLE_PURE_PRODUCT
-    else:
-        verdict = criteria.INCONCLUSIVE
+    verdict = criteria.verdict(lattice)
 
     ppt_rows = []
     if args.ppt and n >= 2:
@@ -161,21 +188,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "dims": list(state.dims),
         "tolerance": {"rtol": tol.rtol, "atol": tol.atol},
         "depth": depth,
-        "state_rank": lattice.state_rank,
-        "lattice": [
-            {"traced_out": _one_based(traced), "rank": rank}
-            for traced, rank in sorted(lattice.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ],
-        "violations": [
-            {
-                "child": _one_based(v.child),
-                "parent": None if v.parent is None else _one_based(v.parent),
-                "child_rank": v.child_rank,
-                "parent_rank": v.parent_rank,
-            }
-            for v in violations
-        ],
-        "verdict": verdict,
+        **_lattice_report(lattice, verdict),
+        "verdict": verdict.tag,
         "timing_seconds": elapsed,
     }
     if args.ppt:
@@ -191,24 +205,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if lattice.entries:
         lines.append(f"rank lattice to depth {depth} (rank after tracing out the listed set):")
         by_size: dict[int, list[str]] = {}
-        for traced, rank in sorted(lattice.entries.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        for traced, rank in lattice.entries.items():
             by_size.setdefault(len(traced), []).append(f"{_fmt_subset(traced)}={rank}")
         for size in sorted(by_size):
             lines.append(f"  size {size}:  " + "  ".join(by_size[size]))
-    if violations:
-        lines.append("violations:")
-        for v in violations:
-            parent = "full state" if v.parent is None else f"traced {_fmt_subset(v.parent)}"
-            lines.append(
-                f"  traced {_fmt_subset(v.child)} has rank {v.child_rank}"
-                f" > {v.parent_rank} ({parent})"
-            )
+    lines += _violation_lines(verdict)
     if ppt_rows:
         lines.append("partial transpose minimum eigenvalues:")
         for row in ppt_rows:
             part = "{" + ",".join(str(i) for i in row["part"]) + "}"
             lines.append(f"  part {part}: {row['min_eigenvalue']:+.6e}  {row['flag']}")
-    lines.append(f"verdict: {verdict}")
+    lines.append(f"verdict: {verdict.tag}")
     print("\n".join(lines))
     return 0
 
@@ -284,12 +291,19 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     state = statefile.load_state(args.file, max_dim=args.max_dim)
     parts = _parse_partition(args.partition, state.n)
-    pair_verdicts = criteria.check_partition(state, parts, tol)
-    overall = criteria.overall_verdict(pair_verdicts)
+    lattice = criteria.rank_lattice(state, len(parts) - 1, tol, parts=parts)
+    verdict = criteria.verdict(lattice)
 
+    def rank_of(kept: tuple[int, ...]) -> int:
+        traced = tuple(i for i in range(state.n) if i not in kept)
+        return lattice.entries[traced] if traced else lattice.state_rank
+
+    # Each pair check is an edge of the lattice: either part alone against
+    # the two together.
     pair_rows = []
-    for (u, v), verdict in pair_verdicts.items():
-        rank_u, rank_v, rank_composite = verdict.ranks
+    for u, v in combinations(lattice.parts, 2):
+        rank_u, rank_v, rank_composite = rank_of(u), rank_of(v), rank_of(u + v)
+        tag = criteria.ENTANGLED if max(rank_u, rank_v) > rank_composite else criteria.INCONCLUSIVE
         pair_rows.append(
             {
                 "u": _one_based(u),
@@ -297,7 +311,7 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
                 "rank_u": rank_u,
                 "rank_v": rank_v,
                 "rank_composite": rank_composite,
-                "verdict": verdict.tag,
+                "verdict": tag,
             }
         )
 
@@ -309,7 +323,8 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
         "tolerance": {"rtol": tol.rtol, "atol": tol.atol},
         "partition": [_one_based(p) for p in parts],
         "pairs": pair_rows,
-        "overall": overall.tag,
+        **_lattice_report(lattice, verdict),
+        "overall": verdict.tag,
     }
     if args.json:
         return _print_json(report)
@@ -322,7 +337,8 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
             f"  {u} vs {v}: ranks ({row['rank_u']}, {row['rank_v']},"
             f" {row['rank_composite']}) -> {row['verdict']}"
         )
-    lines.append(f"overall: {overall.tag}")
+    lines += _violation_lines(verdict)
+    lines.append(f"overall: {verdict.tag}")
     print("\n".join(lines))
     return 0
 
@@ -529,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_factorize)
 
     p = _subcommand(sub, "check-partition", ("--rtol", "--atol", "--json", "--max-dim"),
-                    help="pairwise rank checks for a user partition")
+                    help="rank lattice over the parts of a user partition, with its pair checks")
     p.add_argument("file", help="state file")
     p.add_argument("partition",
                    help="parts separated by '|', indices by ',', e.g. 1|2,3|4,5,6")

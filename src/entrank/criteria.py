@@ -7,11 +7,15 @@ that the state is entangled. The converse fails (Werner states satisfy every
 inequality yet are entangled), so the honest outcome for a mixed state with
 no witness is INCONCLUSIVE, never "separable".
 
+The same holds for a state separable across a partition P_1|...|P_k once
+each part is taken as one particle: the lattice over unions of parts is the
+partition criterion, and ``verdict`` is the one rule that reads a lattice.
+
 For pure states rank arguments are exact: a pure state is entangled iff some
 reduced matrix has rank above 1, and fully entangled iff they all do.
 
 Every rank comes from the one kernel ``states.subset_ranks``, called once
-per lattice, pair or sweep with all the subsets it needs.
+per lattice or sweep with all the subsets it needs.
 """
 
 from __future__ import annotations
@@ -36,13 +40,18 @@ DEFAULT_MAX_SUBSETS = 100_000
 class RankLattice:
     """Ranks of the reduced states, keyed by the traced-out particle set.
 
-    ``entries[T]`` is the rank of the state left after tracing out the
-    particles in T; ``state_rank`` is the rank of the full state (empty T).
+    ``parts`` are the lattice's units: disjoint sorted particle tuples that
+    cover every particle, each a single particle unless the lattice was
+    built over a partition. ``entries[T]`` is the rank of the state left
+    after tracing out the particles in T, a union of 1..max_depth parts,
+    listed by the number of parts and then by part order; ``state_rank`` is
+    the rank of the full state (nothing traced).
     """
 
     state_rank: int
     entries: Mapping[tuple[int, ...], int]
     max_depth: int
+    parts: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -50,8 +59,8 @@ class Violation:
     """A rank inequality that failed.
 
     ``child`` and ``parent`` are traced-out sets with child a strict superset
-    of parent; ``parent`` None denotes the full state. For lattice checks the
-    two differ by exactly one particle; partition checks may differ by more.
+    of parent; ``parent`` None denotes the full state. The two differ by
+    exactly one part of the lattice.
     """
 
     child: tuple[int, ...]
@@ -68,14 +77,6 @@ class Verdict:
     witnesses: tuple[Violation, ...] = ()
 
 
-@dataclass(frozen=True)
-class PairVerdict(Verdict):
-    """A pair check's verdict with the ranks it compared: (rank of u, rank
-    of v, rank of u and v together)."""
-
-    ranks: tuple[int, int, int] = (0, 0, 0)
-
-
 def default_depth(n: int) -> int:
     """Half the particle count: for pure states the complement symmetry makes
     deeper levels redundant; mixed-state callers may extend up to n - 1."""
@@ -90,131 +91,10 @@ def _check_enumeration(n: int, max_depth: int, max_subsets: int) -> None:
         )
 
 
-def rank_lattice(
-    state: State,
-    max_depth: Optional[int] = None,
-    tol: RankTolerance = DEFAULT_TOLERANCE,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-) -> RankLattice:
-    """Ranks of every reduced state with 1..max_depth particles traced out.
-
-    The state rank (the full particle set) and every entry come from one
-    ``subset_ranks`` call, which factors the state once.
-    """
-    n = state.n
-    if max_depth is None:
-        max_depth = default_depth(n)
-    if not 1 <= max_depth <= n - 1:
-        raise InputError(f"max_depth must lie in 1..{n - 1}, got {max_depth}")
-    _check_enumeration(n, max_depth, max_subsets)
-
-    traced_sets = [t for size in range(1, max_depth + 1) for t in combinations(range(n), size)]
-    kept = [tuple(i for i in range(n) if i not in traced) for traced in traced_sets]
-    state_rank, *ranks = subset_ranks(state, [tuple(range(n))] + kept, tol)
-    return RankLattice(
-        state_rank=state_rank, entries=dict(zip(traced_sets, ranks)), max_depth=max_depth
-    )
-
-
-def check_rank_monotonicity(lattice: RankLattice) -> list[Violation]:
-    """All one-step rank increases in the lattice; empty means no witness.
-
-    Every traced-out set is compared against each set one particle smaller
-    (its 1-level-higher states); size-1 sets are compared against the full
-    state. Separable states can never produce a violation.
-    """
-    violations: list[Violation] = []
-    for child in sorted(lattice.entries, key=lambda t: (len(t), t)):
-        child_rank = lattice.entries[child]
-        if len(child) == 1:
-            if child_rank > lattice.state_rank:
-                violations.append(
-                    Violation(child, None, child_rank, lattice.state_rank)
-                )
-            continue
-        for drop in child:
-            parent = tuple(i for i in child if i != drop)
-            parent_rank = lattice.entries[parent]
-            if child_rank > parent_rank:
-                violations.append(Violation(child, parent, child_rank, parent_rank))
-    return violations
-
-
-def entanglement_verdict(
-    state: State,
-    max_depth: Optional[int] = None,
-    tol: RankTolerance = DEFAULT_TOLERANCE,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-) -> Verdict:
-    """ENTANGLED with witnesses when any rank inequality fails, else INCONCLUSIVE.
-
-    The inequalities are necessary for separability but not sufficient, so a
-    mixed state is never declared separable here.
-    """
-    lattice = rank_lattice(state, max_depth, tol, max_subsets)
-    violations = check_rank_monotonicity(lattice)
-    if violations:
-        return Verdict(tag=ENTANGLED, witnesses=tuple(violations))
-    return Verdict(tag=INCONCLUSIVE)
-
-
-def check_partition_pair(
-    rho: State,
-    u: Sequence[int],
-    v: Sequence[int],
-    tol: RankTolerance = DEFAULT_TOLERANCE,
-) -> PairVerdict:
-    """Two-part check: if either part's reduced rank exceeds the rank of the
-    combined part's reduced state, the two parts are entangled with each other.
-
-    This is weaker than the full lattice scan; a pair can come back
-    INCONCLUSIVE even for states the lattice flags (GHZ with singleton parts).
-    """
-    n = rho.n
-    u = normalize_subset(u, n)
-    v = normalize_subset(v, n)
-    if not u or not v:
-        raise PartitionError("both parts must be nonempty")
-    if set(u) & set(v):
-        raise PartitionError(f"parts overlap: {u} and {v}")
-
-    composite = tuple(sorted(u + v))
-    rank_u, rank_v, rank_uv = subset_ranks(rho, (u, v, composite), tol)
-
-    def traced(kept: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        rest = tuple(i for i in range(n) if i not in kept)
-        return rest if rest else None
-
-    witnesses = []
-    for part, rank_part in ((u, rank_u), (v, rank_v)):
-        if rank_part > rank_uv:
-            child = traced(part)
-            assert child is not None  # a proper part always leaves a complement
-            witnesses.append(
-                Violation(
-                    child=child,
-                    parent=traced(composite),
-                    child_rank=rank_part,
-                    parent_rank=rank_uv,
-                )
-            )
-    tag = ENTANGLED if witnesses else INCONCLUSIVE
-    return PairVerdict(tag=tag, witnesses=tuple(witnesses), ranks=(rank_u, rank_v, rank_uv))
-
-
-def check_partition(
-    rho: State,
-    parts: Sequence[Sequence[int]],
-    tol: RankTolerance = DEFAULT_TOLERANCE,
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], PairVerdict]:
-    """Pairwise verdicts for a full partition of the particles.
-
-    Parts must be disjoint and cover every particle. Merged-part effects can
-    be probed by passing coarser partitions; pairwise checks alone are not
-    claimed to exhaust the criterion's strength.
-    """
-    n = rho.n
-    norm_parts = [normalize_subset(p, n) for p in parts]
+def _partition(parts: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """The parts as sorted tuples in sorted order, checked to be at least two,
+    nonempty, disjoint and covering all n particles."""
+    norm_parts = sorted(normalize_subset(p, n) for p in parts)
     if len(norm_parts) < 2:
         raise PartitionError("a partition needs at least two parts")
     if any(not p for p in norm_parts):
@@ -227,22 +107,99 @@ def check_partition(
     if seen != set(range(n)):
         missing = sorted(set(range(n)) - seen)
         raise PartitionError(f"partition does not cover particles {missing}")
-
-    rho = rho.factored(tol)
-    results: dict[tuple[tuple[int, ...], tuple[int, ...]], PairVerdict] = {}
-    for a, b in combinations(sorted(norm_parts), 2):
-        results[(a, b)] = check_partition_pair(rho, a, b, tol)
-    return results
+    return norm_parts
 
 
-def overall_verdict(pair_verdicts: Mapping[object, Verdict]) -> Verdict:
-    """ENTANGLED when any pair is, carrying all witnesses; else INCONCLUSIVE."""
-    witnesses: list[Violation] = []
-    for verdict in pair_verdicts.values():
-        witnesses.extend(verdict.witnesses)
-    if witnesses:
-        return Verdict(tag=ENTANGLED, witnesses=tuple(witnesses))
+def rank_lattice(
+    state: State,
+    max_depth: Optional[int] = None,
+    tol: RankTolerance = DEFAULT_TOLERANCE,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
+    parts: Optional[Sequence[Sequence[int]]] = None,
+) -> RankLattice:
+    """Ranks of every reduced state with 1..max_depth parts traced out.
+
+    Without ``parts`` each particle is its own part. With them, the lattice
+    is the paper's criterion for that partition: each part is taken as one
+    particle, so a state separable across the parts has no violation.
+    The state rank (the full particle set) and every entry come from one
+    ``subset_ranks`` call, which factors the state once.
+    """
+    n = state.n
+    units = [(i,) for i in range(n)] if parts is None else _partition(parts, n)
+    k = len(units)
+    if max_depth is None:
+        max_depth = default_depth(k)
+    if not 1 <= max_depth <= k - 1:
+        raise InputError(f"max_depth must lie in 1..{k - 1}, got {max_depth}")
+    _check_enumeration(k, max_depth, max_subsets)
+
+    traced_sets = [
+        tuple(sorted(sum(combo, ())))
+        for size in range(1, max_depth + 1)
+        for combo in combinations(units, size)
+    ]
+    kept = [tuple(i for i in range(n) if i not in traced) for traced in traced_sets]
+    state_rank, *ranks = subset_ranks(state, [tuple(range(n))] + kept, tol)
+    return RankLattice(
+        state_rank=state_rank,
+        entries=dict(zip(traced_sets, ranks)),
+        max_depth=max_depth,
+        parts=tuple(units),
+    )
+
+
+def check_rank_monotonicity(lattice: RankLattice) -> list[Violation]:
+    """All one-step rank increases in the lattice; empty means no witness.
+
+    Every traced-out set is compared against each set one part smaller (its
+    1-level-higher states); a single traced part is compared against the
+    full state. A state separable across the parts can never produce a
+    violation.
+    """
+    # A child, a union of parts, holds a part iff it holds the part's first
+    # particle; walking the child's particles in order visits its parts in order.
+    part_of = {part[0]: part for part in lattice.parts}
+    entries = lattice.entries
+    violations: list[Violation] = []
+    for child, child_rank in entries.items():
+        for first in child:
+            part = part_of.get(first)
+            if part is None:
+                continue
+            parent = tuple([i for i in child if i not in part])
+            parent_rank = entries[parent] if parent else lattice.state_rank
+            if child_rank > parent_rank:
+                violations.append(
+                    Violation(child, parent or None, child_rank, parent_rank)
+                )
+    return violations
+
+
+def verdict(lattice: RankLattice) -> Verdict:
+    """The one verdict rule: ENTANGLED with witnesses when any rank inequality
+    fails, SEPARABLE_PURE_PRODUCT when none does and the state has rank 1
+    (a pure product across the lattice's parts), else INCONCLUSIVE.
+
+    The inequalities are necessary for separability but not sufficient, so a
+    mixed state is never declared separable here.
+    """
+    violations = check_rank_monotonicity(lattice)
+    if violations:
+        return Verdict(tag=ENTANGLED, witnesses=tuple(violations))
+    if lattice.state_rank == 1:
+        return Verdict(tag=SEPARABLE_PURE_PRODUCT)
     return Verdict(tag=INCONCLUSIVE)
+
+
+def entanglement_verdict(
+    state: State,
+    max_depth: Optional[int] = None,
+    tol: RankTolerance = DEFAULT_TOLERANCE,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
+) -> Verdict:
+    """``verdict`` of the state's rank lattice over single particles."""
+    return verdict(rank_lattice(state, max_depth, tol, max_subsets))
 
 
 def pure_entangled(psi: PureState, tol: RankTolerance = DEFAULT_TOLERANCE) -> bool:

@@ -6,6 +6,7 @@ instead of eigh, exact rational elimination instead of SVD thresholds.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -121,3 +122,27 @@ def frobenius_sum(a, b):
             diff = a[i, j] - b[i, j]
             total += (diff * diff.conjugate()).real
     return total**0.5
+
+
+def partition_lattice_oracle(matrix, dims, parts, max_depth):
+    """State rank and {traced-out union: rank} for every union of 1..max_depth
+    parts, each reduced matrix from ``ptrace_loop`` and ranked by eigenvalues."""
+    entries = {}
+    for size in range(1, max_depth + 1):
+        for combo in combinations(parts, size):
+            traced = tuple(sorted(i for part in combo for i in part))
+            entries[traced] = rank_by_eigvalsh(ptrace_loop(matrix, dims, traced))
+    return rank_by_eigvalsh(matrix), entries
+
+
+def place_parts(part_states, parts):
+    """(dims, amplitudes) of the product of ``part_states`` with the j-th
+    (part_dims, vector) on the particles ``parts[j]``, in that order."""
+    order = [i for part in parts for i in part]
+    order_dims = [d for part_dims, _ in part_states for d in part_dims]
+    joint = np.ones(1, dtype=complex)
+    for _, vector in part_states:
+        joint = np.kron(joint, vector)
+    axes = np.argsort(order)
+    dims = tuple(order_dims[a] for a in axes)
+    return dims, np.transpose(joint.reshape(order_dims), axes).reshape(-1)

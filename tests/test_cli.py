@@ -218,9 +218,13 @@ def test_check_partition_ghz3_singletons(capsys, ghz3_file):
     code, out, _ = run(capsys, "check-partition", ghz3_file, "1|2|3", "--json")
     assert code == 0
     report = json.loads(out)
-    assert report["overall"] == "INCONCLUSIVE"
+    assert report["overall"] == "ENTANGLED"
     assert len(report["pairs"]) == 3
     assert all(p["verdict"] == "INCONCLUSIVE" for p in report["pairs"])
+    assert report["state_rank"] == 1
+    assert {"child": [1], "parent": None, "child_rank": 2, "parent_rank": 1} in report[
+        "violations"
+    ]
 
 
 def test_check_partition_qutrit_mixture(capsys, tmp_path):
@@ -237,12 +241,12 @@ def test_check_partition_qutrit_mixture(capsys, tmp_path):
 def test_check_partition_product(capsys, product_file):
     code, out, _ = run(capsys, "check-partition", product_file, "1|2")
     assert code == 0
-    assert "overall: INCONCLUSIVE" in out
+    assert "overall: SEPARABLE_PURE_PRODUCT" in out
 
 
 def test_check_partition_takes_each_rank_once(capsys, monkeypatch, ghz3_file):
-    """Three ranks per pair, taken by the pair check in one kernel call and
-    reused by the report."""
+    """One kernel call for the lattice over the parts: the state and the
+    2^3 - 2 unions of parts; the pair rows are read off that lattice."""
     from entrank import cli, criteria
 
     calls = []
@@ -256,8 +260,69 @@ def test_check_partition_takes_each_rank_once(capsys, monkeypatch, ghz3_file):
     monkeypatch.setattr(cli, "subset_rank", lambda state, subset, *a, **k: calls.append([subset]))
     code, out, _ = run(capsys, "check-partition", ghz3_file, "1|2|3", "--json")
     assert code == 0
-    pairs = len(json.loads(out)["pairs"])
-    assert [len(subsets) for subsets in calls] == [3] * pairs == [3, 3, 3]
+    assert len(json.loads(out)["pairs"]) == 3
+    assert [len(subsets) for subsets in calls] == [2**3 - 2 + 1]
+
+
+def test_check_partition_human_report(capsys, tmp_path):
+    """GHZ(6) in pair blocks: every pair check is inconclusive, the lattice
+    over the parts is not."""
+    path = tmp_path / "ghz6.json"
+    write_state_file(path, pure_payload(ghz(6, 2)))
+    code, out, _ = run(capsys, "check-partition", path, "1,2|3,4|5,6")
+    assert code == 0
+    assert out == (
+        f"input: {path}\n"
+        "pair checks (rank_u, rank_v vs rank of the pair together):\n"
+        "  {1,2} vs {3,4}: ranks (2, 2, 2) -> INCONCLUSIVE\n"
+        "  {1,2} vs {5,6}: ranks (2, 2, 2) -> INCONCLUSIVE\n"
+        "  {3,4} vs {5,6}: ranks (2, 2, 2) -> INCONCLUSIVE\n"
+        "violations:\n"
+        "  traced {1,2} has rank 2 > 1 (full state)\n"
+        "  traced {3,4} has rank 2 > 1 (full state)\n"
+        "  traced {5,6} has rank 2 > 1 (full state)\n"
+        "overall: ENTANGLED\n"
+    )
+
+
+@pytest.mark.parametrize("source", ["paper6", "mixture232"])
+def test_check_partition_singletons_match_analyze(source, capsys, tmp_path):
+    """Over single particles, check-partition's lattice, violations and
+    verdict are those of analyze at depth n - 1."""
+    path = tmp_path / f"{source}.json"
+    if source == "paper6":
+        run(capsys, "gen", "paper6", "--out", path)
+    else:
+        run(capsys, "gen", "random", "--dims", "2,3,2", "--kind", "mixed_of_rank_r",
+            "--rank", "2", "--seed", "5", "--out", path)
+    n = 6 if source == "paper6" else 3
+    _, out, _ = run(capsys, "analyze", path, "--depth", n - 1, "--json")
+    analyzed = json.loads(out)
+    _, out, _ = run(capsys, "check-partition", path, "|".join(map(str, range(1, n + 1))), "--json")
+    checked = json.loads(out)
+    for key in ("state_rank", "lattice", "violations"):
+        assert checked[key] == analyzed[key], key
+    assert checked["overall"] == analyzed["verdict"]
+    assert checked["violations"]
+
+
+def test_check_partition_subset_cap_before_the_kernel(capsys, monkeypatch, tmp_path):
+    """17 single parts make 2^17 - 2 lattice entries, over the subset cap:
+    exit 3 before any rank is taken."""
+    from entrank import criteria
+
+    path = tmp_path / "ghz17.json"
+    assert run(capsys, "gen", "ghz", "--n", 17, "--max-dim", 131072, "--out", path)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank kernel ran past the subset cap")
+
+    monkeypatch.setattr(criteria, "subset_ranks", refuse)
+    partition = "|".join(map(str, range(1, 18)))
+    code, out, err = run(capsys, "check-partition", path, partition, "--max-dim", 131072)
+    assert code == 3
+    assert out == ""
+    assert "131070 subsets at depth 16 exceed the cap 100000" in err
 
 
 def test_check_partition_malformed_expression(capsys, ghz3_file):
