@@ -24,6 +24,7 @@ Hermitian part at unit trace.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from math import prod
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
@@ -79,8 +80,39 @@ def _checked_complex(entry: dict, where: str) -> complex:
 def _parse_amplitudes(
     entries: Any, dims: tuple[int, ...], where: str
 ) -> np.ndarray:
+    """The amplitude vector of an entry list, checked and converted in bulk:
+    one list per field, one type check, the flat indices from
+    ``ravel_multi_index`` (which rejects an index out of range), and a
+    unique count for duplicates. An input that fails the bulk check goes
+    through ``_amplitude_cells``, which names its first bad entry."""
     if not isinstance(entries, list):
         raise StateFileError(f"{where}: amplitude list expected")
+    try:
+        index = [entry["index"] for entry in entries]
+        re = [entry["re"] for entry in entries]
+        im = [entry["im"] for entry in entries]
+        if not (_numbers(re, im) and set(map(type, chain.from_iterable(index))) == {int}):
+            return _amplitude_cells(entries, dims, where)
+        flat = np.ravel_multi_index(np.array(index, dtype=np.int64).T, dims)
+        values = np.array(re, np.float64), np.array(im, np.float64)
+    except (TypeError, KeyError, ValueError, OverflowError):
+        return _amplitude_cells(entries, dims, where)
+    taken = np.zeros(prod(dims), dtype=bool)
+    taken[flat] = True
+    if np.count_nonzero(taken) != flat.size:  # a duplicate index
+        return _amplitude_cells(entries, dims, where)
+    amps = np.zeros(prod(dims), dtype=np.complex128)
+    amps.real[flat], amps.imag[flat] = values
+    return amps
+
+
+def _numbers(*fields: list) -> bool:
+    """Whether every value of ``fields`` is a JSON number (int or float, not bool)."""
+    return set(map(type, chain.from_iterable(fields))) <= {int, float}
+
+
+def _amplitude_cells(entries: list, dims: tuple[int, ...], where: str) -> np.ndarray:
+    """The amplitude vector entry by entry, raising at the first bad entry."""
     amps = np.zeros(prod(dims), dtype=np.complex128)
     seen: set[int] = set()
 
@@ -124,8 +156,26 @@ def _normalized(amps: np.ndarray, where: str) -> np.ndarray:
 
 
 def _parse_matrix(rows: Any, d: int, where: str) -> np.ndarray:
+    """The d × d matrix of nested re/im rows, checked and converted in bulk
+    (one list per field, one type check); an input that fails the bulk
+    check goes through ``_matrix_cells``, which names its first bad cell."""
     if not isinstance(rows, list) or len(rows) != d:
         raise StateFileError(f"{where}: matrix must have {d} rows")
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {d}:
+        try:
+            re = [cell["re"] for row in rows for cell in row]
+            im = [cell["im"] for row in rows for cell in row]
+            if _numbers(re, im):
+                out = np.empty(d * d, dtype=np.complex128)
+                out.real, out.imag = np.array(re, np.float64), np.array(im, np.float64)
+                return out.reshape(d, d)
+        except (TypeError, KeyError, OverflowError):
+            pass
+    return _matrix_cells(rows, d, where)
+
+
+def _matrix_cells(rows: list, d: int, where: str) -> np.ndarray:
+    """The matrix cell by cell, raising at the first bad row or cell."""
     out = np.empty((d, d), dtype=np.complex128)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != d:

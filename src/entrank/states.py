@@ -16,14 +16,26 @@ of the purification across S | rest+ancilla, and one kernel,
 ``subset_ranks``, takes every rank of every state (``subset_rank`` is its
 one-subset form); the full particle set gives the rank of the state itself.
 The kernel factors the state once and, for a pure state (r = 1), computes a
-subset and its complement once, since they are the same cut. It stacks the
-reshaped factors of equal shape into chunks of at most ``CHUNK_BYTES`` and
-takes one stacked SVD per chunk, which is the LAPACK call a single SVD makes
-on the same bytes. When the work spans more than one chunk, the chunks are
-shared out among one thread per core the process's CPU affinity allows
-(``taskset`` limits them), started for the call and joined before it
-returns; there is no setting. On one allowed core, or for work within one
-chunk, everything runs in the calling thread and no thread is started.
+subset and its complement once, since they are the same cut. A call whose
+cuts fit in one chunk (n_cuts · ‖V‖ ≤ ``CHUNK_BYTES``) decomposes every cut
+as (d_subset, d_rest · r). A larger call decomposes only the cuts whose rank
+it cannot infer. A full-rank reduced state stays full rank under every
+further partial trace, with a margin that can only grow: ρ_P ⪰ λ·1 gives
+tr_T ρ_P ⪰ d_T·λ·1 while λ_max grows at most d_T-fold, so λ_min / max(atol,
+rtol·λ_max) carries down, atol included. A cut decomposed at full rank with
+its smallest kept s² at least ``CERTIFY_MARGIN`` (100) times the cutoff
+therefore certifies every cut whose small side (S, or the rest plus the
+r-dimensional ancilla of the purification) lies inside its own small side,
+and those take full rank without an SVD. The cuts are taken in decreasing
+order of their bound min(d_S, d_rest · r), since a certifier always has the
+larger bound, and the decomposed ones are stacked in their tall orientation
+(rows ≥ columns), the faster LAPACK path. Reshaped factors of equal shape are
+stacked into chunks of at most ``CHUNK_BYTES`` with one SVD each. When a
+batch of cuts spans more than one chunk, the chunks are shared out among one
+thread per core the process's CPU affinity allows (``taskset`` limits them),
+started for the batch and joined before it returns; there is no setting. On
+one allowed core, or for a batch within one chunk, everything runs in the
+calling thread and no thread is started.
 
 The partial-transpose baseline ``ppt_minimum`` transposes the smaller side of
 the cut (ρ^{T_A} = (ρ^{T_rest})^T has the same spectrum) and uses an exact
@@ -67,6 +79,7 @@ NORM_ATOL = 1e-9
 DENSITY_ATOL = 1e-9
 RESCALE_GUARD = 1e-12
 CHUNK_BYTES = 1 << 20
+CERTIFY_MARGIN = 100.0
 
 SubsetLike = Iterable[int]
 
@@ -430,53 +443,139 @@ def subset_ranks(
     the full particle set gives the rank of the state.
 
     Each rank counts the squared singular values of the factor V reshaped to
-    (d_subset, d_rest · r) above tol.cutoff of the largest, from the same
-    LAPACK call on the same bytes as ``rank_from_values(bipartition_spectrum(
-    state, subset), tol)``. The state is factored once. A repeated subset is
-    computed once, and so are a pure state's subset and its complement: they
-    are the same cut, and the one listed first is decomposed. Cuts of one
-    shape are stacked into chunks of at most ``CHUNK_BYTES`` with one SVD
-    each; when the work spans more than one chunk, the chunks are shared out
-    among one thread per core the process may use.
+    (d_subset, d_rest · r) above tol.cutoff of the largest, as
+    ``rank_from_values(bipartition_spectrum(state, subset), tol)`` does. The
+    state is factored once. A repeated subset is computed once, and so are a
+    pure state's subset and its complement: they are the same cut, and the
+    one listed first is decomposed. Cuts of one shape are stacked into chunks
+    of at most ``CHUNK_BYTES`` with one SVD each; when a batch of cuts spans
+    more than one chunk, its chunks are shared out among one thread per core
+    the process may use.
+
+    A call whose cuts fit in one chunk (n_cuts · ‖V‖ ≤ ``CHUNK_BYTES``)
+    decomposes every cut as (d_subset, d_rest · r). A larger call infers
+    ranks where it can. Think of each cut as S | Y of the purification
+    Σ_j V[:, j] ⊗ |j⟩, with Y the rest plus the r-dimensional ancilla (left
+    out when r = 1); ρ_S and ρ_Y share their nonzero spectrum, and the rank
+    is at most the bound min(d_S, d_Y), the dimension of the small side. If
+    a cut is decomposed at full rank with its smallest kept s² at least
+    ``CERTIFY_MARGIN`` (100) times the cutoff, its small side P is positive
+    definite with that margin, and so is every reduced state ρ_X of a set X
+    ⊆ P: with T = P ∖ X, ρ_P ⪰ λ·1 gives ρ_X = tr_T ρ_P ⪰ d_T·λ·1, and
+    λ_max(ρ_X) ≤ d_T·λ_max(ρ_P), so λ_min(ρ_X) ≥ 100·d_T·max(atol, rtol·
+    λ_max(ρ_P)) ≥ 100·max(atol, rtol·λ_max(ρ_X)). A cut with a side X inside
+    such a P therefore takes the full rank dim X, its bound, without an SVD,
+    and inherits the margin. A zero cutoff (atol = rtol = 0) certifies nothing.
+    X ⊊ P makes the certifier's bound strictly larger (every dimension is at
+    least 2), so the cuts are taken in levels of decreasing bound, each level
+    certified from the levels before it, and the rest of the level is
+    decomposed as one batch. Those cuts are stacked in their tall orientation
+    (rows ≥ columns: (d_Y, d_S) when d_S < d_Y), the faster LAPACK path.
     """
     state = state.factored(tol)
     n, v = state.n, state.factor
-    tensor = v.reshape(state.dims + (v.shape[1],))
+    r = v.shape[1]
+    tensor = v.reshape(state.dims + (r,))
     slot: dict[tuple[int, ...], int] = {}
     order = []
-    n_cuts = 0
-    groups: dict[tuple, list] = {}  # (d_subset, permuted shape) -> [(cut, axis order)]
+    cuts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (subset, rest)
     for subset in subsets:
         subset = normalize_subset(subset, n)
         if not subset:
             raise PartitionError("subset must be nonempty")
         if subset not in slot:
             rest = _complement(subset, n)
-            if v.shape[1] == 1 and rest in slot:
+            if r == 1 and rest in slot:
                 slot[subset] = slot[rest]
             else:
-                slot[subset] = n_cuts
-                axes = subset + rest + (n,)
-                key = (prod(state.dims[i] for i in subset), tensor.transpose(axes).shape)
-                groups.setdefault(key, []).append((n_cuts, axes))
-                n_cuts += 1
+                slot[subset] = len(cuts)
+                cuts.append((subset, rest))
         order.append(slot[subset])
 
-    step = max(1, CHUNK_BYTES // v.nbytes)
+    ranks = [0] * len(cuts)
+    buffers: list[np.ndarray] = []
+    step = min(len(cuts), max(1, CHUNK_BYTES // v.nbytes))
+    if len(cuts) * v.nbytes <= CHUNK_BYTES:
+        batch = [(s + rest + (n,), _dim(state, s)) for s, rest in cuts]
+        ranks = [count for count, _ in _decompose(tensor, batch, step, buffers, tol)]
+        return [ranks[k] for k in order]
+
+    # Sides as bit masks over the n particles and the ancilla (bit n).
+    d, bits = state.dim, [1 << i for i in range(n)]
+    full, ancilla = (1 << n) - 1, (1 << n) if r > 1 else 0
+    levels: dict[int, list] = {}  # bound -> [(cut, d_S, d_Y, small sides)]
+    for k, (subset, _) in enumerate(cuts):
+        d_s = _dim(state, subset)
+        d_y = d // d_s * r
+        mask = sum(map(bits.__getitem__, subset))
+        other = (full ^ mask) | ancilla
+        sides = (mask,) if d_s < d_y else (other,) if d_y < d_s else (mask, other)
+        levels.setdefault(min(d_s, d_y), []).append((k, d_s, d_y, sides))
+    definite = np.zeros(0, np.uint64)  # small sides found positive definite with margin
+    for bound in sorted(levels, reverse=True):
+        level = levels.pop(bound)
+        cut_sides = [(k, m) for k, _, _, sides in level for m in sides]
+        inside = _contained(np.array([m for _, m in cut_sides], np.uint64), definite)
+        certified = {k for (k, _), hit in zip(cut_sides, inside) if hit}
+        todo = [entry for entry in level if entry[0] not in certified]
+        batch = []
+        for k, d_s, d_y, _ in todo:  # each cut in its tall orientation
+            subset, rest = cuts[k]
+            batch.append((rest + (n,) + subset, d_y) if d_s < d_y else (subset + rest + (n,), d_s))
+        found = []
+        results = _decompose(tensor, batch, step, buffers, tol)
+        for (k, _, _, sides), (count, certifies) in zip(todo, results):
+            ranks[k] = count
+            if certifies:
+                found += sides
+        for k in certified:
+            ranks[k] = bound
+        definite = np.concatenate([definite, np.array(found, np.uint64)])
+    return [ranks[k] for k in order]
+
+
+def _dim(state: State, subset: tuple[int, ...]) -> int:
+    return prod(map(state.dims.__getitem__, subset))
+
+
+def _contained(masks: np.ndarray, supersets: np.ndarray) -> np.ndarray:
+    """For each mask, whether it is a subset of one of ``supersets``; the
+    comparison table is built in blocks of at most ``CHUNK_BYTES`` / 8."""
+    out = np.zeros(len(masks), bool)
+    if supersets.size:
+        outside = ~supersets
+        rows = max(1, CHUNK_BYTES // (64 * supersets.size))
+        for lo in range(0, len(masks), rows):
+            out[lo : lo + rows] = ((masks[lo : lo + rows, None] & outside) == 0).any(axis=1)
+    return out
+
+
+def _decompose(
+    tensor: np.ndarray, batch: list, step: int, buffers: list, tol: RankTolerance
+) -> list[tuple[int, bool]]:
+    """(rank, certifies) of each (axis order, rows) cut of ``batch``, in order.
+
+    The cuts are grouped by (rows, permuted shape) and stacked into chunks of
+    at most ``step`` matrices with one SVD each. Work beyond one chunk is
+    split into interleaved shares, one thread per core the process may use,
+    while this thread waits (with it taking a share, two threads ran the
+    stacked SVDs no faster than one). Each share reuses a stack buffer of
+    ``step`` matrices from ``buffers``, which the caller keeps for all its
+    batches and which grows to one per thread: memory a worker thread
+    allocated would stay in its own heap, which nothing else reuses, and add
+    to the process's peak.
+    """
+    groups: dict[tuple, list] = {}
+    for j, (axes, rows) in enumerate(batch):
+        groups.setdefault((rows, tensor.transpose(axes).shape), []).append((j, axes))
     chunks = [
         (rows, shape, members[lo : lo + step])
         for (rows, shape), members in groups.items()
         for lo in range(0, len(members), step)
     ]
-    # Work beyond one chunk is split into interleaved shares, one thread per
-    # core the process may use, while this thread waits (with it taking a
-    # share, two threads ran the stacked SVDs no faster than one). Each share
-    # reuses one stack buffer allocated here: memory a worker thread allocated
-    # would stay in its own heap, which nothing else reuses, and add to the
-    # process's peak.
-    workers = min(len(chunks), _workers()) if n_cuts * v.nbytes > CHUNK_BYTES else 1
-    largest = max((len(members) for _, _, members in chunks), default=0)
-    buffers = [np.empty(largest * v.size, v.dtype) for _ in range(workers)]
+    workers = min(len(chunks), _workers()) if len(batch) * tensor.nbytes > CHUNK_BYTES else 1
+    while len(buffers) < workers:
+        buffers.append(np.empty(step * tensor.size, tensor.dtype))
     shares: list = [None] * workers
 
     def share(k: int) -> None:
@@ -493,29 +592,34 @@ def subset_ranks(
             thread.start()
         for thread in threads:
             thread.join()
-    ranks = [0] * n_cuts
-    for k, counts in enumerate(shares):
-        if isinstance(counts, Exception):
-            raise counts
-        for (_, _, members), chunk_counts in zip(chunks[k::workers], counts):
-            for (cut, _), count in zip(members, chunk_counts):
-                ranks[cut] = count
-    return [ranks[k] for k in order]
+    out: list = [None] * len(batch)
+    for k, results in enumerate(shares):
+        if isinstance(results, Exception):
+            raise results
+        for (_, _, members), chunk_results in zip(chunks[k::workers], results):
+            for (j, _), result in zip(members, chunk_results):
+                out[j] = result
+    return out
 
 
 def _chunk_ranks(
     tensor: np.ndarray, chunk: tuple, buffer: np.ndarray, tol: RankTolerance
-) -> list[int]:
-    """Ranks of one chunk: its cuts' axis orders of ``tensor`` copied into
-    ``buffer`` as one stack of (rows, rest) matrices, one SVD, and per matrix
-    the count of squared singular values above tol.cutoff of its largest."""
+) -> list[tuple[int, bool]]:
+    """(rank, certifies) of each matrix of one chunk: its cuts' axis orders of
+    ``tensor`` copied into ``buffer`` as one stack of (rows, rest) matrices,
+    one SVD, and per matrix the count of squared singular values above
+    tol.cutoff of its largest, and whether it is at full rank with its
+    smallest s² at least ``CERTIFY_MARGIN`` times a positive cutoff."""
     rows, shape, members = chunk
     stack = buffer[: len(members) * tensor.size].reshape((len(members),) + shape)
     for j, (_, axes) in enumerate(members):
         stack[j] = tensor.transpose(axes)
     s = np.linalg.svd(stack.reshape(len(members), rows, -1), compute_uv=False)
     s2 = s * s
-    return (s2 > np.maximum(tol.atol, tol.rtol * s2[:, :1])).sum(axis=1).tolist()
+    cutoff = np.maximum(tol.atol, tol.rtol * s2[:, 0])
+    counts = (s2 > cutoff[:, None]).sum(axis=1)
+    certifies = (s2[:, -1] >= CERTIFY_MARGIN * cutoff) & (cutoff > 0)
+    return list(zip(counts.tolist(), certifies.tolist()))
 
 
 def subset_rank(

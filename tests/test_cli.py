@@ -624,7 +624,7 @@ def test_json_report_bytes_are_those_of_json_dumps(capsys, tmp_path):
     """The batched --json writer prints what json.dumps(report, indent=2,
     sort_keys=True) and a newline would, here over more than one batch."""
     from entrank.catalog import haar_pure
-    from entrank.cli import JSON_BATCH
+    from entrank.cli import JSON_BATCH, _json_pieces
 
     path = tmp_path / "haar12.json"
     write_state_file(path, pure_payload(haar_pure((2,) * 12, seed=70)))
@@ -634,3 +634,67 @@ def test_json_report_bytes_are_those_of_json_dumps(capsys, tmp_path):
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
     assert sum(1 for _ in chunks) > 2 * JSON_BATCH
+    assert sum(1 for _ in _json_pieces(report)) > JSON_BATCH
+
+
+def test_json_report_bytes_of_every_command(capsys, tmp_path):
+    """factorize, check-partition, ppt and analyze --ppt reports, with None
+    parents, floats and an input path that JSON must escape, are written
+    byte for byte as json.dumps(report, indent=2, sort_keys=True) + newline."""
+    from entrank.catalog import haar_pure
+
+    pure = tmp_path / 'haar "8" \\ näme %s.json'
+    write_state_file(pure, pure_payload(haar_pure((2,) * 8, seed=71)))
+    mixed = tmp_path / "mixed6.json"
+    terms = [(w, haar_pure((2,) * 6, seed=72 + k)) for k, w in enumerate((0.5, 0.3, 0.2))]
+    write_state_file(mixed, mixture_payload(terms))
+    runs = [
+        ("factorize", pure),
+        ("check-partition", pure, "1|2|3|4|5|6|7|8"),
+        ("check-partition", pure, "1,2,3,4|5,6,7,8"),
+        ("check-partition", mixed, "1,4|2,5,6|3"),
+        ("ppt", mixed, "1,3"),
+        ("analyze", "--ppt", "--depth", "5", mixed),
+        ("analyze", pure),
+    ]
+    seen = set()
+    for argv in runs:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n", argv
+        seen.update(type(value).__name__ for value in _json_leaves(report))
+        if "violations" in report:
+            seen.update("None parent" for v in report["violations"] if v["parent"] is None)
+    assert seen >= {"int", "float", "str", "None parent"}
+    assert '\\"8\\" \\\\ n\\u00e4me %s.json' in out
+
+
+def test_json_writer_matches_json_dumps_on_every_value_form(capsys):
+    from entrank.cli import _print_json
+
+    report = {
+        "scalars": [None, True, False, 0, -5, 2**70, 1.5, -0.0, 1e-300, 1e300,
+                    float("nan"), float("inf"), -float("inf"), np.float64(0.1)],
+        "strings": ["", "é\"\\\n\t \x00", "%s %d"],
+        "nested": [[], {}, (1, 2), [[1, True], (None,)], {"z": 1, "a%s": [1.0, None], "m": {}}],
+        "rows": [{"b": [1, 2], "a": None}, {"a": 1.25, "b": []}, {"b": "x", "a": [True]}],
+        "empty_list": [],
+        "empty_dict": {},
+        "text": "plain",
+    }
+    _print_json(report)
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _print_json({})
+    assert capsys.readouterr().out == "{}\n"
+
+
+def _json_leaves(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _json_leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_leaves(item)
+    else:
+        yield value

@@ -284,3 +284,67 @@ def test_amplitude_error_messages(entry, message):
     with pytest.raises(StateFileError) as info:
         parse_state(payload)
     assert str(info.value) == f"state file, term 0, amplitude 1: {message}"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"index": [-1, 0], "re": 0.6, "im": 0.0}, "index [-1, 0] out of range for dims [2, 3]"),
+        ({"index": [1, 2**70], "re": 0.6, "im": 0.0},
+         f"index [1, {2**70}] out of range for dims [2, 3]"),
+        ({"index": [1.0, 2], "re": 0.6, "im": 0.0}, "index must list one integer per particle"),
+        ({"index": "12", "re": 0.6, "im": 0.0}, "index must list one integer per particle"),
+        ({"index": [[1], 2], "re": 0.6, "im": 0.0}, "index must list one integer per particle"),
+        ({"index": [1, 2, 0], "re": 0.6, "im": 0.0}, "index must list one integer per particle"),
+        ({"index": [1, 2], "re": "0.6", "im": 0.0}, "expected a number, got '0.6'"),
+    ],
+    ids=["negative", "huge", "float-index", "string-index", "nested-index", "long-index",
+         "string-re"],
+)
+def test_amplitude_errors_the_bulk_check_hands_to_the_entry_loop(entry, message):
+    payload = {
+        "format_version": "1",
+        "kind": "pure",
+        "dims": [2, 3],
+        "amplitudes": [{"index": [0, 0], "re": 0.8, "im": 0.0}, entry],
+    }
+    with pytest.raises(StateFileError) as info:
+        parse_state(payload)
+    assert str(info.value) == f"state file, amplitude 1: {message}"
+
+
+def test_valid_files_load_in_bulk_bit_for_bit(tmp_path, monkeypatch):
+    """Valid pure, mixture and dense files never reach the entry loops, and
+    the bulk arrays equal the loops' bit for bit, ints and floats alike."""
+    from entrank import statefile
+
+    basis = {"format_version": "1", "kind": "pure", "dims": [2, 3, 2],
+             "amplitudes": [{"index": [1, 2, 0], "re": 0, "im": -1}]}
+    payloads = [
+        basis,
+        pure_payload(haar_pure((2, 3, 2), seed=91)),
+        mixture_payload([(0.25, haar_pure((3, 2), seed=92)), (0.75, haar_pure((3, 2), seed=93))]),
+        density_payload(mixed_of_rank((2, 3), seed=94, rank=3)),
+    ]
+    expected = []
+    for payload in payloads:
+        if payload["kind"] == "dense":
+            expected.append(statefile._matrix_cells(payload["matrix"], 6, "x"))
+        else:
+            for amps in [t["amplitudes"] for t in payload.get("terms", [payload])]:
+                expected.append(statefile._amplitude_cells(amps, tuple(payload["dims"]), "x"))
+
+    def refuse(*args):
+        raise AssertionError("a valid file reached the entry loop")
+
+    monkeypatch.setattr(statefile, "_amplitude_cells", refuse)
+    monkeypatch.setattr(statefile, "_matrix_cells", refuse)
+    got = []
+    for payload in payloads:
+        if payload["kind"] == "dense":
+            got.append(statefile._parse_matrix(payload["matrix"], 6, "x"))
+        else:
+            for amps in [t["amplitudes"] for t in payload.get("terms", [payload])]:
+                got.append(statefile._parse_amplitudes(amps, tuple(payload["dims"]), "x"))
+        parse_state(payload, max_dim=64)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]

@@ -751,3 +751,161 @@ def test_small_lattice_starts_no_thread_and_cli_skips_concurrent_futures():
         "assert threading.active_count() == before, threading.enumerate()\n"
         "assert 'concurrent.futures' not in sys.modules\n"
     )
+
+
+# ------------------------------------------------------- rank inheritance
+
+
+def lattice_kept(n, depth):
+    """The full set and the kept sets of an n-particle lattice to ``depth``."""
+    return [tuple(range(n))] + [
+        tuple(i for i in range(n) if i not in traced)
+        for k in range(1, depth + 1)
+        for traced in combinations(range(n), k)
+    ]
+
+
+def count_decomposed(monkeypatch):
+    """A list that collects the number of matrices of every SVD call."""
+    decomposed = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        decomposed.append(a.shape[0] if a.ndim == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return decomposed
+
+
+@pytest.mark.parametrize("depth", [5, 9])
+@pytest.mark.parametrize("name", ["haar", "ghz", "w"])
+def test_inferred_ranks_equal_one_svd_per_subset_on_pure_lattices(name, depth):
+    from entrank.catalog import w
+
+    psi = {"haar": haar_pure((2,) * 10, seed=80), "ghz": ghz(10, 2), "w": w(10)}[name]
+    kept = lattice_kept(10, depth)
+    tol = RankTolerance()
+    assert subset_ranks(psi, kept, tol) == per_subset_ranks(psi, kept, tol)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_inferred_ranks_equal_one_svd_per_subset_on_mixtures(n, rank):
+    rho = mixed_of_rank((2,) * n, seed=81 + rank, rank=rank)
+    kept = lattice_kept(n, n - 1)
+    tol = RankTolerance()
+    assert subset_ranks(rho, kept, tol) == per_subset_ranks(rho, kept, tol)
+
+
+def test_inferred_ranks_keep_the_ancilla():
+    """A pure state held with two equal columns: the ancilla of its
+    purification is a product factor, so ρ of the rest plus the ancilla has
+    the rank of ρ_rest, below its dimension 2·d_rest, and no positive-definite
+    side without the ancilla may certify it."""
+    psi = haar_pure((2,) * 10, seed=84)
+    doubled = mix([(0.5, psi), (0.5, psi)])
+    kept = lattice_kept(10, 9)
+    tol = RankTolerance()
+    ranks = subset_ranks(doubled, kept, tol)
+    assert ranks == per_subset_ranks(doubled, kept, tol)
+    assert ranks == per_subset_ranks(psi, kept, tol)
+
+
+def test_inferred_ranks_equal_one_svd_per_subset_on_qudits_and_blocks():
+    from oracles import place_parts
+
+    qudits = haar_pure((3, 2) * 4, seed=85)
+    parts = ((0, 5), (1, 2, 7), (3,), (4, 6, 8, 9))
+    blocks = PureState(*place_parts(
+        [((2,) * len(p), haar_pure((2,) * len(p), seed=86 + j).amplitudes)
+         for j, p in enumerate(parts)], parts))
+    tol = RankTolerance()
+    for state, depth in ((qudits, 7), (blocks, 9), (blocks, 5)):
+        kept = lattice_kept(state.n, depth)
+        assert subset_ranks(state, kept, tol) == per_subset_ranks(state, kept, tol)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_inferred_ranks_of_a_lattice_over_parts(rank):
+    """rank_lattice over non-singleton parts (one kernel call of more than one
+    chunk) against one SVD per entry."""
+    from entrank.criteria import rank_lattice
+
+    state = mixed_of_rank((2,) * 10, seed=87, rank=rank)
+    parts = [(0, 7), (1,), (2, 3), (4,), (5, 9), (6,), (8,)]
+    lattice = rank_lattice(state, 6, parts=parts)
+    traced = list(lattice.entries)
+    kept = [tuple(i for i in range(10) if i not in t) for t in traced]
+    tol = RankTolerance()
+    assert lattice.state_rank == per_subset_ranks(state, [tuple(range(10))], tol)[0]
+    assert list(lattice.entries.values()) == per_subset_ranks(state, kept, tol)
+
+
+@pytest.mark.parametrize(
+    "state, depth, decomposed",
+    [
+        (haar_pure((2,) * 10, seed=88), 5, 126),
+        (mixed_of_rank((2,) * 10, seed=89, rank=4), 9, 210),
+        (ghz(10, 2), 5, 511),
+    ],
+    ids=["haar", "rank4", "ghz"],
+)
+def test_inferred_ranks_decompose_only_what_no_cut_certifies(
+    state, depth, decomposed, monkeypatch
+):
+    """Haar 2^10 to depth 5 decomposes its 126 balanced cuts, which certify
+    every smaller one and the state rank; a rank-4 mixture to depth 9 its 210
+    cuts with d_S = 4·d_rest; GHZ(10) has no full-rank cut but the single
+    particles, so all 511 proper cuts are decomposed and only the state rank
+    is inferred."""
+    kept = lattice_kept(10, depth)
+    tol = RankTolerance()
+    expected = per_subset_ranks(state, kept, tol)
+    counts = count_decomposed(monkeypatch)
+    assert subset_ranks(state, kept, tol) == expected
+    assert sum(counts) == decomposed
+
+
+def paired_state(margin, rtol, seed):
+    """Ten qubits in five locally rotated pairs (k, k + 5), each
+    sqrt(p)|00> + sqrt(1 - p)|11> with ((1 - p)/p)^5 = margin * rtol: a
+    balanced cut that splits every pair has its smallest eigenvalue at
+    ``margin`` times the cutoff rtol * lambda_max, and every other balanced
+    cut is rank-deficient."""
+    from oracles import place_parts
+
+    q = (margin * rtol) ** 0.2
+    pair = np.zeros(4, dtype=complex)
+    pair[0], pair[3] = np.sqrt(1 / (1 + q)), np.sqrt(q / (1 + q))
+    rng = np.random.default_rng(seed)
+    states = [((2, 2), np.kron(random_unitary(2, rng), random_unitary(2, rng)) @ pair)
+              for _ in range(5)]
+    return PureState(*place_parts(states, [(k, k + 5) for k in range(5)]))
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("margin, inferred", [(50, 0), (200, 80)])
+def test_inference_margin_boundary(margin, inferred, rtol, monkeypatch):
+    """The 16 balanced cuts that split every pair certify their 80 four-qubit
+    subsets at 200x the cutoff, and nothing at 50x, where the 126 balanced and
+    210 four-qubit cuts are all decomposed; the ranks are those of one SVD
+    per cut either way."""
+    psi = paired_state(margin, rtol, seed=90)
+    subsets = [s for k in (5, 4) for s in combinations(range(10), k)]
+    tol = RankTolerance(rtol=rtol, atol=0.0)
+    expected = per_subset_ranks(psi, subsets, tol)
+    counts = count_decomposed(monkeypatch)
+    assert subset_ranks(psi, subsets, tol) == expected
+    assert sum(counts) == 126 + 210 - inferred
+
+
+def test_a_zero_cutoff_certifies_nothing():
+    """At atol = rtol = 0 every nonzero s² counts, and a GHZ cut's exact
+    zeros sit at the cutoff: no cut is positive definite with a margin, so
+    every rank stays that of one SVD per cut."""
+    tol = RankTolerance(rtol=0.0, atol=0.0)
+    kept = lattice_kept(10, 5)
+    ranks = subset_ranks(ghz(10, 2), kept, tol)
+    assert ranks == per_subset_ranks(ghz(10, 2), kept, tol)
+    assert set(ranks[1:]) == {2}
