@@ -15,18 +15,17 @@ import argparse
 import csv
 import hashlib
 import io
-import json
 import sys
 import time
-from functools import lru_cache
 from itertools import combinations, islice
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import catalog, criteria, factorize as factorize_mod, statefile
 from .errors import EntrankError, InputError, PartitionError
+from .jsonfmt import json_pieces
 from .linalg import DEFAULT_ATOL, DEFAULT_MAX_DIM, DEFAULT_RTOL, RankTolerance
 from .states import (
     DensityMatrix,
@@ -43,9 +42,6 @@ PPT_NEG_TOL = 1e-9
 PPT_ENTANGLED = "ENTANGLED"
 PPT_NOT_DETECTED = "NOT-DETECTED"
 JSON_BATCH = 256  # pieces (whole rows) joined per write of a --json report
-INF = float("inf")
-_INT_ONLY = {int}
-_json_string = json.encoder.encode_basestring_ascii  # json.dumps' ensure_ascii form
 
 BENCH_CSV_HEADER = ["kind", "dims", "seed", "rank_detect", "ppt_detect", "both", "neither"]
 BENCH_KINDS = ("product_mixture", "werner", "haar_pure")
@@ -143,86 +139,13 @@ def _violation_lines(verdict: criteria.Verdict) -> list[str]:
 
 def _print_json(report: dict) -> int:
     """Write the report as ``json.dumps(report, indent=2, sort_keys=True)``
-    and a newline would, in batches of ``JSON_BATCH`` pieces: one piece per
-    top-level key and per element of a top-level list, each formatted whole
-    by ``_json_text``."""
-    pieces = _json_pieces(report)
+    and a newline would, in batches of ``JSON_BATCH`` pieces of
+    ``json_pieces``."""
+    pieces = json_pieces(report)
     for batch in iter(lambda: "".join(islice(pieces, JSON_BATCH)), ""):
         sys.stdout.write(batch)
     sys.stdout.write("\n")
     return 0
-
-
-def _json_pieces(report: dict) -> Iterator[str]:
-    yield "{"
-    for k, (key, value) in enumerate(sorted(report.items())):
-        yield ("\n  " if k == 0 else ",\n  ") + _json_string(key) + ": "
-        if isinstance(value, (list, tuple)) and value:
-            for j, item in enumerate(value):
-                yield ("[\n    " if j == 0 else ",\n    ") + _json_text(item, "    ")
-            yield "\n  ]"
-        else:
-            yield _json_text(value, "  ")
-    yield "\n}" if report else "}"
-
-
-def _json_text(value, indent: str) -> str:
-    """``value`` as ``json.dumps(..., indent=2, sort_keys=True)`` formats it
-    at ``indent``: dicts with str keys (one template per key set and
-    indent), lists and tuples (a list of plain ints in one join), and
-    scalars in the json module's own forms."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    inner = indent + "  "
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        if set(map(type, value)) == _INT_ONLY:
-            items = map(int.__repr__, value)
-        else:
-            items = [_json_text(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        order, text = _json_template(tuple(value), indent)
-        fields = [value[key] for key in order]
-        return text % tuple(
-            [int.__repr__(f) if type(f) is int else _json_text(f, inner) for f in fields]
-        )
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == INF:
-            return "Infinity"
-        if value == -INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        return _json_text(list(value), indent)
-    if isinstance(value, dict):
-        return _json_text(dict(value), indent)
-    raise TypeError(f"cannot write {type(value).__name__} to a JSON report")
-
-
-@lru_cache(maxsize=64)
-def _json_template(keys: tuple, indent: str) -> tuple[tuple, str]:
-    """(sorted keys, %-format) of a dict with ``keys`` at ``indent``."""
-    order = tuple(sorted(keys))
-    inner = indent + "  "
-    fields = (",\n" + inner).join(_json_string(key).replace("%", "%%") + ": %s" for key in order)
-    return order, "{\n" + inner + fields + "\n" + indent + "}"
 
 
 # ---------------------------------------------------------------- analyze

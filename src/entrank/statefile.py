@@ -32,6 +32,7 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from .errors import StateFileError
+from .jsonfmt import json_pieces
 from .linalg import DEFAULT_MAX_DIM
 from .states import (
     RESCALE_GUARD,
@@ -327,6 +328,6 @@ def density_payload(rho: DensityMatrix, metadata: Optional[dict] = None) -> dict
 
 
 def write_state_file(path: Union[str, Path], payload: dict) -> None:
-    """Serialize a payload deterministically (sorted keys, two-space indent)."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Serialize a payload deterministically: the bytes of ``json.dumps(payload,
+    indent=2, sort_keys=True)`` and a newline."""
+    Path(path).write_text("".join(json_pieces(payload)) + "\n", encoding="utf-8")

@@ -16,10 +16,22 @@ of the purification across S | rest+ancilla, and one kernel,
 ``subset_ranks``, takes every rank of every state (``subset_rank`` is its
 one-subset form); the full particle set gives the rank of the state itself.
 The kernel factors the state once and, for a pure state (r = 1), computes a
-subset and its complement once, since they are the same cut. A call whose
-cuts fit in one chunk (n_cuts · ‖V‖ ≤ ``CHUNK_BYTES``) decomposes every cut
-as (d_subset, d_rest · r). A larger call decomposes only the cuts whose rank
-it cannot infer. A full-rank reduced state stays full rank under every
+subset and its complement once, since they are the same cut.
+
+When V has m nonzero rows and m² < d (GHZ and W states have m = 2 and m = n),
+the kernel takes its support form: each cut is built from those m rows
+alone, with one column per distinct subset-digit pattern and one group of r
+rows per distinct rest-digit pattern among them, zero-padded to (m·r, m).
+That is the dense cut with all-zero rows and columns dropped, which removes
+only exact zero singular values: s_max, the cutoff and every rank at a
+positive cutoff stay the same, and m² < d keeps each matrix below the dense
+cut's d·r entries. The support form decomposes every cut of the call as one
+batch and infers nothing, since a support matrix at full rank says nothing
+about the reduced state on its full d_S-dimensional space.
+
+Otherwise a call whose cuts fit in one chunk (n_cuts · ‖V‖ ≤ ``CHUNK_BYTES``)
+decomposes every cut as (d_subset, d_rest · r). A larger call decomposes only
+the cuts whose rank it cannot infer. A full-rank reduced state stays full rank under every
 further partial trace, with a margin that can only grow: ρ_P ⪰ λ·1 gives
 tr_T ρ_P ⪰ d_T·λ·1 while λ_max grows at most d_T-fold, so λ_min / max(atol,
 rtol·λ_max) carries down, atol included. A cut decomposed at full rank with
@@ -452,11 +464,27 @@ def subset_ranks(
     more than one chunk, its chunks are shared out among one thread per core
     the process may use.
 
-    A call whose cuts fit in one chunk (n_cuts · ‖V‖ ≤ ``CHUNK_BYTES``)
-    decomposes every cut as (d_subset, d_rest · r). A larger call infers
-    ranks where it can. Think of each cut as S | Y of the purification
-    Σ_j V[:, j] ⊗ |j⟩, with Y the rest plus the r-dimensional ancilla (left
-    out when r = 1); ρ_S and ρ_Y share their nonzero spectrum, and the rank
+    Support form. Let m be the number of nonzero rows of V. When m² < d,
+    every cut is built from those rows alone (``_support_ranks``): the
+    dense (d_S, d_rest·r) matrix has nonzero entries only in the rows of the
+    u ≤ m distinct S-digit patterns and the columns of the v ≤ m distinct
+    rest-digit patterns (times r) of the support, and dropping all-zero rows
+    and columns changes neither M M† on the remaining rows nor M† M on the
+    remaining columns, so only exact zero singular values go. s_max, the
+    cutoff max(atol, rtol·s_max²) and the count above any positive cutoff are
+    therefore unchanged. The u × v·r block is zero-padded into an (m·r, m)
+    stack (transposed, the tall orientation), which m² < d keeps below the
+    dense d·r entries, and its exact-zero padding adds no rounding noise, so
+    even at a zero cutoff a rank stays within min(u, v·r). Every cut of a
+    support-form call is decomposed, in one batch, and none certifies
+    another: full rank on the u-dimensional support of ρ_S says nothing
+    about positive definiteness on the full d_S space.
+
+    Otherwise a call whose cuts fit in one chunk (n_cuts · ‖V‖ ≤
+    ``CHUNK_BYTES``) decomposes every cut as (d_subset, d_rest · r). A
+    larger call infers ranks where it can. Think of each cut as S | Y of the
+    purification Σ_j V[:, j] ⊗ |j⟩, with Y the rest plus the r-dimensional
+    ancilla (left out when r = 1); ρ_S and ρ_Y share their nonzero spectrum, and the rank
     is at most the bound min(d_S, d_Y), the dimension of the small side. If
     a cut is decomposed at full rank with its smallest kept s² at least
     ``CERTIFY_MARGIN`` (100) times the cutoff, its small side P is positive
@@ -492,12 +520,25 @@ def subset_ranks(
                 cuts.append((subset, rest))
         order.append(slot[subset])
 
+    support = np.flatnonzero(v.any(axis=1))
+    if len(support) ** 2 < state.dim:
+        ranks = _support_ranks(state, support, cuts, tol)
+        return [ranks[k] for k in order]
+
     ranks = [0] * len(cuts)
-    buffers: list[np.ndarray] = []
     step = min(len(cuts), max(1, CHUNK_BYTES // v.nbytes))
+    buffers = [np.empty(step * v.size, v.dtype)]
+
+    def fill(stack: np.ndarray, orders: list) -> None:
+        for j, axes in enumerate(orders):
+            stack[j] = tensor.transpose(axes)
+
+    def dense(axes: tuple[int, ...], rows: int) -> tuple:
+        return rows, tuple(map(tensor.shape.__getitem__, axes)), axes
+
     if len(cuts) * v.nbytes <= CHUNK_BYTES:
-        batch = [(s + rest + (n,), _dim(state, s)) for s, rest in cuts]
-        ranks = [count for count, _ in _decompose(tensor, batch, step, buffers, tol)]
+        batch = [dense(s + rest + (n,), _dim(state, s)) for s, rest in cuts]
+        ranks = [count for count, _ in _decompose(batch, fill, step, buffers, tol)]
         return [ranks[k] for k in order]
 
     # Sides as bit masks over the n particles and the ancilla (bit n).
@@ -521,9 +562,10 @@ def subset_ranks(
         batch = []
         for k, d_s, d_y, _ in todo:  # each cut in its tall orientation
             subset, rest = cuts[k]
-            batch.append((rest + (n,) + subset, d_y) if d_s < d_y else (subset + rest + (n,), d_s))
+            batch.append(dense(rest + (n,) + subset, d_y) if d_s < d_y
+                         else dense(subset + rest + (n,), d_s))
         found = []
-        results = _decompose(tensor, batch, step, buffers, tol)
+        results = _decompose(batch, fill, step, buffers, tol)
         for (k, _, _, sides), (count, certifies) in zip(todo, results):
             ranks[k] = count
             if certifies:
@@ -536,6 +578,56 @@ def subset_ranks(
 
 def _dim(state: State, subset: tuple[int, ...]) -> int:
     return prod(map(state.dims.__getitem__, subset))
+
+
+def _support_ranks(
+    state: State, support: np.ndarray, cuts: list, tol: RankTolerance
+) -> list[int]:
+    """Ranks of ``cuts`` from the m nonzero rows ``support`` of the factor V.
+
+    Each cut S | rest is stacked as an (m·r, m) matrix: column a holds the
+    support rows with the a-th smallest distinct S-digit pattern, rows
+    b·r .. b·r + r − 1 those with the b-th smallest distinct rest-digit
+    pattern, and the rest is zero: the transpose of the dense (d_S,
+    d_rest·r) cut with its all-zero rows and columns dropped and zeros
+    padded on after the others. All cuts are decomposed as one batch.
+    """
+    v = state.factor[support]
+    m, r = v.shape
+    n, d = state.n, state.dim
+    # place[i, k]: particle i's digit in support row k times its place value
+    # in the joint index, so row k's S-pattern key is the sum over i in S and
+    # its rest-pattern key the joint index minus that.
+    place = np.array(np.unravel_index(support, state.dims)) * np.array(
+        [d // prod(state.dims[: i + 1]) for i in range(n)]
+    )[:, None]
+    shifts = np.arange(n)
+    ancilla = np.arange(r)
+
+    def fill(stack: np.ndarray, masks: list) -> None:
+        keys = ((np.array(masks)[:, None] >> shifts) & 1) @ place
+        cols = _ordinals(keys, d)
+        rows = _ordinals(support - keys, d) * r
+        stack.fill(0)
+        stack[np.arange(len(masks))[:, None, None], rows[:, :, None] + ancilla, cols[:, :, None]] = v
+
+    shape = (m * r, m)
+    step = min(len(cuts), max(1, CHUNK_BYTES // (m * m * r * v.itemsize)))
+    batch = [(m * r, shape, sum(1 << i for i in subset)) for subset, _ in cuts]
+    results = _decompose(batch, fill, step, [np.empty(step * m * m * r, v.dtype)], tol)
+    return [count for count, _ in results]
+
+
+def _ordinals(keys: np.ndarray, bound: int) -> np.ndarray:
+    """For each row of ``keys`` (each in [0, bound)), the ordinal of each key
+    among the row's distinct keys in increasing order."""
+    c, m = keys.shape
+    row = np.arange(c)[:, None]
+    ordered = np.sort(keys, axis=1)
+    ordinal = np.zeros((c, m), np.intp)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ordinal[:, 1:])
+    first = np.searchsorted((ordered + row * bound).ravel(), (keys + row * bound).ravel())
+    return ordinal.ravel()[first].reshape(c, m)
 
 
 def _contained(masks: np.ndarray, supersets: np.ndarray) -> np.ndarray:
@@ -551,36 +643,37 @@ def _contained(masks: np.ndarray, supersets: np.ndarray) -> np.ndarray:
 
 
 def _decompose(
-    tensor: np.ndarray, batch: list, step: int, buffers: list, tol: RankTolerance
+    batch: list, fill, step: int, buffers: list, tol: RankTolerance
 ) -> list[tuple[int, bool]]:
-    """(rank, certifies) of each (axis order, rows) cut of ``batch``, in order.
+    """(rank, certifies) of each (rows, shape, item) cut of ``batch``, in order.
 
-    The cuts are grouped by (rows, permuted shape) and stacked into chunks of
-    at most ``step`` matrices with one SVD each. Work beyond one chunk is
+    The cuts are grouped by (rows, shape) and stacked into chunks of at most
+    ``step`` matrices with one SVD each; ``fill(stack, items)`` writes a
+    chunk's matrices into a stack of that shape. Work beyond one chunk is
     split into interleaved shares, one thread per core the process may use,
     while this thread waits (with it taking a share, two threads ran the
     stacked SVDs no faster than one). Each share reuses a stack buffer of
-    ``step`` matrices from ``buffers``, which the caller keeps for all its
-    batches and which grows to one per thread: memory a worker thread
-    allocated would stay in its own heap, which nothing else reuses, and add
-    to the process's peak.
+    ``step`` matrices from ``buffers``, which the caller seeds with one,
+    keeps for all its batches, and which grows to one per thread: memory a
+    worker thread allocated would stay in its own heap, which nothing else
+    reuses, and add to the process's peak.
     """
     groups: dict[tuple, list] = {}
-    for j, (axes, rows) in enumerate(batch):
-        groups.setdefault((rows, tensor.transpose(axes).shape), []).append((j, axes))
+    for j, (rows, shape, item) in enumerate(batch):
+        groups.setdefault((rows, shape), []).append((j, item))
     chunks = [
         (rows, shape, members[lo : lo + step])
         for (rows, shape), members in groups.items()
         for lo in range(0, len(members), step)
     ]
-    workers = min(len(chunks), _workers()) if len(batch) * tensor.nbytes > CHUNK_BYTES else 1
+    workers = min(len(chunks), _workers()) if len(batch) > step else 1
     while len(buffers) < workers:
-        buffers.append(np.empty(step * tensor.size, tensor.dtype))
+        buffers.append(np.empty_like(buffers[0]))
     shares: list = [None] * workers
 
     def share(k: int) -> None:
         try:
-            shares[k] = [_chunk_ranks(tensor, c, buffers[k], tol) for c in chunks[k::workers]]
+            shares[k] = [_chunk_ranks(c, fill, buffers[k], tol) for c in chunks[k::workers]]
         except Exception as exc:  # raised below, after every thread has ended
             shares[k] = exc
 
@@ -603,17 +696,16 @@ def _decompose(
 
 
 def _chunk_ranks(
-    tensor: np.ndarray, chunk: tuple, buffer: np.ndarray, tol: RankTolerance
+    chunk: tuple, fill, buffer: np.ndarray, tol: RankTolerance
 ) -> list[tuple[int, bool]]:
-    """(rank, certifies) of each matrix of one chunk: its cuts' axis orders of
-    ``tensor`` copied into ``buffer`` as one stack of (rows, rest) matrices,
-    one SVD, and per matrix the count of squared singular values above
-    tol.cutoff of its largest, and whether it is at full rank with its
-    smallest s² at least ``CERTIFY_MARGIN`` times a positive cutoff."""
+    """(rank, certifies) of each matrix of one chunk: its cuts written by
+    ``fill`` into ``buffer`` as one stack of (rows, rest) matrices, one SVD,
+    and per matrix the count of squared singular values above tol.cutoff of
+    its largest, and whether it is at full rank with its smallest s² at
+    least ``CERTIFY_MARGIN`` times a positive cutoff."""
     rows, shape, members = chunk
-    stack = buffer[: len(members) * tensor.size].reshape((len(members),) + shape)
-    for j, (_, axes) in enumerate(members):
-        stack[j] = tensor.transpose(axes)
+    stack = buffer[: len(members) * prod(shape)].reshape((len(members),) + shape)
+    fill(stack, [item for _, item in members])
     s = np.linalg.svd(stack.reshape(len(members), rows, -1), compute_uv=False)
     s2 = s * s
     cutoff = np.maximum(tol.atol, tol.rtol * s2[:, 0])

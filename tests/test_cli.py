@@ -624,7 +624,8 @@ def test_json_report_bytes_are_those_of_json_dumps(capsys, tmp_path):
     """The batched --json writer prints what json.dumps(report, indent=2,
     sort_keys=True) and a newline would, here over more than one batch."""
     from entrank.catalog import haar_pure
-    from entrank.cli import JSON_BATCH, _json_pieces
+    from entrank.cli import JSON_BATCH
+    from entrank.jsonfmt import json_pieces
 
     path = tmp_path / "haar12.json"
     write_state_file(path, pure_payload(haar_pure((2,) * 12, seed=70)))
@@ -634,7 +635,7 @@ def test_json_report_bytes_are_those_of_json_dumps(capsys, tmp_path):
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
     assert sum(1 for _ in chunks) > 2 * JSON_BATCH
-    assert sum(1 for _ in _json_pieces(report)) > JSON_BATCH
+    assert sum(1 for _ in json_pieces(report)) > JSON_BATCH
 
 
 def test_json_report_bytes_of_every_command(capsys, tmp_path):

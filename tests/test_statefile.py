@@ -348,3 +348,23 @@ def test_valid_files_load_in_bulk_bit_for_bit(tmp_path, monkeypatch):
                 got.append(statefile._parse_amplitudes(amps, tuple(payload["dims"]), "x"))
         parse_state(payload, max_dim=64)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+
+
+def test_state_file_bytes_are_those_of_json_dumps(tmp_path):
+    """Pure, mixture and dense payloads with metadata are written byte for
+    byte as json.dumps(payload, indent=2, sort_keys=True) and a newline."""
+    from entrank.catalog import ghz
+
+    metadata = {"name": "näme \"%s\"", "seed": 2**70, "params": {"p": 0.1, "dims": [2, 3]},
+                "flags": [True, None, -0.0, 1e-300]}
+    rho = mixed_of_rank((2, 3), seed=4, rank=2)
+    payloads = [
+        pure_payload(ghz(3, 2), metadata=metadata),
+        pure_payload(haar_pure((2, 3, 2), seed=5), metadata=metadata),
+        mixture_payload([(0.25, bell()), (0.75, haar_pure((2, 2), seed=6))], metadata=metadata),
+        density_payload(DensityMatrix(dims=rho.dims, matrix=rho.matrix), metadata=metadata),
+        density_payload(werner(0.4)),
+    ]
+    for k, payload in enumerate(payloads):
+        path = write(tmp_path, payload, f"state{k}.json")
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()

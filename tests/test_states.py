@@ -847,7 +847,7 @@ def test_inferred_ranks_of_a_lattice_over_parts(rank):
     [
         (haar_pure((2,) * 10, seed=88), 5, 126),
         (mixed_of_rank((2,) * 10, seed=89, rank=4), 9, 210),
-        (ghz(10, 2), 5, 511),
+        (ghz(10, 2), 5, 512),
     ],
     ids=["haar", "rank4", "ghz"],
 )
@@ -856,9 +856,9 @@ def test_inferred_ranks_decompose_only_what_no_cut_certifies(
 ):
     """Haar 2^10 to depth 5 decomposes its 126 balanced cuts, which certify
     every smaller one and the state rank; a rank-4 mixture to depth 9 its 210
-    cuts with d_S = 4·d_rest; GHZ(10) has no full-rank cut but the single
-    particles, so all 511 proper cuts are decomposed and only the state rank
-    is inferred."""
+    cuts with d_S = 4·d_rest. GHZ(10) has two nonzero amplitudes (2² < 2^10),
+    so its 511 proper cuts and the state rank are one support-form stack of
+    512 matrices, with nothing inferred."""
     kept = lattice_kept(10, depth)
     tol = RankTolerance()
     expected = per_subset_ranks(state, kept, tol)
@@ -909,3 +909,162 @@ def test_a_zero_cutoff_certifies_nothing():
     ranks = subset_ranks(ghz(10, 2), kept, tol)
     assert ranks == per_subset_ranks(ghz(10, 2), kept, tol)
     assert set(ranks[1:]) == {2}
+
+
+# ---------------------------------------------------------- support form
+
+
+def svd_inputs(monkeypatch):
+    """A list that collects the shape and byte size of every SVD input."""
+    inputs = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        inputs.append((a.shape, a.nbytes))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return inputs
+
+
+def sparse_state(name):
+    from entrank.catalog import six_qubit_benchmark, w
+
+    return {
+        "ghz10": lambda: ghz(10, 2),
+        "ghz5x3": lambda: ghz(5, 3),
+        "w10": lambda: w(10),
+        "bell": bell,
+        "paper6": six_qubit_benchmark,
+        "ghz_w_mixture": lambda: mix([(0.3, ghz(10, 2)), (0.7, w(10))]),
+    }[name]()
+
+
+CUTOFFS = [
+    RankTolerance(rtol=rtol, atol=atol)
+    for rtol in (1e-6, 1e-10, 1e-13)
+    for atol in (RankTolerance().atol, 0.0)
+]
+
+
+@pytest.mark.parametrize("name", ["ghz10", "ghz5x3", "w10", "bell", "paper6", "ghz_w_mixture"])
+def test_support_form_equals_one_svd_per_subset(name, monkeypatch):
+    """Every subset, at three rtols with and without atol. A state with m
+    nonzero rows of V, m² < d, is decomposed as (m·r, m) support matrices
+    only; Bell (2² = 4) stays dense."""
+    state = sparse_state(name)
+    v = state.factor
+    m, r = np.count_nonzero(v.any(axis=1)), v.shape[1]
+    subsets = every_subset_twice(state.n)
+    for tol in CUTOFFS:
+        expected = per_subset_ranks(state, subsets, tol)
+        inputs = svd_inputs(monkeypatch)
+        assert subset_ranks(state, subsets, tol) == expected, tol
+        monkeypatch.undo()
+        shapes = {shape[1:] for shape, _ in inputs}
+        assert (shapes == {(m * r, m)}) == (m * m < state.dim), shapes
+
+
+def test_the_support_form_rule_reads_m_and_d(monkeypatch):
+    """GHZ(3) has m = 2 nonzero amplitudes, 2² < 8: its three cuts and the
+    state rank are one stack of 2×2 support matrices. W(3) has m = 3, 3² ≥ 8:
+    its cuts stay dense, d_S · d_rest = 8 entries each."""
+    from entrank.catalog import w
+
+    subsets = every_subset_twice(3)
+    expected = [2 if len(s) < 3 else 1 for s in subsets]
+    inputs = svd_inputs(monkeypatch)
+    assert subset_ranks(ghz(3, 2), subsets) == expected
+    assert [shape for shape, _ in inputs] == [(4, 2, 2)]
+    del inputs[:]
+    assert subset_ranks(w(3), subsets) == expected
+    assert all(shape[1] * shape[2] == 8 for shape, _ in inputs) and len(inputs) == 2
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("factor, rank", [(0.5, 1), (2.0, 2)])
+def test_a_tilted_ghz_state_at_the_cutoff(factor, rank, rtol):
+    """sqrt(1 - eps²)|0…0> + eps|1…1> with eps² at 0.5 or 2 times the cutoff
+    rtol·(1 - eps²): every proper cut has rank 1 or 2, in the support form
+    and in one dense SVD per subset."""
+    eps2 = factor * rtol / (1 + factor * rtol)
+    amps = np.zeros(2**10, dtype=complex)
+    amps[0], amps[-1] = np.sqrt(1 - eps2), np.sqrt(eps2)
+    psi = pure_state((2,) * 10, amps)
+    tol = RankTolerance(rtol=rtol, atol=0.0)
+    subsets = lattice_kept(10, 9)[1:]
+    assert subset_ranks(psi, subsets, tol) == per_subset_ranks(psi, subsets, tol)
+    assert set(subset_ranks(psi, subsets, tol)) == {rank}
+
+
+def test_no_stack_exceeds_a_chunk(monkeypatch):
+    """W(12) to depth 6 is 2048 support matrices of 12×12 (4.7 MB), a GHZ/W
+    mixture to depth 9 1023 of 22×11, and Haar 2^10 to depth 5 126 dense
+    cuts of 16 kB: every SVD input of more than one matrix fits in
+    ``CHUNK_BYTES``."""
+    from entrank.catalog import w
+    from entrank.states import CHUNK_BYTES
+
+    cases = [(w(12), 6, 2048), (sparse_state("ghz_w_mixture"), 9, 1023),
+             (haar_pure((2,) * 10, seed=91), 5, 126)]
+    inputs = svd_inputs(monkeypatch)
+    for state, depth, matrices in cases:
+        del inputs[:]
+        subset_ranks(state, lattice_kept(state.n, depth))
+        assert len(inputs) > 1 and sum(shape[0] for shape, _ in inputs) == matrices
+        assert all(nbytes <= CHUNK_BYTES or shape[0] == 1 for shape, nbytes in inputs)
+
+
+@pytest.mark.parametrize("name, cuts", [("ghz10", 512), ("w10", 512), ("ghz_w_mixture", 1023)])
+def test_no_support_form_cut_certifies_another(name, cuts, monkeypatch):
+    """A support matrix at full rank says nothing about ρ_S on the full d_S
+    space: every 2×2 cut of GHZ(10) is at full rank with a wide margin, yet
+    its reduced states of 2 to 9 qubits have rank 2. So a support-form call
+    decomposes every distinct cut of a lattice to depth n − 1, and its
+    ranks are those of one dense SVD per subset."""
+    state = sparse_state(name)
+    kept = lattice_kept(10, 9)
+    tol = RankTolerance()
+    expected = per_subset_ranks(state, kept, tol)
+    counts = count_decomposed(monkeypatch)
+    assert subset_ranks(state, kept, tol) == expected
+    assert sum(counts) == cuts
+
+
+def support_bound(state, subset):
+    """min(u, v·r) for the u distinct subset-digit patterns and v distinct
+    rest-digit patterns among the nonzero rows of the factor."""
+    v = state.factor
+    digits = np.array(np.unravel_index(np.flatnonzero(v.any(axis=1)), state.dims)).T
+    rest = [i for i in range(state.n) if i not in subset]
+    u = len({tuple(row[list(subset)]) for row in digits})
+    return min(u, len({tuple(row[rest]) for row in digits}) * v.shape[1])
+
+
+def random_sparse(dims, m, seed):
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    amps[rng.choice(amps.size, m, replace=False)] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return pure_state(dims, amps / np.linalg.norm(amps))
+
+
+def test_zero_cutoff_ranks_of_sparse_states_stay_within_their_support():
+    """At atol = rtol = 0 every nonzero s² counts, rounding noise included,
+    so no method reads exact ranks there. The support form's padding is
+    exact zeros and adds none: each rank lies between the rank at a positive
+    cutoff and min(u, v·r) of its support matrix. W(10) reads its true rank
+    2 at every cut whose bound is 2, the single particles; five random
+    states with 7 nonzero amplitudes on (2, 3, 2, 2, 3, 2) read at most 7."""
+    from entrank.catalog import w
+
+    zero = RankTolerance(rtol=0.0, atol=0.0)
+    cases = [w(10)] + [random_sparse((2, 3, 2, 2, 3, 2), 7, seed=92 + k) for k in range(5)]
+    for state in cases:
+        subsets = every_subset_twice(state.n)[: 2**state.n - 2]
+        ranks = subset_ranks(state, subsets, zero)
+        floor = subset_ranks(state, subsets, RankTolerance())
+        bounds = [support_bound(state, s) for s in subsets]
+        assert all(f <= k <= b for f, k, b in zip(floor, ranks, bounds))
+        assert max(ranks) <= 7
+    w_ranks = subset_ranks(cases[0], [(i,) for i in range(10)], zero)
+    assert w_ranks == [2] * 10
