@@ -180,15 +180,6 @@ def random_state(spec: RandomSpec, max_dim: int = DEFAULT_MAX_DIM) -> State:
     return mixed_of_rank(spec.dims, spec.seed, spec.rank, max_dim)
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary via QR with the standard phase fix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    ph = np.diagonal(r).copy()
-    ph = ph / np.abs(ph)
-    return q * ph
-
-
 def separable_mixture(
     dims: Sequence[int], seed: int, max_terms: int = 4, max_dim: int = DEFAULT_MAX_DIM
 ) -> DensityMatrix:

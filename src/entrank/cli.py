@@ -26,7 +26,7 @@ import numpy as np
 from . import catalog, criteria, factorize as factorize_mod, statefile
 from .errors import EntrankError, InputError, PartitionError
 from .jsonfmt import json_pieces
-from .linalg import DEFAULT_ATOL, DEFAULT_MAX_DIM, DEFAULT_RTOL, RankTolerance
+from .linalg import DEFAULT_ATOL, DEFAULT_MAX_DIM, DEFAULT_RTOL, RankTolerance, rank_from_values
 from .states import (
     DensityMatrix,
     PureState,
@@ -94,13 +94,18 @@ def _tolerance(args: argparse.Namespace) -> RankTolerance:
 
 
 def _as_pure(state: State, tol: RankTolerance) -> PureState:
-    """The state as a PureState when its factor V has one column."""
+    """The state as a PureState when it has rank 1 at ``tol``: its factor V
+    when V has one column, else V's top left singular vector."""
     factor = state.factored(tol).factor
     if factor.shape[1] != 1:
-        raise InputError(
-            "factorization handles pure states only;"
-            f" this state is a mixture of {factor.shape[1]} components"
-        )
+        u, s, _ = np.linalg.svd(factor, full_matrices=False)
+        rank = rank_from_values(s * s, tol)
+        if rank != 1:
+            raise InputError(
+                "factorization handles pure states only;"
+                f" this state is a mixture of {rank} components"
+            )
+        factor = u[:, :1]
     return canonical_pure(state.dims, factor[:, 0])
 
 

@@ -12,7 +12,9 @@ each part is taken as one particle: the lattice over unions of parts is the
 partition criterion, and ``verdict`` is the one rule that reads a lattice.
 
 For pure states rank arguments are exact: a pure state is entangled iff some
-reduced matrix has rank above 1, and fully entangled iff they all do.
+reduced matrix has rank above 1, and fully entangled iff they all do. Both
+are readings of ``factorize.factorize_pure``'s partition: some part holds two
+or more particles, or the one part holds them all.
 
 Every rank comes from the one kernel ``states.subset_ranks``, called once
 per lattice or sweep with all the subsets it needs.
@@ -27,7 +29,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import EnumerationLimitError, InputError, PartitionError
 from .linalg import DEFAULT_TOLERANCE, RankTolerance
-from .states import PureState, State, normalize_subset, subset_ranks
+from .states import State, normalize_subset, subset_ranks
 
 ENTANGLED = "ENTANGLED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -200,32 +202,3 @@ def entanglement_verdict(
 ) -> Verdict:
     """``verdict`` of the state's rank lattice over single particles."""
     return verdict(rank_lattice(state, max_depth, tol, max_subsets))
-
-
-def pure_entangled(psi: PureState, tol: RankTolerance = DEFAULT_TOLERANCE) -> bool:
-    """True iff the pure state is entangled across any cut.
-
-    Single particles suffice: if every one-particle reduced state is pure the
-    state is a full product, so no larger subset can be mixed either.
-    """
-    return psi.n > 1 and max(subset_ranks(psi, [(i,) for i in range(psi.n)], tol)) > 1
-
-
-def pure_fully_entangled(
-    psi: PureState,
-    tol: RankTolerance = DEFAULT_TOLERANCE,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-) -> bool:
-    """True iff every reduced state of the pure state is mixed.
-
-    Only subsets up to half the particles are scanned, one ``subset_ranks``
-    call per size; each larger subset shares its rank with its complement.
-    """
-    n = psi.n
-    if n == 1:
-        return False
-    _check_enumeration(n, n // 2, max_subsets)
-    return all(
-        min(subset_ranks(psi, combinations(range(n), size), tol)) > 1
-        for size in range(1, n // 2 + 1)
-    )

@@ -163,9 +163,8 @@ def _reconstruction_residual(
     partition: tuple[tuple[int, ...], ...],
     factors: tuple[PureState, ...],
 ) -> float:
-    n = psi.n
     flat = [i for part in partition for i in part]
-    if sorted(flat) != list(range(n)) or len(factors) != len(partition):
+    if sorted(flat) != list(range(psi.n)) or len(factors) != len(partition):
         raise PartitionError("partition does not cover the state's particles exactly")
 
     rebuilt = np.array([1.0 + 0.0j])
@@ -181,15 +180,3 @@ def _reconstruction_residual(
     overlap = complex(np.vdot(rebuilt, psi.amplitudes))
     aligned = np.exp(1j * np.angle(overlap)) * rebuilt
     return float(np.linalg.norm(psi.amplitudes - aligned) * np.sqrt(1.0 + abs(overlap)))
-
-
-def verify_factorization(psi: PureState, result: FactorizationResult) -> float:
-    """Frobenius distance between the input projector and the rebuilt product.
-
-    The factor states are tensored in partition order, the particles are
-    permuted back to their original positions, and the two projectors are
-    compared through the overlap of the vectors, in O(d) memory. Small
-    residuals certify the partition; a wrong partition shows up as a
-    distance of order one.
-    """
-    return _reconstruction_residual(psi, result.partition, result.factors)

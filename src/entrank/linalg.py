@@ -1,5 +1,5 @@
-"""Dense complex matrix primitives: Kronecker products, Hermitian spectra,
-singular values, toleranced numerical rank, and the Frobenius metric.
+"""Dense complex matrix primitives: the rank tolerance, Hermitian spectra and
+toleranced numerical rank.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 concurrently. Matrices are plain complex128 ndarrays in row-major order.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SizeLimitError, SymmetryError
+from .errors import ShapeError, SymmetryError
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -53,19 +53,6 @@ def as_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Kronecker product with a guard on the joint dimension."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > max_dim:
-        raise SizeLimitError(
-            f"kron result {rows}x{cols} exceeds the maximum dimension {max_dim}"
-        )
-    return np.kron(a, b)
-
-
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, in descending order.
 
@@ -86,12 +73,6 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(sym)[::-1]
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values in descending order; min(rows, cols) of them."""
-    a = as_matrix(a)
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def rank_from_values(values: np.ndarray, tol: RankTolerance = DEFAULT_TOLERANCE) -> int:
     """Count of values above the tolerance cutoff; values must be descending."""
     values = np.asarray(values, dtype=np.float64)
@@ -102,13 +83,4 @@ def rank_from_values(values: np.ndarray, tol: RankTolerance = DEFAULT_TOLERANCE)
 
 def numerical_rank(a: np.ndarray, tol: RankTolerance = DEFAULT_TOLERANCE) -> int:
     """Rank from singular values above max(atol, rtol * s_max); 0 for the zero matrix."""
-    return rank_from_values(singular_values(a), tol)
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Entrywise 2-norm distance between two same-shaped matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return rank_from_values(np.linalg.svd(as_matrix(a), compute_uv=False), tol)

@@ -264,6 +264,7 @@ def load_state(
         raise StateFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    del text  # several MB for a dense file; freed before its matrix is checked
     return parse_state(payload, max_dim=max_dim, context=str(path))
 
 

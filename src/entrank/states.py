@@ -57,7 +57,8 @@ eigenproblem. A bare matrix, and a factor too wide to shrink, take the full
 d × d transpose of ``matrix`` (a PureState builds ψψ† on each access); the
 truncated factor ``factored`` gives a bare matrix is not exact and is not what
 the CLI passes. A dense matrix from outside enters through ``density_matrix``
-alone, which validates it once.
+alone, which validates it once; the eigh of its PSD check is the one
+``factored`` then takes.
 
 All operations are pure functions and safe for concurrent use.
 """
@@ -67,7 +68,7 @@ from __future__ import annotations
 import os
 import string
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import prod, sqrt
 from typing import Iterable, Optional, Sequence, Union
 
@@ -84,7 +85,6 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     RankTolerance,
     as_matrix,
-    rank_from_values,
 )
 
 NORM_ATOL = 1e-9
@@ -154,12 +154,15 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix over the joint basis of ``dims``.
 
     ``factor`` is V (d × r) with ``matrix`` = V V†, when known; ``factored``
-    supplies it for a matrix given without one.
+    supplies it for a matrix given without one. ``_eigh`` holds the eigh of
+    ``matrix`` that ``density_matrix`` ran for its PSD check, until the first
+    ``factored`` takes it.
     """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
     factor: Optional[np.ndarray] = None
+    _eigh: list = field(default_factory=list, repr=False)
 
     @property
     def n(self) -> int:
@@ -181,7 +184,10 @@ class DensityMatrix:
         """
         if self.factor is not None:
             return self
-        values, vectors = np.linalg.eigh(self.matrix)
+        try:
+            values, vectors = self._eigh.pop()
+        except IndexError:
+            values, vectors = np.linalg.eigh(self.matrix)
         tail = tol.cutoff(float(values[-1])) / sqrt(self.dim)
         keep = np.cumsum(np.clip(values, 0.0, None)) > tail
         return replace(self, factor=vectors[:, keep] * np.sqrt(values[keep]))
@@ -228,8 +234,9 @@ def density_matrix(
 
     ‖M − M†‖_F must be at most atol·‖M‖_F and the trace within atol of 1. The
     Hermitian part (M + M†)/2 is stored, divided by its trace when that is off
-    by more than 1e-12, and must have no eigenvalue below -atol. Operations
-    that preserve these invariants by construction build instances directly.
+    by more than 1e-12, and must have no eigenvalue below -atol. The one eigh
+    of that check is kept for ``factored``. Operations that preserve these
+    invariants by construction build instances directly.
     """
     dims = validate_dims(dims, max_dim)
     mat = as_matrix(matrix)
@@ -246,10 +253,11 @@ def density_matrix(
     mat = (mat + mat.conj().T) / 2
     if abs(tr.real - 1.0) > RESCALE_GUARD:
         mat = mat / tr.real
-    low = float(np.linalg.eigvalsh(mat)[0])
+    values, vectors = np.linalg.eigh(mat)
+    low = float(values[0])
     if low < -atol:
         raise NormalizationError(f"density matrix has negative eigenvalue {low:.3e}")
-    return DensityMatrix(dims=dims, matrix=mat)
+    return DensityMatrix(dims=dims, matrix=mat, _eigh=[(values, vectors)])
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:
@@ -276,25 +284,6 @@ def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> 
     weights = np.array([float(weight) for weight, _ in terms])
     matrix = (columns * weights) @ columns.conj().T
     return DensityMatrix(dims=dims, matrix=matrix, factor=columns * np.sqrt(weights))
-
-
-def tensor_product(
-    a: DensityMatrix, b: DensityMatrix, max_dim: int = DEFAULT_MAX_DIM
-) -> DensityMatrix:
-    """Joint state a ⊗ b; dims concatenate and the matrices Kronecker-multiply."""
-    dims = a.dims + b.dims
-    d = prod(dims)
-    if d > max_dim:
-        raise SizeLimitError(f"joint dimension {d} exceeds the maximum {max_dim}")
-    return DensityMatrix(dims=dims, matrix=np.kron(a.matrix, b.matrix))
-
-
-def tensor_pure(a: PureState, b: PureState, max_dim: int = DEFAULT_MAX_DIM) -> PureState:
-    """Joint pure state a ⊗ b on concatenated dims."""
-    dims = a.dims + b.dims
-    if prod(dims) > max_dim:
-        raise SizeLimitError(f"joint dimension {prod(dims)} exceeds the maximum {max_dim}")
-    return PureState(dims=dims, amplitudes=np.kron(a.amplitudes, b.amplitudes))
 
 
 def _complement(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -365,7 +354,7 @@ def ppt_minimum(state: State, part: SubsetLike) -> float:
     exact zero, and the value is min(λ_min(ρ′^{T_A}), 0); it agrees with the
     dense value to rounding (≤ 1e-14 on unit-trace states), not bit for bit.
 
-    A bare matrix (a dense file, ``werner``, ``tensor_product``) and a factor
+    A bare matrix (a dense file, ``werner``) and a factor
     too wide to shrink take one eigvalsh of the full d × d transpose, which
     equals ``hermitian_eigenvalues(partial_transpose(...))[-1]`` exactly:
     ρ^{T_A} − (ρ^{T_A})† = (ρ − ρ†)^{T_A}, so the Hermiticity defect is ρ's,
@@ -393,11 +382,6 @@ def _min_eigenvalue(pt: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
 
 
-def purity_check(rho: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> bool:
-    """True when the state is pure, i.e. it has numerical rank 1."""
-    return subset_rank(rho, range(rho.n), tol) == 1
-
-
 def bipartition_matrix(state: State, subset: SubsetLike) -> np.ndarray:
     """The factor V reshaped to (d_subset, d_rest · r) for the cut subset|rest.
 
@@ -422,30 +406,6 @@ def bipartition_spectrum(state: State, subset: SubsetLike) -> np.ndarray:
     has the same spectrum."""
     s = np.linalg.svd(bipartition_matrix(state, subset), compute_uv=False)
     return s * s
-
-
-@dataclass(frozen=True)
-class SchmidtData:
-    """Significant Schmidt coefficients (descending) and their count."""
-
-    coefficients: np.ndarray
-    schmidt_rank: int
-
-
-def schmidt_rank(
-    psi: PureState, part: SubsetLike, tol: RankTolerance = DEFAULT_TOLERANCE
-) -> SchmidtData:
-    """Schmidt coefficients across the cut part|rest and the count above tolerance.
-
-    The coefficients are the eigenvalues of either side's reduced density
-    matrix, so the result is identical when called with the complement.
-    """
-    part = normalize_subset(part, psi.n)
-    if len(part) == psi.n:
-        raise PartitionError("a Schmidt decomposition needs a proper subset")
-    lam = bipartition_spectrum(psi, part)
-    k = rank_from_values(lam, tol)
-    return SchmidtData(coefficients=lam[:k].copy(), schmidt_rank=k)
 
 
 def subset_ranks(
@@ -726,17 +686,3 @@ def _workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def apply_local_unitaries(psi: PureState, unitaries: Sequence[np.ndarray]) -> PureState:
-    """Rotate each particle by its own unitary; the norm is preserved."""
-    if len(unitaries) != psi.n:
-        raise ShapeError(f"need {psi.n} unitaries, got {len(unitaries)}")
-    tensor = psi.amplitudes.reshape(psi.dims)
-    for axis, u in enumerate(unitaries):
-        u = as_matrix(u)
-        d = psi.dims[axis]
-        if u.shape != (d, d):
-            raise ShapeError(f"unitary for particle {axis} has shape {u.shape}, need {(d, d)}")
-        tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [axis])), 0, axis)
-    return PureState(dims=psi.dims, amplitudes=tensor.reshape(-1))

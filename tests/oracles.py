@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: explicit
 index loops instead of einsum or reshape tricks, characteristic polynomials
-instead of eigh, exact rational elimination instead of SVD thresholds.
+instead of eigh, exact rational elimination instead of SVD thresholds. The
+instruments that build test inputs live here too: ``place_parts``,
+``tensor_pure``, ``random_unitary`` and ``apply_local_unitaries``.
 """
 
 from fractions import Fraction
@@ -11,18 +13,7 @@ from math import prod
 
 import numpy as np
 
-
-def kron_loop(a, b):
-    """Four-index loop definition of the Kronecker product."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i1 in range(ra):
-        for j1 in range(ca):
-            for i2 in range(rb):
-                for j2 in range(cb):
-                    out[i1 * rb + i2, j1 * cb + j2] = a[i1, j1] * b[i2, j2]
-    return out
+from entrank.states import PureState
 
 
 def charpoly_roots(a):
@@ -146,3 +137,24 @@ def place_parts(part_states, parts):
     axes = np.argsort(order)
     dims = tuple(order_dims[a] for a in axes)
     return dims, np.transpose(joint.reshape(order_dims), axes).reshape(-1)
+
+
+def tensor_pure(a, b):
+    """The pure state a ⊗ b on the concatenated particles."""
+    return PureState(dims=a.dims + b.dims, amplitudes=np.kron(a.amplitudes, b.amplitudes))
+
+
+def random_unitary(d, rng):
+    """Haar-distributed d x d unitary via QR with the standard phase fix."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    return q * phases
+
+
+def apply_local_unitaries(psi, unitaries):
+    """``psi`` with particle i rotated by ``unitaries[i]``."""
+    tensor = psi.amplitudes.reshape(psi.dims)
+    for axis, u in enumerate(unitaries):
+        tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [axis])), 0, axis)
+    return PureState(dims=psi.dims, amplitudes=tensor.reshape(-1))

@@ -13,7 +13,6 @@ from entrank.catalog import (
     ghz,
     haar_pure,
     product_pure,
-    random_unitary,
     separable_mixture,
     six_qubit_benchmark,
     werner,
@@ -23,21 +22,24 @@ from entrank.criteria import (
     INCONCLUSIVE,
     check_rank_monotonicity,
     entanglement_verdict,
-    pure_entangled,
-    pure_fully_entangled,
     rank_lattice,
 )
-from entrank.factorize import factorize_pure, verify_factorization
+from entrank.factorize import factorize_pure
 from entrank.linalg import hermitian_eigenvalues
 from entrank.states import (
     PureState,
-    apply_local_unitaries,
     mix,
     partial_transpose,
     pure_state,
     subset_rank,
 )
-from oracles import rank_by_eigvalsh, reduced_by_axis_trace
+from oracles import (
+    apply_local_unitaries,
+    place_parts,
+    random_unitary,
+    rank_by_eigvalsh,
+    reduced_by_axis_trace,
+)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -132,7 +134,9 @@ def _random_block_pure(rng: np.random.Generator, n_max: int, seed: int) -> PureS
 
 
 def test_criterion_4_pure_state_oracle_equivalence():
-    """Predicates match a brute-force scan of every bipartition."""
+    """Factorize's partition matches a brute-force scan of every bipartition:
+    entangled iff some part holds two or more particles, fully entangled iff
+    the one part holds them all."""
     rng = np.random.default_rng(4)
     ok = True
     states = 0
@@ -156,8 +160,9 @@ def test_criterion_4_pure_state_oracle_equivalence():
 
         oracle_entangled = any(rank > 1 for rank in oracle_ranks.values())
         oracle_fully = all(rank > 1 for rank in oracle_ranks.values())
-        ok &= pure_entangled(psi) == oracle_entangled
-        ok &= pure_fully_entangled(psi) == oracle_fully
+        partition = factorize_pure(psi).partition
+        ok &= any(len(part) > 1 for part in partition) == oracle_entangled
+        ok &= (len(partition) == 1) == oracle_fully
 
         for keep, rank in oracle_ranks.items():
             complement = tuple(i for i in range(n) if i not in keep)
@@ -169,7 +174,7 @@ def test_criterion_4_pure_state_oracle_equivalence():
     report(
         "criterion 4 (pure-state oracle equivalence)",
         bool(ok),
-        f"{states} states, predicates and complement symmetry exact",
+        f"{states} states, partition readings and complement symmetry exact",
     )
 
 
@@ -240,7 +245,13 @@ def test_criterion_6_factorization_round_trip():
 
         result = factorize_pure(scattered)
         ok &= result.partition == tuple(expected)
-        residual = verify_factorization(scattered, result)
+        _, amplitudes = place_parts(
+            [(f.dims, f.amplitudes) for f in result.factors], result.partition
+        )
+        residual = np.linalg.norm(
+            np.outer(scattered.amplitudes, scattered.amplitudes.conj())
+            - np.outer(amplitudes, amplitudes.conj())
+        )
         worst = max(worst, residual)
         ok &= residual <= 1e-8
         done += 1
@@ -260,14 +271,14 @@ def test_criterion_7_ghz_scaling():
         lattice = rank_lattice(ghz(n, 2), n - 1)
         ok &= lattice.state_rank == 1
         ok &= set(lattice.entries.values()) == {2}
-        ok &= pure_fully_entangled(ghz(n, 2))
+        ok &= factorize_pure(ghz(n, 2)).partition == (tuple(range(n)),)
 
     started = time.perf_counter()
     for n in (9, 10):
         lattice = rank_lattice(ghz(n, 2), 2)
         ok &= lattice.state_rank == 1
         ok &= set(lattice.entries.values()) == {2}
-        ok &= pure_fully_entangled(ghz(n, 2))
+        ok &= factorize_pure(ghz(n, 2)).partition == (tuple(range(n)),)
     analyze_elapsed = time.perf_counter() - started
     ok &= analyze_elapsed < 60.0
 

@@ -15,10 +15,11 @@ from entrank.catalog import (
     w,
     werner,
 )
-from entrank.criteria import check_rank_monotonicity, pure_fully_entangled, rank_lattice
+from entrank.criteria import check_rank_monotonicity, rank_lattice
 from entrank.errors import InputError, SizeLimitError
+from entrank.factorize import factorize_pure
 from entrank.linalg import numerical_rank
-from entrank.states import density_from_pure, partial_trace, schmidt_rank, subset_rank
+from entrank.states import density_from_pure, partial_trace, subset_rank
 
 
 def test_ghz_2_2_is_bell():
@@ -35,7 +36,7 @@ def test_ghz3_single_particle_ranks():
 
 
 def test_ghz_qutrit_schmidt_rank():
-    assert schmidt_rank(ghz(2, 3), (0,)).schmidt_rank == 3
+    assert subset_rank(ghz(2, 3), (0,)) == 3
 
 
 def test_ghz_reduced_rank_equals_local_dimension():
@@ -64,7 +65,7 @@ def test_w_norm_and_reduced_spectrum():
 
 
 def test_w_is_fully_entangled():
-    assert pure_fully_entangled(w(3))
+    assert factorize_pure(w(3)).partition == ((0, 1, 2),)
 
 
 def test_w_rejects_small_n():

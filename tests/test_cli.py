@@ -11,7 +11,8 @@ from entrank.statefile import (
     pure_payload,
     write_state_file,
 )
-from entrank.states import pure_state, tensor_pure
+from entrank.states import pure_state
+from oracles import tensor_pure
 
 
 def run(capsys, *argv):
@@ -161,6 +162,36 @@ def test_factorize_accepts_rank1_density(capsys, tmp_path):
     code, out, _ = run(capsys, "factorize", path)
     assert code == 0
     assert "partition: {1,2}" in out
+
+
+def test_factorize_accepts_rank1_mixture(capsys, tmp_path):
+    """A mixture file whose terms are one state up to phase has rank 1 and
+    factorizes as the same state given densely does."""
+    from entrank.states import density_from_pure
+
+    psi = tensor_pure(bell(), pure_state((2,), np.array([1.0, 1.0]) / np.sqrt(2)))
+    turned = pure_state(psi.dims, np.exp(0.7j) * psi.amplitudes)
+    mixture, dense = tmp_path / "mixture.json", tmp_path / "dense.json"
+    write_state_file(mixture, mixture_payload([(0.5, psi), (0.5, psi)]))
+    write_state_file(dense, density_payload(density_from_pure(psi)))
+    partitions = []
+    for path in (mixture, dense):
+        code, out, _ = run(capsys, "factorize", "--json", path)
+        assert code == 0
+        partitions.append(json.loads(out)["partition"])
+    assert partitions == [[[1, 2], [3]], [[1, 2], [3]]]
+    write_state_file(mixture, mixture_payload([(0.3, psi), (0.7, turned)]))
+    code, out, _ = run(capsys, "factorize", "--json", mixture)
+    assert code == 0 and json.loads(out)["partition"] == [[1, 2], [3]]
+
+
+def test_factorize_rejects_rank2_mixture(capsys, tmp_path):
+    minus = pure_state((2, 2), np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2))
+    path = tmp_path / "rank2.json"
+    write_state_file(path, mixture_payload([(0.5, bell()), (0.25, minus), (0.25, bell())]))
+    code, _, err = run(capsys, "factorize", path)
+    assert code == 2
+    assert "pure states only; this state is a mixture of 2 components" in err
 
 
 def test_factorize_rejects_mixed_state(capsys, werner06_file):

@@ -21,8 +21,6 @@ from entrank.criteria import (
     Violation,
     check_rank_monotonicity,
     entanglement_verdict,
-    pure_entangled,
-    pure_fully_entangled,
     rank_lattice,
     verdict,
 )
@@ -35,9 +33,21 @@ from entrank.states import (
     density_matrix,
     mix,
     pure_state,
-    tensor_pure,
 )
-from oracles import partition_lattice_oracle, place_parts
+from oracles import partition_lattice_oracle, place_parts, tensor_pure
+
+
+def pure_entangled(psi):
+    """Some part of the pure state's finest product partition holds two or
+    more particles."""
+    return any(len(part) > 1 for part in factorize_pure(psi).partition)
+
+
+def pure_fully_entangled(psi):
+    """The finest product partition of a pure state of two or more particles
+    is a single part."""
+    return psi.n > 1 and len(factorize_pure(psi).partition) == 1
+
 
 
 def qutrit_rank2_mixture():
@@ -367,9 +377,10 @@ def test_violations_monotone_in_depth():
 
 
 def test_fully_entangled_implies_entangled():
+    """A fully entangled pure state gets witnesses from the rank lattice."""
     for psi in (ghz(3, 2), w(4), haar_pure((2, 2, 2), seed=13)):
-        if pure_fully_entangled(psi):
-            assert pure_entangled(psi)
+        assert pure_fully_entangled(psi)
+        assert entanglement_verdict(psi).tag == ENTANGLED
 
 
 def test_verdict_matches_pure_predicate():

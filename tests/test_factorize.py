@@ -1,3 +1,4 @@
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,23 +8,24 @@ from entrank.catalog import (
     ghz,
     haar_pure,
     product_pure,
-    random_unitary,
     six_qubit_benchmark,
 )
 from entrank.errors import PartitionError
-from entrank.factorize import (
-    FactorizationResult,
-    factorize_pure,
-    verify_factorization,
-)
+from entrank.factorize import FactorizationResult, _reconstruction_residual, factorize_pure
 from entrank.linalg import numerical_rank
 from entrank.states import (
     PureState,
-    apply_local_unitaries,
     density_from_pure,
     partial_trace,
     pure_state,
     subset_rank,
+    subset_ranks,
+)
+from oracles import (
+    apply_local_unitaries,
+    frobenius_sum,
+    place_parts,
+    random_unitary,
     tensor_pure,
 )
 
@@ -99,9 +101,12 @@ def test_factor_phase_canonical():
 
 
 def test_verify_factorization_on_catalog_states():
+    """The factors, placed back on their parts, rebuild ψ up to a phase."""
     for psi in (six_qubit_benchmark(), ghz(4, 2), tensor_pure(bell(), bell())):
         result = factorize_pure(psi)
-        assert verify_factorization(psi, result) <= 1e-8
+        factors = [(f.dims, f.amplitudes) for f in result.factors]
+        _, rebuilt = place_parts(factors, result.partition)
+        assert abs(np.vdot(rebuilt, psi.amplitudes)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_verify_wrong_partition_has_large_residual():
@@ -113,7 +118,7 @@ def test_verify_wrong_partition_has_large_residual():
         residual=0.0,
         trace_log=(),
     )
-    assert verify_factorization(psi, wrong) > 0.1
+    assert _reconstruction_residual(psi, wrong.partition, wrong.factors) > 0.1
 
 
 def test_verify_trivial_single_part_is_exact():
@@ -125,17 +130,15 @@ def test_verify_trivial_single_part_is_exact():
         residual=0.0,
         trace_log=(),
     )
-    assert verify_factorization(psi, trivial) == 0.0
+    assert _reconstruction_residual(psi, trivial.partition, trivial.factors) == 0.0
 
 
 def test_residual_matches_projector_distance():
-    from entrank.linalg import frobenius_distance
-
     psi = haar_pure((3, 2, 3, 2, 3, 2, 3, 2), seed=70)
     result = factorize_pure(psi)
     (factor,) = result.factors
     projector = np.outer(factor.amplitudes, factor.amplitudes.conj())
-    reference = frobenius_distance(density_from_pure(psi).matrix, projector)
+    reference = frobenius_sum(density_from_pure(psi).matrix, projector)
     assert result.residual <= 1e-12
     assert abs(result.residual - reference) <= 1e-14
 
@@ -164,7 +167,7 @@ def test_verify_rejects_non_covering_partition():
         trace_log=(),
     )
     with pytest.raises(PartitionError):
-        verify_factorization(psi, broken)
+        _reconstruction_residual(psi, broken.partition, broken.factors)
 
 
 # ---------------------------------------------------------------- invariants
@@ -201,8 +204,9 @@ def test_complement_consistency():
 
 
 def test_agreement_with_predicates():
-    from entrank.criteria import pure_entangled, pure_fully_entangled
-
+    """The partition agrees with the rank predicates: entangled iff some
+    one-particle reduced state is mixed, fully entangled iff every reduced
+    state up to half the particles is."""
     cases = [
         haar_pure((2, 2, 2), seed=2),
         product_pure((2, 2, 2), seed=3),
@@ -210,10 +214,10 @@ def test_agreement_with_predicates():
     ]
     for psi in cases:
         result = factorize_pure(psi)
-        assert (len(result.partition) == 1 and len(result.partition[0]) == psi.n) == (
-            pure_fully_entangled(psi)
-        )
-        assert all(len(p) == 1 for p in result.partition) == (not pure_entangled(psi))
+        halves = [s for k in range(1, psi.n // 2 + 1) for s in combinations(range(psi.n), k)]
+        assert (len(result.partition) == 1) == (min(subset_ranks(psi, halves)) > 1)
+        singles = subset_ranks(psi, [(i,) for i in range(psi.n)])
+        assert all(len(p) == 1 for p in result.partition) == (max(singles) == 1)
 
 
 def test_local_unitary_invariance_of_partition():
@@ -224,13 +228,12 @@ def test_local_unitary_invariance_of_partition():
 
 
 def test_every_multiparticle_part_is_fully_entangled():
-    from entrank.criteria import pure_fully_entangled
-
     result = factorize_pure(tensor_pure(haar_pure((2, 2), seed=7), haar_pure((2,), seed=8)))
     for part, factor in zip(result.partition, result.factors):
         if len(part) >= 2:
             assert part in result.fully_entangled_parts
-            assert pure_fully_entangled(factor)
+            subsets = [s for k in range(1, factor.n) for s in combinations(range(factor.n), k)]
+            assert min(subset_ranks(factor, subsets)) > 1
 
 
 def test_accepted_subsets_disjoint_in_log():

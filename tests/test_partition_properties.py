@@ -1,19 +1,25 @@
 """Property tests: a mixture of products across the parts of a random
-partition never gets a witness from the lattice over those parts, and the
-rank kernel's support form gives the ranks of one dense SVD per subset."""
+partition never gets a witness from the lattice over those parts; the rank
+kernel's support form gives the ranks of one dense SVD per subset; a pure
+state's reduced states on S and on its complement have one rank; local
+unitaries leave every lattice entry as it is; and factorize returns a planted
+block partition whose factors rebuild the state."""
 
 from itertools import combinations
 from math import isqrt, prod
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrank import states
 from entrank.catalog import haar_pure
 from entrank.criteria import SEPARABLE_PURE_PRODUCT, check_rank_monotonicity, rank_lattice, verdict
+from entrank.factorize import factorize_pure
 from entrank.linalg import RankTolerance, rank_from_values
-from entrank.states import bipartition_spectrum, mix, pure_state, subset_ranks
-from oracles import place_parts
+from entrank.states import bipartition_spectrum, mix, pure_state, subset_rank, subset_ranks
+from oracles import apply_local_unitaries, place_parts, random_unitary
 
 
 @st.composite
@@ -52,15 +58,15 @@ def test_separable_across_parts_never_gets_a_witness(case):
 
 
 @st.composite
-def sparse_states(draw):
-    """A pure state, or a mixture of up to three, on 2 to 6 particles of
-    dimension 2 or 3, whose amplitudes are nonzero only on one random pool
+def sparse_states(draw, max_terms=3):
+    """A pure state, or a mixture of up to ``max_terms``, on 2 to 6 particles
+    of dimension 2 or 3, whose amplitudes are nonzero only on one random pool
     of m basis states with m² < d, so the kernel takes its support form."""
     n = draw(st.integers(2, 6))
     dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n)))
     d = prod(dims)
     m = draw(st.integers(1, isqrt(d - 1)))
-    terms = draw(st.integers(1, 3))
+    terms = draw(st.integers(1, max_terms))
     rng = np.random.default_rng(draw(st.integers(0, 10**6)))
     pool = rng.choice(d, m, replace=False)
     states = []
@@ -86,3 +92,61 @@ def test_support_form_ranks_are_those_of_one_svd_per_subset(state):
             tol = RankTolerance(rtol=rtol, atol=atol)
             expected = [rank_from_values(bipartition_spectrum(state, s), tol) for s in subsets]
             assert subset_ranks(state, subsets, tol) == expected, tol
+
+
+@st.composite
+def block_products(draw):
+    """(state, parts): the product of Haar states on the parts of a random
+    partition of 2 to 8 particles, at most four of dimension 3 (d ≤ 1296),
+    with the parts ordered by their smallest particle. Every part of two or
+    more particles is fully entangled (almost surely)."""
+    n = draw(st.integers(2, 8))
+    threes = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    dims = tuple(3 if i in threes else 2 for i in range(n))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    spans = zip([0, *cuts], [*cuts, n])
+    parts = sorted((tuple(sorted(order[a:b])) for a, b in spans), key=lambda p: p[0])
+    seed = draw(st.integers(0, 10**6))
+    blocks = [haar_pure(tuple(dims[i] for i in part), seed=seed + j) for j, part in enumerate(parts)]
+    joint_dims, amplitudes = place_parts([(b.dims, b.amplitudes) for b in blocks], parts)
+    return pure_state(joint_dims, amplitudes), tuple(parts)
+
+
+pure_states = st.one_of(block_products().map(lambda case: case[0]), sparse_states(max_terms=1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pure_states)
+def test_pure_state_ranks_are_complement_symmetric(psi):
+    """S and its complement are taken in two calls, so the kernel's sharing
+    of a pure state's complement cuts cannot make them agree. A 4 kB chunk
+    sends calls on the larger states through rank inheritance, and both
+    calls must give the ranks of one call per subset, which infers nothing."""
+    n = psi.n
+    with_first = [s for k in range(1, n) for s in combinations(range(n), k) if s[0] == 0]
+    complements = [tuple(i for i in range(n) if i not in s) for s in with_first]
+    single = [subset_rank(psi, s) for s in with_first]
+    for chunk_bytes in (states.CHUNK_BYTES, 4096):
+        with patch.object(states, "CHUNK_BYTES", chunk_bytes):
+            assert subset_ranks(psi, with_first) == subset_ranks(psi, complements) == single
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pure_states, st.integers(0, 10**6))
+def test_local_unitaries_leave_lattice_entries_unchanged(psi, seed):
+    rng = np.random.default_rng(seed)
+    rotated = apply_local_unitaries(psi, [random_unitary(d, rng) for d in psi.dims])
+    before = rank_lattice(psi, psi.n - 1)
+    after = rank_lattice(rotated, psi.n - 1)
+    assert (after.state_rank, after.entries) == (before.state_rank, before.entries)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(block_products())
+def test_factorize_recovers_planted_blocks(case):
+    psi, parts = case
+    result = factorize_pure(psi)
+    assert result.partition == parts
+    _, amplitudes = place_parts([(f.dims, f.amplitudes) for f in result.factors], parts)
+    assert abs(abs(np.vdot(amplitudes, psi.amplitudes)) - 1.0) <= 1e-8

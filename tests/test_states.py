@@ -9,7 +9,6 @@ from entrank.catalog import (
     haar_pure,
     mixed_of_rank,
     product_pure,
-    random_unitary,
     separable_mixture,
 )
 from entrank.cli import PPT_NEG_TOL
@@ -23,7 +22,6 @@ from entrank.linalg import RankTolerance, hermitian_eigenvalues, numerical_rank,
 from entrank.states import (
     DensityMatrix,
     PureState,
-    apply_local_unitaries,
     bipartition_spectrum,
     density_from_pure,
     density_matrix,
@@ -32,14 +30,21 @@ from entrank.states import (
     partial_transpose,
     ppt_minimum,
     pure_state,
-    purity_check,
-    schmidt_rank,
     subset_rank,
     subset_ranks,
-    tensor_product,
+)
+from oracles import (
+    apply_local_unitaries,
+    ptrace_loop,
+    random_unitary,
+    rank_by_eigvalsh,
     tensor_pure,
 )
-from oracles import ptrace_loop, rank_by_eigvalsh
+
+
+def kron_state(a, b):
+    """The joint state a ⊗ b of two density matrices."""
+    return DensityMatrix(dims=a.dims + b.dims, matrix=np.kron(a.matrix, b.matrix))
 
 
 def ket(dims, index):
@@ -143,29 +148,10 @@ def test_mix_rejects_mismatched_dims():
 # ------------------------------------------------------------ tensor product
 
 
-def test_tensor_product_diagonal():
-    a = density_matrix((2,), np.diag([1.0, 0.0]))
-    out = tensor_product(a, a)
-    assert out.dims == (2, 2)
-    assert np.array_equal(out.matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
-
-
 def test_tensor_product_bell_with_qubit_has_rank_one():
-    out = tensor_product(density_from_pure(bell()), density_matrix((2,), np.diag([1.0, 0.0])))
+    out = kron_state(density_from_pure(bell()), density_matrix((2,), np.diag([1.0, 0.0])))
     assert out.matrix.shape == (8, 8)
-    assert numerical_rank(out.matrix) == 1
-
-
-def test_tensor_product_trace_multiplicative():
-    a = density_from_pure(haar_pure((2,), seed=3))
-    b = density_from_pure(haar_pure((3,), seed=4))
-    assert np.trace(tensor_product(a, b).matrix).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tensor_product_size_limit():
-    a = density_from_pure(haar_pure((2,) * 6, seed=5))
-    with pytest.raises(SizeLimitError):
-        tensor_product(a, a, max_dim=2048)
+    assert numerical_rank(out.matrix) == subset_rank(out, range(3)) == 1
 
 
 # ------------------------------------------------------------ partial trace
@@ -173,7 +159,7 @@ def test_tensor_product_size_limit():
 
 def test_partial_trace_recovers_product_factor():
     sigma = density_from_pure(haar_pure((2,), seed=6))
-    joint = tensor_product(density_matrix((2,), np.diag([1.0, 0.0])), sigma)
+    joint = kron_state(density_matrix((2,), np.diag([1.0, 0.0])), sigma)
     out = partial_trace(joint, traced=(0,))
     np.testing.assert_allclose(out.matrix, sigma.matrix, atol=1e-12)
 
@@ -218,7 +204,7 @@ def test_partial_trace_rejects_everything():
 
 
 def test_partial_transpose_product_state_unchanged():
-    rho = tensor_product(
+    rho = kron_state(
         density_matrix((2,), np.diag([1.0, 0.0])), density_matrix((2,), np.diag([1.0, 0.0]))
     )
     np.testing.assert_allclose(partial_transpose(rho, (0,)), rho.matrix)
@@ -385,58 +371,76 @@ def test_density_matrix_one_tolerance():
     assert np.trace(rescaled).real == pytest.approx(1.0, abs=1e-15)
 
 
+def test_dense_matrix_is_decomposed_once(monkeypatch):
+    """The eigh of the PSD check is the one ``factored`` uses, and the factor
+    is bit-identical to that of a matrix factored from its own eigh."""
+    rho = mixed_of_rank((2, 3, 2), seed=5, rank=3)
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+    loaded = density_matrix(rho.dims, rho.matrix)
+    factor = loaded.factored().factor
+    assert calls == ["eigh"]
+    bare = DensityMatrix(dims=loaded.dims, matrix=loaded.matrix)
+    assert np.array_equal(factor, bare.factored().factor)
+    assert np.array_equal(loaded.factored().factor, factor)  # a second call solves again
+
+
 # ------------------------------------------------------------------- purity
 
 
 def test_purity_check():
-    assert purity_check(density_from_pure(haar_pure((2, 2), seed=15)))
-    assert not purity_check(density_matrix((2,), np.diag([0.5, 0.5])))
+    """A state is pure iff the rank of the full particle set is 1."""
+    assert subset_rank(density_from_pure(haar_pure((2, 2), seed=15)), (0, 1)) == 1
+    assert subset_rank(density_matrix((2,), np.diag([0.5, 0.5])), (0,)) == 2
 
 
 def test_purity_check_werner():
     from entrank.catalog import werner
 
-    assert not purity_check(werner(0.9))
+    assert subset_rank(werner(0.9), (0, 1)) == 4
 
 
 # ------------------------------------------------------------- schmidt rank
 
 
+# The Schmidt rank of a pure state across S | rest is the rank of ρ_S, and its
+# Schmidt coefficients are the spectrum of ρ_S.
+
+
 def test_schmidt_rank_product_state():
     psi = product_pure((2, 2, 2), seed=16)
-    for part in [(0,), (1,), (0, 2)]:
-        assert schmidt_rank(psi, part).schmidt_rank == 1
+    assert subset_ranks(psi, [(0,), (1,), (0, 2)]) == [1, 1, 1]
 
 
 def test_schmidt_rank_bell():
-    data = schmidt_rank(bell(), (0,))
-    assert data.schmidt_rank == 2
-    np.testing.assert_allclose(data.coefficients, [0.5, 0.5], atol=1e-12)
+    assert subset_rank(bell(), (0,)) == 2
+    np.testing.assert_allclose(bipartition_spectrum(bell(), (0,)), [0.5, 0.5], atol=1e-12)
 
 
 def test_schmidt_rank_ghz3_pair_cut():
-    assert schmidt_rank(ghz(3, 2), (0, 1)).schmidt_rank == 2
+    assert subset_rank(ghz(3, 2), (0, 1)) == 2
 
 
 def test_schmidt_rank_equal_from_complement():
     psi = haar_pure((2, 3, 2), seed=17)
-    a = schmidt_rank(psi, (0,))
-    b = schmidt_rank(psi, (1, 2))
-    assert a.schmidt_rank == b.schmidt_rank
-    np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
+    assert subset_rank(psi, (0,)) == subset_rank(psi, (1, 2)) == 2
+    np.testing.assert_allclose(
+        bipartition_spectrum(psi, (0,)), bipartition_spectrum(psi, (1, 2)), atol=1e-12
+    )
 
 
 def test_schmidt_coefficients_sum_to_one():
     psi = haar_pure((2, 2, 3), seed=18)
-    data = schmidt_rank(psi, (0, 1))
-    assert data.coefficients.sum() == pytest.approx(1.0, abs=1e-9)
+    assert bipartition_spectrum(psi, (0, 1)).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_schmidt_rank_rejects_improper_subsets():
     with pytest.raises(PartitionError):
-        schmidt_rank(bell(), ())
+        subset_rank(bell(), ())
     with pytest.raises(PartitionError):
-        schmidt_rank(bell(), (0, 1))
+        subset_rank(bell(), (0, 2))
 
 
 # -------------------------------------------------------------- properties
@@ -448,7 +452,7 @@ def test_pure_product_rank_is_multiplicative():
     for _ in range(5):
         a = density_from_pure(haar_pure((2, 2), seed=int(rng.integers(1e6))))
         b = density_from_pure(haar_pure((2,), seed=int(rng.integers(1e6))))
-        joint = tensor_product(a, b)
+        joint = kron_state(a, b)
         assert (
             numerical_rank(joint.matrix)
             == numerical_rank(a.matrix) * numerical_rank(b.matrix)
@@ -470,7 +474,7 @@ def test_local_unitaries_preserve_reduced_ranks():
 def test_partial_trace_of_tensor_product_returns_factor():
     a = density_from_pure(haar_pure((2, 2), seed=22))
     b = density_from_pure(haar_pure((3,), seed=23))
-    joint = tensor_product(a, b)
+    joint = kron_state(a, b)
     back = partial_trace(joint, traced=(2,))
     assert np.linalg.norm(back.matrix - a.matrix) < 1e-9
 
