@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from entrank.errors import ShapeError, SymmetryError
-from entrank.linalg import RankTolerance, hermitian_eigenvalues, numerical_rank
+from entrank.linalg import (
+    RankTolerance,
+    hermitian_eigenvalues,
+    numerical_rank,
+    rank_from_values,
+)
 from oracles import charpoly_roots, random_unitary, rational_rank
 
 
@@ -58,7 +63,13 @@ def test_numerical_rank_trivial_cases():
     assert numerical_rank(np.diag([1.0, 0.0, 0.0])) == 1
     assert numerical_rank(np.eye(4)) == 4
     assert numerical_rank(np.zeros((3, 3))) == 0
+
+
+def test_singular_values_zero_rectangular():
+    """A zero 2x3 matrix has two zero singular values and rank 0."""
+    assert rank_from_values(np.zeros(2)) == 0
     assert numerical_rank(np.zeros((2, 3))) == 0
+    assert numerical_rank(np.zeros((3, 2))) == 0
 
 
 def test_numerical_rank_matches_rational_elimination():
