@@ -161,15 +161,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     state = statefile.load_state(args.file, max_dim=args.max_dim)
     n = state.n
     started = time.perf_counter()
-
-    if n == 1:
-        depth = 0
-        lattice = criteria.RankLattice(
-            state_rank=subset_rank(state, (0,), tol), entries={}, max_depth=0, parts=((0,),)
-        )
-    else:
-        depth = args.depth if args.depth is not None else criteria.default_depth(n)
-        lattice = criteria.rank_lattice(state, depth, tol)
+    lattice = criteria.rank_lattice(state, args.depth, tol)
+    depth = lattice.max_depth
     verdict = criteria.verdict(lattice)
 
     ppt_rows = []
@@ -463,6 +456,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.dims is None:
             raise InputError(f"bench kind {args.kind!r} needs --dims")
         dims = _parse_dims(args.dims)
+        if len(dims) < 2:
+            raise InputError(f"bench needs at least two particles, got dims {args.dims!r}")
         members = [
             _bench_member(args.kind, dims, args.seed, index, args)
             for index in range(args.count)
@@ -473,8 +468,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     both = 0
     for state in members:
         n = state.n
-        depth = args.depth if args.depth is not None else criteria.default_depth(n)
-        verdict = criteria.entanglement_verdict(state, depth, tol)
+        verdict = criteria.entanglement_verdict(state, args.depth, tol)
         rank_detected = verdict.tag == criteria.ENTANGLED
         ppt_detected = any(ppt_minimum(state, (i,)) < -PPT_NEG_TOL for i in range(n))
         rank_hits += rank_detected

@@ -82,7 +82,7 @@ class Verdict:
 def default_depth(n: int) -> int:
     """Half the particle count: for pure states the complement symmetry makes
     deeper levels redundant; mixed-state callers may extend up to n - 1."""
-    return max(1, n // 2)
+    return n // 2
 
 
 def _check_enumeration(n: int, max_depth: int, max_subsets: int) -> None:
@@ -124,6 +124,8 @@ def rank_lattice(
     Without ``parts`` each particle is its own part. With them, the lattice
     is the paper's criterion for that partition: each part is taken as one
     particle, so a state separable across the parts has no violation.
+    max_depth lies in 1..k − 1 for k parts; a one-particle state has the
+    depth-0 lattice, its state rank alone.
     The state rank (the full particle set) and every entry come from one
     ``subset_ranks`` call, which factors the state once.
     """
@@ -132,8 +134,8 @@ def rank_lattice(
     k = len(units)
     if max_depth is None:
         max_depth = default_depth(k)
-    if not 1 <= max_depth <= k - 1:
-        raise InputError(f"max_depth must lie in 1..{k - 1}, got {max_depth}")
+    if not min(1, k - 1) <= max_depth <= k - 1:
+        raise InputError(f"max_depth must lie in {min(1, k - 1)}..{k - 1}, got {max_depth}")
     _check_enumeration(k, max_depth, max_subsets)
 
     traced_sets = [

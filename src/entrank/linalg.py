@@ -36,8 +36,9 @@ class RankTolerance:
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
-    def cutoff(self, largest: float) -> float:
-        return max(self.atol, self.rtol * largest)
+    def cutoff(self, largest: float | np.ndarray) -> float | np.ndarray:
+        """max(atol, rtol * largest), elementwise for an array of largest values."""
+        return np.maximum(self.atol, self.rtol * largest)
 
 
 DEFAULT_TOLERANCE = RankTolerance()

@@ -18,36 +18,21 @@ one-subset form); the full particle set gives the rank of the state itself.
 The kernel factors the state once and, for a pure state (r = 1), computes a
 subset and its complement once, since they are the same cut.
 
-When V has m nonzero rows and m² < d (GHZ and W states have m = 2 and m = n),
-the kernel takes its support form: each cut is built from those m rows
-alone, with one column per distinct subset-digit pattern and one group of r
-rows per distinct rest-digit pattern among them, zero-padded to (m·r, m).
-That is the dense cut with all-zero rows and columns dropped, which removes
-only exact zero singular values: s_max, the cutoff and every rank at a
-positive cutoff stay the same, and m² < d keeps each matrix below the dense
-cut's d·r entries. The support form decomposes every cut of the call as one
-batch and infers nothing, since a support matrix at full rank says nothing
-about the reduced state on its full d_S-dimensional space.
-
-Otherwise a call whose cuts fit in one chunk (n_cuts · ‖V‖ ≤ ``CHUNK_BYTES``)
-decomposes every cut as (d_subset, d_rest · r). A larger call decomposes only
-the cuts whose rank it cannot infer. A full-rank reduced state stays full rank under every
-further partial trace, with a margin that can only grow: ρ_P ⪰ λ·1 gives
-tr_T ρ_P ⪰ d_T·λ·1 while λ_max grows at most d_T-fold, so λ_min / max(atol,
-rtol·λ_max) carries down, atol included. A cut decomposed at full rank with
-its smallest kept s² at least ``CERTIFY_MARGIN`` (100) times the cutoff
-therefore certifies every cut whose small side (S, or the rest plus the
-r-dimensional ancilla of the purification) lies inside its own small side,
-and those take full rank without an SVD. The cuts are taken in decreasing
-order of their bound min(d_S, d_rest · r), since a certifier always has the
-larger bound, and the decomposed ones are stacked in their tall orientation
-(rows ≥ columns), the faster LAPACK path. Reshaped factors of equal shape are
-stacked into chunks of at most ``CHUNK_BYTES`` with one SVD each. When a
-batch of cuts spans more than one chunk, the chunks are shared out among one
-thread per core the process's CPU affinity allows (``taskset`` limits them),
-started for the batch and joined before it returns; there is no setting. On
-one allowed core, or for a batch within one chunk, everything runs in the
-calling thread and no thread is started.
+``subset_ranks`` plans each call once and runs every plan through one level
+loop. The plan decides each cut's form: the support form, built from the m
+nonzero rows of V alone, when m² < d (GHZ and W states have m = 2 and m = n),
+else V reshaped in its tall orientation (rows ≥ columns), the faster LAPACK
+path. It decides the levels: a dense call whose cuts span more than one
+chunk takes them in decreasing order of their bound min(d_S, d_rest·r), and
+a cut decomposed at full rank with margin certifies the cuts below it whose
+small side lies inside its own; any other call is one level that certifies
+nothing. Each level's undecided cuts of one shape are stacked into chunks of
+at most ``CHUNK_BYTES`` with one SVD each. A level that spans more than one
+chunk shares its chunks out among one thread per core the process's CPU
+affinity allows (``taskset`` limits them; there is no setting), started and
+joined within the level; other work runs in the calling thread. The proofs
+that the support form and the inherited ranks change no rank are in
+``subset_ranks``.
 
 The partial-transpose baseline ``ppt_minimum`` transposes the smaller side of
 the cut (ρ^{T_A} = (ρ^{T_rest})^T has the same spectrum) and uses an exact
@@ -419,51 +404,49 @@ def subset_ranks(
     ``rank_from_values(bipartition_spectrum(state, subset), tol)`` does. The
     state is factored once. A repeated subset is computed once, and so are a
     pure state's subset and its complement: they are the same cut, and the
-    one listed first is decomposed. Cuts of one shape are stacked into chunks
-    of at most ``CHUNK_BYTES`` with one SVD each; when a batch of cuts spans
-    more than one chunk, its chunks are shared out among one thread per core
-    the process may use.
+    one listed first is decomposed. Each cut then gets its plan: the matrix
+    that stands for it, its level and the small sides it can certify. One
+    loop takes the levels in decreasing order: it gives full rank to each cut
+    certified by a side found so far, decomposes the others in stacked SVDs
+    (``_decompose``), and records the sides of those that certify.
 
     Support form. Let m be the number of nonzero rows of V. When m² < d,
-    every cut is built from those rows alone (``_support_ranks``): the
-    dense (d_S, d_rest·r) matrix has nonzero entries only in the rows of the
-    u ≤ m distinct S-digit patterns and the columns of the v ≤ m distinct
-    rest-digit patterns (times r) of the support, and dropping all-zero rows
-    and columns changes neither M M† on the remaining rows nor M† M on the
+    every cut is built from those rows alone: the dense (d_S, d_rest·r)
+    matrix has nonzero entries only in the rows of the u ≤ m distinct
+    S-digit patterns and the columns of the v ≤ m distinct rest-digit
+    patterns (times r) of the support, and dropping all-zero rows and
+    columns changes neither M M† on the remaining rows nor M† M on the
     remaining columns, so only exact zero singular values go. s_max, the
     cutoff max(atol, rtol·s_max²) and the count above any positive cutoff are
     therefore unchanged. The u × v·r block is zero-padded into an (m·r, m)
-    stack (transposed, the tall orientation), which m² < d keeps below the
+    matrix (transposed, the tall orientation), which m² < d keeps below the
     dense d·r entries, and its exact-zero padding adds no rounding noise, so
-    even at a zero cutoff a rank stays within min(u, v·r). Every cut of a
-    support-form call is decomposed, in one batch, and none certifies
-    another: full rank on the u-dimensional support of ρ_S says nothing
-    about positive definiteness on the full d_S space.
+    even at a zero cutoff a rank stays within min(u, v·r). The call is one
+    level that certifies nothing: full rank on the u-dimensional support of
+    ρ_S says nothing about positive definiteness on the full d_S space.
 
-    Otherwise a call whose cuts fit in one chunk (n_cuts · ‖V‖ ≤
-    ``CHUNK_BYTES``) decomposes every cut as (d_subset, d_rest · r). A
-    larger call infers ranks where it can. Think of each cut as S | Y of the
-    purification Σ_j V[:, j] ⊗ |j⟩, with Y the rest plus the r-dimensional
-    ancilla (left out when r = 1); ρ_S and ρ_Y share their nonzero spectrum, and the rank
-    is at most the bound min(d_S, d_Y), the dimension of the small side. If
-    a cut is decomposed at full rank with its smallest kept s² at least
-    ``CERTIFY_MARGIN`` (100) times the cutoff, its small side P is positive
-    definite with that margin, and so is every reduced state ρ_X of a set X
-    ⊆ P: with T = P ∖ X, ρ_P ⪰ λ·1 gives ρ_X = tr_T ρ_P ⪰ d_T·λ·1, and
-    λ_max(ρ_X) ≤ d_T·λ_max(ρ_P), so λ_min(ρ_X) ≥ 100·d_T·max(atol, rtol·
-    λ_max(ρ_P)) ≥ 100·max(atol, rtol·λ_max(ρ_X)). A cut with a side X inside
-    such a P therefore takes the full rank dim X, its bound, without an SVD,
-    and inherits the margin. A zero cutoff (atol = rtol = 0) certifies nothing.
-    X ⊊ P makes the certifier's bound strictly larger (every dimension is at
-    least 2), so the cuts are taken in levels of decreasing bound, each level
-    certified from the levels before it, and the rest of the level is
-    decomposed as one batch. Those cuts are stacked in their tall orientation
-    (rows ≥ columns: (d_Y, d_S) when d_S < d_Y), the faster LAPACK path.
+    Rank inheritance. Otherwise each cut is V reshaped in its tall
+    orientation (rows ≥ columns: (d_Y, d_S) when d_S < d_Y). Think of it as
+    S | Y of the purification Σ_j V[:, j] ⊗ |j⟩, with Y the rest plus the
+    r-dimensional ancilla (left out when r = 1); ρ_S and ρ_Y share their
+    nonzero spectrum, and the rank is at most the bound min(d_S, d_Y), the
+    dimension of the small side. If a cut is decomposed at full rank with
+    its smallest kept s² at least ``CERTIFY_MARGIN`` (100) times the cutoff,
+    its small side P is positive definite with that margin, and so is every
+    reduced state ρ_X of a set X ⊆ P: with T = P ∖ X, ρ_P ⪰ λ·1 gives ρ_X =
+    tr_T ρ_P ⪰ d_T·λ·1, and λ_max(ρ_X) ≤ d_T·λ_max(ρ_P), so λ_min(ρ_X) ≥
+    100·d_T·max(atol, rtol·λ_max(ρ_P)) ≥ 100·max(atol, rtol·λ_max(ρ_X)). A
+    cut with a side X inside such a P therefore takes the full rank dim X,
+    its bound, without an SVD, and inherits the margin. A zero cutoff (atol =
+    rtol = 0) certifies nothing. X ⊊ P makes the certifier's bound strictly
+    larger (every dimension is at least 2), so the levels are the bounds,
+    each certified from the levels before it. A call whose cuts fit in one
+    chunk (n_cuts · ‖V‖ ≤ ``CHUNK_BYTES``) is one level that certifies
+    nothing: its few stacked SVDs cost less than levelling them would.
     """
     state = state.factored(tol)
     n, v = state.n, state.factor
-    r = v.shape[1]
-    tensor = v.reshape(state.dims + (r,))
+    d, r = v.shape
     slot: dict[tuple[int, ...], int] = {}
     order = []
     cuts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (subset, rest)
@@ -480,77 +463,72 @@ def subset_ranks(
                 cuts.append((subset, rest))
         order.append(slot[subset])
 
+    # The plan: per cut (rows, shape, fill item, level, small sides it certifies),
+    # with sides as bit masks over the n particles and the ancilla (bit n).
+    bits = [1 << i for i in range(n)]
     support = np.flatnonzero(v.any(axis=1))
-    if len(support) ** 2 < state.dim:
-        ranks = _support_ranks(state, support, cuts, tol)
-        return [ranks[k] for k in order]
+    m = len(support)
+    if m * m < d:
+        fill, size = _support_fill(state, support), m * m * r
+        plan = [(m * r, (m * r, m), sum(map(bits.__getitem__, s)), 0, ()) for s, _ in cuts]
+    else:
+        tensor = v.reshape(state.dims + (r,))
 
-    ranks = [0] * len(cuts)
-    step = min(len(cuts), max(1, CHUNK_BYTES // v.nbytes))
-    buffers = [np.empty(step * v.size, v.dtype)]
+        def fill(stack: np.ndarray, orders: list) -> None:
+            for j, axes in enumerate(orders):
+                stack[j] = tensor.transpose(axes)
 
-    def fill(stack: np.ndarray, orders: list) -> None:
-        for j, axes in enumerate(orders):
-            stack[j] = tensor.transpose(axes)
+        size, plan = v.size, []
+        levelled = len(cuts) * v.nbytes > CHUNK_BYTES
+        full, ancilla = (1 << n) - 1, (1 << n) if r > 1 else 0
+        for subset, rest in cuts:
+            d_s = prod(map(state.dims.__getitem__, subset))
+            d_y = d // d_s * r
+            axes, rows = (rest + (n,) + subset, d_y) if d_s < d_y else (subset + rest + (n,), d_s)
+            shape = tuple(map(tensor.shape.__getitem__, axes))
+            if not levelled:
+                plan.append((rows, shape, axes, 0, ()))
+                continue
+            mask = sum(map(bits.__getitem__, subset))
+            other = (full ^ mask) | ancilla
+            sides = (mask,) if d_s < d_y else (other,) if d_y < d_s else (mask, other)
+            plan.append((rows, shape, axes, min(d_s, d_y), sides))
 
-    def dense(axes: tuple[int, ...], rows: int) -> tuple:
-        return rows, tuple(map(tensor.shape.__getitem__, axes)), axes
-
-    if len(cuts) * v.nbytes <= CHUNK_BYTES:
-        batch = [dense(s + rest + (n,), _dim(state, s)) for s, rest in cuts]
-        ranks = [count for count, _ in _decompose(batch, fill, step, buffers, tol)]
-        return [ranks[k] for k in order]
-
-    # Sides as bit masks over the n particles and the ancilla (bit n).
-    d, bits = state.dim, [1 << i for i in range(n)]
-    full, ancilla = (1 << n) - 1, (1 << n) if r > 1 else 0
-    levels: dict[int, list] = {}  # bound -> [(cut, d_S, d_Y, small sides)]
-    for k, (subset, _) in enumerate(cuts):
-        d_s = _dim(state, subset)
-        d_y = d // d_s * r
-        mask = sum(map(bits.__getitem__, subset))
-        other = (full ^ mask) | ancilla
-        sides = (mask,) if d_s < d_y else (other,) if d_y < d_s else (mask, other)
-        levels.setdefault(min(d_s, d_y), []).append((k, d_s, d_y, sides))
+    ranks = [0] * len(plan)
+    step = min(len(plan), max(1, CHUNK_BYTES // (size * v.itemsize)))
+    buffers = [np.empty(step * size, v.dtype)]
+    levels: dict[int, list[int]] = {}
+    for k, entry in enumerate(plan):
+        levels.setdefault(entry[3], []).append(k)
     definite = np.zeros(0, np.uint64)  # small sides found positive definite with margin
     for bound in sorted(levels, reverse=True):
-        level = levels.pop(bound)
-        cut_sides = [(k, m) for k, _, _, sides in level for m in sides]
-        inside = _contained(np.array([m for _, m in cut_sides], np.uint64), definite)
-        certified = {k for (k, _), hit in zip(cut_sides, inside) if hit}
-        todo = [entry for entry in level if entry[0] not in certified]
-        batch = []
-        for k, d_s, d_y, _ in todo:  # each cut in its tall orientation
-            subset, rest = cuts[k]
-            batch.append(dense(rest + (n,) + subset, d_y) if d_s < d_y
-                         else dense(subset + rest + (n,), d_s))
+        todo = levels[bound]
+        if definite.size:
+            cut_sides = [(k, side) for k in todo for side in plan[k][4]]
+            inside = _contained(np.array([side for _, side in cut_sides], np.uint64), definite)
+            certified = {k for (k, _), hit in zip(cut_sides, inside) if hit}
+            for k in certified:
+                ranks[k] = bound
+            todo = [k for k in todo if k not in certified]
         found = []
-        results = _decompose(batch, fill, step, buffers, tol)
-        for (k, _, _, sides), (count, certifies) in zip(todo, results):
+        results = _decompose([plan[k][:3] for k in todo], fill, step, buffers, tol)
+        for k, (count, certifies) in zip(todo, results):
             ranks[k] = count
             if certifies:
-                found += sides
-        for k in certified:
-            ranks[k] = bound
-        definite = np.concatenate([definite, np.array(found, np.uint64)])
+                found += plan[k][4]
+        if found:
+            definite = np.concatenate([definite, np.array(found, np.uint64)])
     return [ranks[k] for k in order]
 
 
-def _dim(state: State, subset: tuple[int, ...]) -> int:
-    return prod(map(state.dims.__getitem__, subset))
-
-
-def _support_ranks(
-    state: State, support: np.ndarray, cuts: list, tol: RankTolerance
-) -> list[int]:
-    """Ranks of ``cuts`` from the m nonzero rows ``support`` of the factor V.
-
-    Each cut S | rest is stacked as an (m·r, m) matrix: column a holds the
-    support rows with the a-th smallest distinct S-digit pattern, rows
-    b·r .. b·r + r − 1 those with the b-th smallest distinct rest-digit
-    pattern, and the rest is zero: the transpose of the dense (d_S,
-    d_rest·r) cut with its all-zero rows and columns dropped and zeros
-    padded on after the others. All cuts are decomposed as one batch.
+def _support_fill(state: State, support: np.ndarray):
+    """The support form's ``fill``: from the m nonzero rows ``support`` of
+    the factor V, it writes the cut S | rest of each subset mask as an (m·r,
+    m) matrix. Column a holds the support rows with the a-th smallest
+    distinct S-digit pattern, rows b·r .. b·r + r − 1 those with the b-th
+    smallest distinct rest-digit pattern, and the rest is zero: the
+    transpose of the dense (d_S, d_rest·r) cut with its all-zero rows and
+    columns dropped and zeros padded on after the others.
     """
     v = state.factor[support]
     m, r = v.shape
@@ -571,11 +549,7 @@ def _support_ranks(
         stack.fill(0)
         stack[np.arange(len(masks))[:, None, None], rows[:, :, None] + ancilla, cols[:, :, None]] = v
 
-    shape = (m * r, m)
-    step = min(len(cuts), max(1, CHUNK_BYTES // (m * m * r * v.itemsize)))
-    batch = [(m * r, shape, sum(1 << i for i in subset)) for subset, _ in cuts]
-    results = _decompose(batch, fill, step, [np.empty(step * m * m * r, v.dtype)], tol)
-    return [count for count, _ in results]
+    return fill
 
 
 def _ordinals(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -668,7 +642,7 @@ def _chunk_ranks(
     fill(stack, [item for _, item in members])
     s = np.linalg.svd(stack.reshape(len(members), rows, -1), compute_uv=False)
     s2 = s * s
-    cutoff = np.maximum(tol.atol, tol.rtol * s2[:, 0])
+    cutoff = tol.cutoff(s2[:, 0])
     counts = (s2 > cutoff[:, None]).sum(axis=1)
     certifies = (s2[:, -1] >= CERTIFY_MARGIN * cutoff) & (cutoff > 0)
     return list(zip(counts.tolist(), certifies.tolist()))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from entrank.statefile import (
     pure_payload,
     write_state_file,
 )
-from entrank.states import pure_state
+from entrank.states import density_matrix, pure_state
 from oracles import tensor_pure
 
 
@@ -125,6 +127,44 @@ def test_analyze_size_limit_exit_code(capsys, ghz3_file):
 def test_analyze_bad_depth(capsys, ghz3_file):
     code, _, err = run(capsys, "analyze", ghz3_file, "--depth", "9")
     assert code == 2
+
+
+def test_analyze_one_particle_reports(capsys, tmp_path):
+    """A one-particle state has the depth-0 lattice, its state rank alone;
+    both reports keep the bytes they had before that lattice came from
+    ``rank_lattice``."""
+    path = tmp_path / "q1.json"
+    write_state_file(path, pure_payload(pure_state((3,), [0.6, 0, 0.8j])))
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert out == (
+        f"input: {path}\ndims: 3   particles: 1\nstate rank: 1\n"
+        "verdict: SEPARABLE_PURE_PRODUCT\n"
+    )
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert code == 0
+    assert re.sub(r'"timing_seconds": [^,]*,', '"timing_seconds": T,', out) == (
+        '{\n  "command": "analyze",\n  "depth": 0,\n  "dims": [\n    3\n  ],\n'
+        '  "format_version": "1",\n  "input": {\n'
+        f'    "path": {json.dumps(str(path))},\n    "sha256": "{sha}"\n  }},\n'
+        '  "lattice": [],\n  "state_rank": 1,\n  "timing_seconds": T,\n'
+        '  "tolerance": {\n    "atol": 1e-12,\n    "rtol": 1e-10\n  },\n'
+        '  "verdict": "SEPARABLE_PURE_PRODUCT",\n  "violations": []\n}\n'
+    )
+
+
+def test_analyze_one_particle_depth_and_rank_two(capsys, tmp_path):
+    """A rank-2 one-particle state reads INCONCLUSIVE; --depth 1 exceeds its
+    only depth, 0."""
+    path = tmp_path / "m1.json"
+    write_state_file(path, density_payload(density_matrix((2,), np.eye(2) / 2)))
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert out.endswith("state rank: 2\nverdict: INCONCLUSIVE\n")
+    code, out, err = run(capsys, "analyze", path, "--json", "--depth", "1")
+    assert (code, out) == (2, "")
+    assert "max_depth must lie in 0..0, got 1" in err
 
 
 # --------------------------------------------------------------- factorize
@@ -573,6 +613,20 @@ def test_bench_haar_pure_detected_by_both(capsys):
 def test_bench_rejects_bad_spec(capsys):
     code, _, _ = run(capsys, "bench", "--kind", "product_mixture", "--count", 3)
     assert code == 2  # missing dims
+
+
+@pytest.mark.parametrize("kind", ["haar_pure", "product_mixture"])
+def test_bench_needs_two_particles(kind, capsys, monkeypatch):
+    """One particle has no cut to test; bench says so before it builds a member."""
+    from entrank import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bench member was built")
+
+    monkeypatch.setattr(cli, "_bench_member", refuse)
+    code, out, err = run(capsys, "bench", "--kind", kind, "--dims", "2", "--count", 2)
+    assert (code, out) == (2, "")
+    assert err == "error: bench needs at least two particles, got dims '2'\n"
 
 
 REMOVED_FLAGS = [

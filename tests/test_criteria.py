@@ -91,6 +91,19 @@ def test_lattice_depth_bounds():
         rank_lattice(bell(), 0)
 
 
+def test_one_particle_lattice_is_its_state_rank():
+    """One part allows depth 0 alone, the default; two parts keep 1..1."""
+    mixed = density_matrix((2,), np.eye(2) / 2)
+    lattice = rank_lattice(mixed)
+    assert (lattice.state_rank, lattice.entries, lattice.max_depth) == (2, {}, 0)
+    assert verdict(lattice).tag == INCONCLUSIVE
+    assert verdict(rank_lattice(haar_pure((3,), seed=5), 0)).tag == SEPARABLE_PURE_PRODUCT
+    with pytest.raises(InputError, match=r"0\.\.0, got 1"):
+        rank_lattice(mixed, 1)
+    with pytest.raises(InputError, match=r"1\.\.1, got 0"):
+        rank_lattice(bell(), 0)
+
+
 def test_lattice_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
         rank_lattice(haar_pure((2,) * 8, seed=2), 4, max_subsets=10)

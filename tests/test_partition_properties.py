@@ -1,9 +1,10 @@
 """Property tests: a mixture of products across the parts of a random
 partition never gets a witness from the lattice over those parts; the rank
-kernel's support form gives the ranks of one dense SVD per subset; a pure
-state's reduced states on S and on its complement have one rank; local
-unitaries leave every lattice entry as it is; and factorize returns a planted
-block partition whose factors rebuild the state."""
+kernel's support form, and its dense form in one level and in levels, give
+the ranks of one dense SVD per subset; a pure state's reduced states on S and
+on its complement have one rank; local unitaries leave every lattice entry as
+it is; and factorize returns a planted block partition whose factors rebuild
+the state."""
 
 from itertools import combinations
 from math import isqrt, prod
@@ -18,7 +19,14 @@ from entrank.catalog import haar_pure
 from entrank.criteria import SEPARABLE_PURE_PRODUCT, check_rank_monotonicity, rank_lattice, verdict
 from entrank.factorize import factorize_pure
 from entrank.linalg import RankTolerance, rank_from_values
-from entrank.states import bipartition_spectrum, mix, pure_state, subset_rank, subset_ranks
+from entrank.states import (
+    DensityMatrix,
+    bipartition_spectrum,
+    mix,
+    pure_state,
+    subset_rank,
+    subset_ranks,
+)
 from oracles import apply_local_unitaries, place_parts, random_unitary
 
 
@@ -92,6 +100,42 @@ def test_support_form_ranks_are_those_of_one_svd_per_subset(state):
             tol = RankTolerance(rtol=rtol, atol=atol)
             expected = [rank_from_values(bipartition_spectrum(state, s), tol) for s in subsets]
             assert subset_ranks(state, subsets, tol) == expected, tol
+
+
+@st.composite
+def dense_mixtures(draw):
+    """A mixture of 2 to 4 Haar states with random weights, on 2 to 5
+    particles of dimension 2 or 3: every row of its factor is nonzero, so the
+    kernel takes the dense form."""
+    n = draw(st.integers(2, 5))
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n)))
+    rank = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 10**6))
+    weights = np.random.default_rng(seed).random(rank) + 0.1
+    terms = [haar_pure(dims, seed=seed + j) for j in range(rank)]
+    return mix([(w / weights.sum(), psi) for w, psi in zip(weights, terms)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(dense_mixtures())
+def test_dense_form_ranks_are_those_of_one_svd_per_subset(mixture):
+    """The mixture with its factor, and the same matrix given bare, which
+    gets its factor from one eigh. A 4 kB chunk sends the larger calls
+    through levels with rank inheritance; at the default size each call is
+    one level."""
+    n = mixture.n
+    subsets = [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+    for state in (mixture, DensityMatrix(mixture.dims, mixture.matrix)):
+        for rtol in (1e-6, 1e-10, 1e-13):
+            for atol in (RankTolerance().atol, 0.0):
+                tol = RankTolerance(rtol=rtol, atol=atol)
+                factored = state.factored(tol)
+                expected = [
+                    rank_from_values(bipartition_spectrum(factored, s), tol) for s in subsets
+                ]
+                for chunk_bytes in (states.CHUNK_BYTES, 4096):
+                    with patch.object(states, "CHUNK_BYTES", chunk_bytes):
+                        assert subset_ranks(state, subsets, tol) == expected, (tol, chunk_bytes)
 
 
 @st.composite

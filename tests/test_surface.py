@@ -1,13 +1,16 @@
-"""The library surface that outside code reads: every function the benchmark
-tracer wraps, every name the package exports, and README's Library example
-with the results its comments state."""
+"""The surface that outside code reads: every function the benchmark tracer
+wraps, every name the package exports, README's Library example with the
+results its comments state, README's command lines, and the console script
+that pyproject.toml installs."""
 
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import entrank
+from entrank import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,3 +68,37 @@ def test_readme_library_example_gives_its_commented_results():
             assert matches(comment, value), (line, repr(value))
             checked += 1
     assert checked >= 5
+
+
+def readme_command_lines():
+    """The ``entrank`` lines of README's Command line block, without their
+    comments, split as a shell would."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Command line"):]
+    start = section.index("```sh\n") + len("```sh\n")
+    block = section[start : section.index("```", start)]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("entrank ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """In order, in an empty directory: gen writes the file the others read."""
+    monkeypatch.chdir(tmp_path)
+    lines = readme_command_lines()
+    assert [argv[1] for argv in lines] == [
+        "gen", "analyze", "factorize", "check-partition", "ppt", "bench"
+    ]
+    for argv in lines:
+        assert cli.main(argv[1:]) == 0, argv
+    assert "verdict: ENTANGLED" in capsys.readouterr().out
+
+
+def test_console_script_is_cli_main():
+    """``[project.scripts]`` installs ``entrank`` as ``entrank.cli:main``."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", pyproject, re.M)
+    assert section is not None
+    entry = re.fullmatch(r'entrank\s*=\s*"([\w.]+):(\w+)"', section.group(1).strip())
+    assert entry is not None, section.group(1)
+    target = getattr(importlib.import_module(entry.group(1)), entry.group(2))
+    assert callable(target) and target is cli.main
