@@ -7,6 +7,10 @@ report; the library uses 0-based indices internally.
 
 Machine-readable reports (--json) are deterministic: identical inputs and
 flags yield byte-identical output except for the timing_seconds field.
+
+A command parses its arguments, calls the library and formats the result:
+the library decides a state's form and the lattice budget, and argparse's
+``choices`` are the one check of a name.
 """
 
 from __future__ import annotations
@@ -26,17 +30,8 @@ import numpy as np
 from . import catalog, criteria, factorize as factorize_mod, statefile
 from .errors import EntrankError, InputError, PartitionError
 from .jsonfmt import json_pieces
-from .linalg import DEFAULT_ATOL, DEFAULT_MAX_DIM, DEFAULT_RTOL, RankTolerance, rank_from_values
-from .states import (
-    DensityMatrix,
-    PureState,
-    State,
-    canonical_pure,
-    normalize_subset,
-    ppt_minimum,
-    subset_rank,
-    validate_dims,
-)
+from .linalg import DEFAULT_ATOL, DEFAULT_MAX_DIM, DEFAULT_RTOL, RankTolerance
+from .states import State, normalize_subset, ppt_minimum, validate_dims
 
 PPT_NEG_TOL = 1e-9
 PPT_ENTANGLED = "ENTANGLED"
@@ -91,22 +86,6 @@ def _digest(path: str) -> str:
 
 def _tolerance(args: argparse.Namespace) -> RankTolerance:
     return RankTolerance(rtol=args.rtol, atol=args.atol)
-
-
-def _as_pure(state: State, tol: RankTolerance) -> PureState:
-    """The state as a PureState when it has rank 1 at ``tol``: its factor V
-    when V has one column, else V's top left singular vector."""
-    factor = state.factored(tol).factor
-    if factor.shape[1] != 1:
-        u, s, _ = np.linalg.svd(factor, full_matrices=False)
-        rank = rank_from_values(s * s, tol)
-        if rank != 1:
-            raise InputError(
-                "factorization handles pure states only;"
-                f" this state is a mixture of {rank} components"
-            )
-        factor = u[:, :1]
-    return canonical_pure(state.dims, factor[:, 0])
 
 
 def _lattice_report(lattice: criteria.RankLattice, verdict: criteria.Verdict) -> dict:
@@ -225,9 +204,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_factorize(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     state = statefile.load_state(args.file, max_dim=args.max_dim)
-    psi = _as_pure(state, tol)
     started = time.perf_counter()
-    result = factorize_mod.factorize_pure(psi, tol)
+    result = factorize_mod.factorize_pure(state, tol)
     elapsed = time.perf_counter() - started
 
     if args.factors_out:
@@ -243,7 +221,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         "format_version": "1",
         "command": "factorize",
         "input": {"path": str(args.file), "sha256": _digest(args.file)},
-        "dims": list(psi.dims),
+        "dims": list(state.dims),
         "tolerance": {"rtol": tol.rtol, "atol": tol.atol},
         "partition": [_one_based(p) for p in result.partition],
         "fully_entangled_parts": [_one_based(p) for p in result.fully_entangled_parts],
@@ -374,15 +352,6 @@ def cmd_ppt(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- gen
 
 
-def _mixture_terms(rho: DensityMatrix) -> list[tuple[float, PureState]]:
-    """(w_j, psi_j) from the factor columns √w_j·psi_j of a mixture."""
-    weights = np.sum(np.abs(rho.factor) ** 2, axis=0)
-    return [
-        (float(w), PureState(dims=rho.dims, amplitudes=column / np.sqrt(w)))
-        for w, column in zip(weights, rho.factor.T)
-    ]
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     name = args.name
     metadata: dict = {"name": name}
@@ -402,7 +371,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         metadata["params"] = {"p": args.p, "fidelity": spec.fidelity}
     elif name == "paper6":
         state = catalog.six_qubit_benchmark()
-    elif name == "random":
+    else:  # random
         if args.dims is None:
             raise InputError("random needs --dims, e.g. --dims 2,2,2")
         dims = _parse_dims(args.dims)
@@ -411,15 +380,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         metadata["params"] = {"dims": list(dims), "kind": args.kind, "rank": args.rank}
         metadata["seed"] = args.seed
         metadata["generator"] = "philox"
-    else:
-        raise InputError(f"unknown state name {name!r}; choose from {GEN_NAMES}")
 
-    if isinstance(state, PureState):
-        payload = statefile.pure_payload(state, metadata=metadata)
-    elif state.factor is not None:
-        payload = statefile.mixture_payload(_mixture_terms(state), metadata=metadata)
-    else:
-        payload = statefile.density_payload(state, metadata=metadata)
+    payload = statefile.state_payload(state, metadata)
     statefile.write_state_file(args.out, payload)
     kind = payload["kind"]
     dims_text = "x".join(str(d) for d in state.dims)
@@ -435,29 +397,30 @@ def _bench_member(kind: str, dims: tuple[int, ...], seed: int, index: int, args)
         return catalog.separable_mixture(
             dims, seed=seed + index, max_terms=args.max_terms, max_dim=args.max_dim
         )
-    if kind == "haar_pure":
-        return catalog.haar_pure(dims, seed=seed + index, max_dim=args.max_dim)
-    raise InputError(f"unknown bench kind {kind!r}")
+    return catalog.haar_pure(dims, seed=seed + index, max_dim=args.max_dim)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    if args.kind not in BENCH_KINDS:
-        raise InputError(f"unknown bench kind {args.kind!r}; choose from {BENCH_KINDS}")
     if args.count < 1:
         raise InputError(f"count must be >= 1, got {args.count}")
 
     if args.kind == "werner":
-        dims = validate_dims((2, 2), args.max_dim)
-        members: list[State] = [
-            catalog.werner(float(p)) for p in np.linspace(args.p_start, args.p_stop, args.count)
-        ]
+        dims = (2, 2)
     else:
         if args.dims is None:
             raise InputError(f"bench kind {args.kind!r} needs --dims")
         dims = _parse_dims(args.dims)
         if len(dims) < 2:
             raise InputError(f"bench needs at least two particles, got dims {args.dims!r}")
+    dims = validate_dims(dims, args.max_dim)
+    # Every member's lattice has this depth and budget: check them before building any.
+    criteria.lattice_depth(len(dims), args.depth)
+    if args.kind == "werner":
+        members: list[State] = [
+            catalog.werner(float(p)) for p in np.linspace(args.p_start, args.p_stop, args.count)
+        ]
+    else:
         members = [
             _bench_member(args.kind, dims, args.seed, index, args)
             for index in range(args.count)
@@ -476,15 +439,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         both += rank_detected and ppt_detected
 
     neither = args.count - rank_hits - ppt_hits + both
-    row = [
-        args.kind,
-        "x".join(str(d) for d in dims),
-        str(args.seed),
-        str(rank_hits),
-        str(ppt_hits),
-        str(both),
-        str(neither),
-    ]
+    counts = (args.seed, rank_hits, ppt_hits, both, neither)
+    row = [args.kind, "x".join(str(d) for d in dims), *map(str, counts)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(BENCH_CSV_HEADER)

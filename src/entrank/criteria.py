@@ -79,18 +79,23 @@ class Verdict:
     witnesses: tuple[Violation, ...] = ()
 
 
-def default_depth(n: int) -> int:
-    """Half the particle count: for pure states the complement symmetry makes
-    deeper levels redundant; mixed-state callers may extend up to n - 1."""
-    return n // 2
-
-
-def _check_enumeration(n: int, max_depth: int, max_subsets: int) -> None:
-    total = sum(comb(n, k) for k in range(1, max_depth + 1))
+def lattice_depth(
+    k: int, max_depth: Optional[int] = None, max_subsets: int = DEFAULT_MAX_SUBSETS
+) -> int:
+    """The depth of a lattice over k parts, by default k // 2 (for pure
+    states the complement symmetry makes deeper levels redundant). A depth
+    outside min(1, k − 1)..k − 1 is an input error; more than ``max_subsets``
+    traced sets is an enumeration limit, raised before any set is built."""
+    if max_depth is None:
+        max_depth = k // 2
+    if not min(1, k - 1) <= max_depth <= k - 1:
+        raise InputError(f"max_depth must lie in {min(1, k - 1)}..{k - 1}, got {max_depth}")
+    total = sum(comb(k, size) for size in range(1, max_depth + 1))
     if total > max_subsets:
         raise EnumerationLimitError(
             f"{total} subsets at depth {max_depth} exceed the cap {max_subsets}"
         )
+    return max_depth
 
 
 def _partition(parts: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -124,19 +129,14 @@ def rank_lattice(
     Without ``parts`` each particle is its own part. With them, the lattice
     is the paper's criterion for that partition: each part is taken as one
     particle, so a state separable across the parts has no violation.
-    max_depth lies in 1..k − 1 for k parts; a one-particle state has the
-    depth-0 lattice, its state rank alone.
+    ``lattice_depth`` sets and checks max_depth: 1..k − 1 for k parts,
+    while a one-particle state has the depth-0 lattice, its state rank alone.
     The state rank (the full particle set) and every entry come from one
     ``subset_ranks`` call, which factors the state once.
     """
     n = state.n
     units = [(i,) for i in range(n)] if parts is None else _partition(parts, n)
-    k = len(units)
-    if max_depth is None:
-        max_depth = default_depth(k)
-    if not min(1, k - 1) <= max_depth <= k - 1:
-        raise InputError(f"max_depth must lie in {min(1, k - 1)}..{k - 1}, got {max_depth}")
-    _check_enumeration(k, max_depth, max_subsets)
+    max_depth = lattice_depth(len(units), max_depth, max_subsets)
 
     traced_sets = [
         tuple(sorted(sum(combo, ())))

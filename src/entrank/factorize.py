@@ -20,10 +20,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .criteria import DEFAULT_MAX_SUBSETS, _check_enumeration
-from .errors import InternalInconsistencyError, PartitionError
+from .criteria import DEFAULT_MAX_SUBSETS, lattice_depth
+from .errors import InputError, InternalInconsistencyError, PartitionError
 from .linalg import DEFAULT_TOLERANCE, RankTolerance, rank_from_values
-from .states import PureState, bipartition_matrix, canonical_pure, subset_ranks
+from .states import PureState, State, bipartition_matrix, canonical_pure, subset_ranks
 
 RESIDUAL_THRESHOLD = 1e-8
 
@@ -60,6 +60,13 @@ class FactorizationResult:
     trace_log: tuple[StepRecord, ...]
 
 
+def _top_vector(matrix: np.ndarray, tol: RankTolerance) -> tuple[np.ndarray, int]:
+    """The dominant left singular vector of ``matrix`` and the rank of its
+    squared singular values at ``tol``."""
+    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    return u[:, 0], rank_from_values(s * s, tol)
+
+
 def _extract_factor(psi: PureState, part: tuple[int, ...], tol: RankTolerance) -> PureState:
     """Pure state of a factor part, with the global phase canonicalized.
 
@@ -70,13 +77,11 @@ def _extract_factor(psi: PureState, part: tuple[int, ...], tol: RankTolerance) -
     if len(part) == psi.n:
         vec = psi.amplitudes
     else:
-        m = bipartition_matrix(psi, part)
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        if rank_from_values(s * s, tol) != 1:
+        vec, rank = _top_vector(bipartition_matrix(psi, part), tol)
+        if rank != 1:
             raise InternalInconsistencyError(
                 f"part {part} accepted as a factor but its reduced state is mixed"
             )
-        vec = u[:, 0]
     return canonical_pure([psi.dims[i] for i in part], vec)
 
 
@@ -107,11 +112,16 @@ def _sweep(
 
 
 def factorize_pure(
-    psi: PureState,
+    state: State,
     tol: RankTolerance = DEFAULT_TOLERANCE,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> FactorizationResult:
-    """Split a pure state into its finest tensor-product partition.
+    """Split a state of rank 1 into its finest tensor-product partition.
+
+    The sweep budget is checked first, before the state is decomposed. Then
+    ψ is the factor V at ``tol`` when V has one column, else V's top left
+    singular vector, with its global phase canonicalized; a state of rank
+    above 1 is an input error.
 
     Every part of size one is a disentangled particle; every larger part is
     fully entangled (no subset of it has a pure reduced state). The result
@@ -120,8 +130,16 @@ def factorize_pure(
     accepted a cut that is not actually a product and is reported as an
     internal inconsistency.
     """
+    lattice_depth(state.n, None, max_subsets)
+    factor = state.factored(tol).factor
+    vec, rank = (factor[:, 0], 1) if factor.shape[1] == 1 else _top_vector(factor, tol)
+    if rank != 1:
+        raise InputError(
+            "factorization handles pure states only;"
+            f" this state is a mixture of {rank} components"
+        )
+    psi = canonical_pure(state.dims, vec)
     n = psi.n
-    _check_enumeration(n, n // 2, max_subsets)
 
     log: list[StepRecord] = []
     parts: list[tuple[int, ...]] = []

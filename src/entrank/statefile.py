@@ -269,14 +269,11 @@ def load_state(
 
 
 def _amplitude_entries(dims: tuple[int, ...], amps: np.ndarray) -> list[dict]:
-    entries = []
-    for flat in range(amps.shape[0]):
-        value = amps[flat]
-        if value.real == 0.0 and value.imag == 0.0:
-            continue
-        index = [int(i) for i in np.unravel_index(flat, dims)]
-        entries.append({"index": index, "re": float(value.real), "im": float(value.imag)})
-    return entries
+    """One entry per nonzero amplitude, in basis order."""
+    flat = np.flatnonzero(amps)
+    index = np.stack(np.unravel_index(flat, dims), axis=1).tolist()
+    re, im = amps.real[flat].tolist(), amps.imag[flat].tolist()
+    return [{"index": i, "re": r, "im": m} for i, r, m in zip(index, re, im)]
 
 
 def pure_payload(psi: PureState, metadata: Optional[dict] = None) -> dict:
@@ -326,6 +323,22 @@ def density_payload(rho: DensityMatrix, metadata: Optional[dict] = None) -> dict
     if metadata:
         payload["metadata"] = metadata
     return payload
+
+
+def state_payload(state: State, metadata: Optional[dict] = None) -> dict:
+    """The payload of the state's own form: ``pure`` for a PureState,
+    ``mixture`` for a state with an exact factor, whose columns √w_j·ψ_j
+    give the terms (w_j, ψ_j), and ``dense`` for a bare matrix."""
+    if isinstance(state, PureState):
+        return pure_payload(state, metadata)
+    if state.factor is None:
+        return density_payload(state, metadata)
+    weights = np.sum(np.abs(state.factor) ** 2, axis=0)
+    terms = [
+        (float(w), PureState(dims=state.dims, amplitudes=column / np.sqrt(w)))
+        for w, column in zip(weights, state.factor.T)
+    ]
+    return mixture_payload(terms, metadata)
 
 
 def write_state_file(path: Union[str, Path], payload: dict) -> None:

@@ -328,7 +328,6 @@ def test_check_partition_takes_each_rank_once(capsys, monkeypatch, ghz3_file):
         return original(state, calls[-1], *args, **kwargs)
 
     monkeypatch.setattr(criteria, "subset_ranks", counting)
-    monkeypatch.setattr(cli, "subset_rank", lambda state, subset, *a, **k: calls.append([subset]))
     code, out, _ = run(capsys, "check-partition", ghz3_file, "1|2|3", "--json")
     assert code == 0
     assert len(json.loads(out)["pairs"]) == 3
@@ -627,6 +626,33 @@ def test_bench_needs_two_particles(kind, capsys, monkeypatch):
     code, out, err = run(capsys, "bench", "--kind", kind, "--dims", "2", "--count", 2)
     assert (code, out) == (2, "")
     assert err == "error: bench needs at least two particles, got dims '2'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["--kind", "haar_pure", "--dims", "2,2", "--count", "50", "--depth", "5"],
+         2, "max_depth must lie in 1..1, got 5"),
+        (["--kind", "product_mixture", "--dims", "2,2,2", "--count", "5", "--depth", "0"],
+         2, "max_depth must lie in 1..2, got 0"),
+        (["--kind", "werner", "--count", "5", "--depth", "2"],
+         2, "max_depth must lie in 1..1, got 2"),
+        (["--kind", "haar_pure", "--dims", ",".join(["2"] * 18), "--max-dim", "262144",
+          "--depth", "9", "--count", "20"],
+         3, "155381 subsets at depth 9 exceed the cap 100000"),
+    ],
+    ids=["depth_too_deep", "depth_zero", "werner_depth", "subset_cap"],
+)
+def test_bench_checks_its_lattice_budget_before_any_member(argv, code, message, capsys,
+                                                           monkeypatch):
+    from entrank import catalog, cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bench member was built")
+
+    monkeypatch.setattr(cli, "_bench_member", refuse)
+    monkeypatch.setattr(catalog, "werner", refuse)
+    assert run(capsys, "bench", *argv) == (code, "", f"error: {message}\n")
 
 
 REMOVED_FLAGS = [

@@ -419,3 +419,26 @@ def test_factorization_partition_never_flags():
 def test_verdict_dataclass_shape():
     verdict = Verdict(tag=INCONCLUSIVE)
     assert verdict.witnesses == ()
+
+
+def test_lattice_depth_default_and_limits():
+    """The one budget helper: half the parts by default, a depth outside
+    min(1, k - 1)..k - 1 is an input error (exit 2), and too many traced
+    sets an enumeration limit (exit 3)."""
+    from entrank.criteria import lattice_depth
+
+    assert [lattice_depth(k) for k in (1, 2, 5, 12)] == [0, 1, 2, 6]
+    assert lattice_depth(4, 3) == 3
+    with pytest.raises(InputError) as exc:
+        lattice_depth(4, 4)
+    assert (str(exc.value), exc.value.exit_code) == ("max_depth must lie in 1..3, got 4", 2)
+    with pytest.raises(InputError, match=r"^max_depth must lie in 0\.\.0, got 1$"):
+        lattice_depth(1, 1)
+    with pytest.raises(EnumerationLimitError) as exc:
+        lattice_depth(18, 9)
+    assert (str(exc.value), exc.value.exit_code) == (
+        "155381 subsets at depth 9 exceed the cap 100000", 3
+    )
+    assert lattice_depth(6, 2, max_subsets=21) == 2
+    with pytest.raises(EnumerationLimitError, match="^21 subsets at depth 2 exceed the cap 20$"):
+        lattice_depth(6, 2, max_subsets=20)

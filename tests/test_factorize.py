@@ -265,3 +265,55 @@ def test_loose_tolerance_caught_by_residual_check():
     assert factorize_pure(weakly).partition == ((0, 1),)
     with pytest.raises(InternalInconsistencyError, match="residual"):
         factorize_pure(weakly, tol=RankTolerance(rtol=0.3))
+
+
+def test_factorize_pure_reads_any_rank1_state():
+    """A PureState, a one-term mixture of the same state under another global
+    phase, and its projector as a bare matrix give one partition and one
+    trace: the phase is canonicalized before the sweeps."""
+    from entrank.states import DensityMatrix, mix
+
+    psi = tensor_pure(tensor_pure(bell(), haar_pure((2, 3), seed=8)), product_pure((2,), seed=9))
+    turned = pure_state(psi.dims, np.exp(2.1j) * psi.amplitudes)
+    results = [
+        factorize_pure(psi),
+        factorize_pure(mix([(1.0, turned)])),
+        factorize_pure(DensityMatrix(dims=psi.dims, matrix=psi.matrix)),
+    ]
+    assert results[0].partition == ((0, 1), (2, 3), (4,))
+    for result in results[1:]:
+        assert result.partition == results[0].partition
+        assert result.trace_log == results[0].trace_log
+        assert result.residual <= 1e-12
+
+
+def test_factorize_pure_rejects_rank2_mixture():
+    from entrank.errors import InputError
+    from entrank.states import mix
+
+    minus = pure_state((2, 2), np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2))
+    with pytest.raises(InputError) as exc:
+        factorize_pure(mix([(0.5, bell()), (0.5, minus)]))
+    assert str(exc.value) == (
+        "factorization handles pure states only; this state is a mixture of 2 components"
+    )
+
+
+def test_enumeration_limit_comes_before_any_decomposition(monkeypatch):
+    """The sweep budget is checked before a bare matrix is decomposed."""
+    from entrank.errors import EnumerationLimitError
+    from entrank.states import DensityMatrix
+
+    psi = ghz(6, 2)
+    rho = DensityMatrix(dims=psi.dims, matrix=psi.matrix)
+    calls = []
+    for name in ("eigh", "svd"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    with pytest.raises(EnumerationLimitError, match="41 subsets at depth 3 exceed the cap 10"):
+        factorize_pure(rho, max_subsets=10)
+    assert calls == []
+    assert factorize_pure(rho).partition == (tuple(range(6)),)
+    assert calls[0] == "eigh"

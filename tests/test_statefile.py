@@ -368,3 +368,60 @@ def test_state_file_bytes_are_those_of_json_dumps(tmp_path):
     for k, payload in enumerate(payloads):
         path = write(tmp_path, payload, f"state{k}.json")
         assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_state_payload_picks_the_state_form(tmp_path):
+    """pure for a PureState, mixture for a state with an exact factor (terms
+    from its columns √w_j·ψ_j), dense for a bare matrix; each file holds the
+    bytes of the per-kind builder."""
+    from entrank.statefile import state_payload
+
+    psi = haar_pure((2, 3), seed=4)
+    rho = mixed_of_rank((2, 2), seed=5, rank=1)
+    (weight,) = np.sum(np.abs(rho.factor) ** 2, axis=0)
+    term = PureState(dims=rho.dims, amplitudes=rho.factor[:, 0] / np.sqrt(weight))
+    meta = {"name": "test"}
+    cases = [
+        (psi, "pure", pure_payload(psi, meta)),
+        (rho, "mixture", mixture_payload([(float(weight), term)], meta)),
+        (werner(0.3), "dense", density_payload(werner(0.3), meta)),
+    ]
+    for state, kind, expected in cases:
+        payload = state_payload(state, meta)
+        assert payload["kind"] == kind
+        path = write(tmp_path, payload, "a.json")
+        assert path.read_bytes() == write(tmp_path, expected, "b.json").read_bytes()
+        assert np.allclose(load_state(path).matrix, state.matrix, atol=1e-12)
+
+
+def test_amplitude_entries_list_every_nonzero_amplitude_in_order():
+    """An amplitude of signed zeros is left out; any other keeps its entry, with
+    its index per particle and the sign of a zero part, as the loop over every
+    amplitude gives them."""
+    amps = np.zeros(12, dtype=np.complex128)
+    amps[0] = complex(-0.0, -0.0)
+    amps[3] = complex(0.0, -0.5)
+    amps[7] = complex(0.5, -0.0)
+    amps[11] = complex(-0.5, 0.5)
+    payload = pure_payload(PureState(dims=(2, 3, 2), amplitudes=amps))
+    assert json.dumps(payload["amplitudes"]) == json.dumps([
+        {"index": [0, 1, 1], "re": 0.0, "im": -0.5},
+        {"index": [1, 0, 1], "re": 0.5, "im": -0.0},
+        {"index": [1, 2, 1], "re": -0.5, "im": 0.5},
+    ])
+    assert all(type(i) is int for entry in payload["amplitudes"] for i in entry["index"])
+    for state in (PureState(dims=(2, 3, 2), amplitudes=amps), haar_pure((2, 3, 2), seed=6)):
+        assert json.dumps(pure_payload(state)["amplitudes"]) == json.dumps(
+            entries_one_by_one(state)
+        )
+
+
+def entries_one_by_one(psi):
+    """The amplitude entries of a pure payload, one amplitude at a time."""
+    entries = []
+    for flat, value in enumerate(psi.amplitudes):
+        if value.real == 0.0 and value.imag == 0.0:
+            continue
+        index = [int(i) for i in np.unravel_index(flat, psi.dims)]
+        entries.append({"index": index, "re": float(value.real), "im": float(value.imag)})
+    return entries
