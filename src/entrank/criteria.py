@@ -16,26 +16,42 @@ reduced matrix has rank above 1, and fully entangled iff they all do. Both
 are readings of ``factorize.factorize_pure``'s partition: some part holds two
 or more particles, or the one part holds them all.
 
-Every rank comes from the one kernel ``states.subset_ranks``, called once
-per lattice or sweep with all the subsets it needs.
+Every rank comes from the one kernel ``states.subset_ranks``. A lattice makes
+one call with all the subsets it needs, except a large lattice of a pure
+state, which first reads factorize's sweeps (``factorize.sweep_pure``): once
+its first sweep splits off nothing, the sweeps hold every cut, and a product
+split earlier has its entries counted from its blocks' spectra wherever that
+count provably equals the direct one; the call then takes the state rank and
+the entries left over.
+The depth and subset budget of every lattice is ``states.lattice_depth``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Mapping, Optional, Sequence
 
-from .errors import EnumerationLimitError, InputError, PartitionError
+import numpy as np
+
+from .errors import InternalInconsistencyError, PartitionError
+from .factorize import RESIDUAL_THRESHOLD, product_factors, sweep_pure
 from .linalg import DEFAULT_TOLERANCE, RankTolerance
-from .states import State, normalize_subset, subset_ranks
+from .states import (
+    CHUNK_BYTES,
+    DEFAULT_MAX_SUBSETS,
+    PureState,
+    State,
+    bipartition_matrix,
+    lattice_depth,
+    normalize_subset,
+    subset_ranks,
+)
 
 ENTANGLED = "ENTANGLED"
 INCONCLUSIVE = "INCONCLUSIVE"
 SEPARABLE_PURE_PRODUCT = "SEPARABLE_PURE_PRODUCT"
-
-DEFAULT_MAX_SUBSETS = 100_000
 
 
 @dataclass(frozen=True)
@@ -79,25 +95,6 @@ class Verdict:
     witnesses: tuple[Violation, ...] = ()
 
 
-def lattice_depth(
-    k: int, max_depth: Optional[int] = None, max_subsets: int = DEFAULT_MAX_SUBSETS
-) -> int:
-    """The depth of a lattice over k parts, by default k // 2 (for pure
-    states the complement symmetry makes deeper levels redundant). A depth
-    outside min(1, k − 1)..k − 1 is an input error; more than ``max_subsets``
-    traced sets is an enumeration limit, raised before any set is built."""
-    if max_depth is None:
-        max_depth = k // 2
-    if not min(1, k - 1) <= max_depth <= k - 1:
-        raise InputError(f"max_depth must lie in {min(1, k - 1)}..{k - 1}, got {max_depth}")
-    total = sum(comb(k, size) for size in range(1, max_depth + 1))
-    if total > max_subsets:
-        raise EnumerationLimitError(
-            f"{total} subsets at depth {max_depth} exceed the cap {max_subsets}"
-        )
-    return max_depth
-
-
 def _partition(parts: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """The parts as sorted tuples in sorted order, checked to be at least two,
     nonempty, disjoint and covering all n particles."""
@@ -131,8 +128,14 @@ def rank_lattice(
     particle, so a state separable across the parts has no violation.
     ``lattice_depth`` sets and checks max_depth: 1..k − 1 for k parts,
     while a one-particle state has the depth-0 lattice, its state rank alone.
-    The state rank (the full particle set) and every entry come from one
-    ``subset_ranks`` call, which factors the state once.
+
+    The state is factored once. A lattice over particles of a state with a
+    one-column factor V, at depth ≥ n // 2, holds every cut once, 2^(n−1)
+    of them with the full set; when they exceed one chunk of the kernel
+    (2^(n−1)·‖V‖ > ``CHUNK_BYTES``), the entries are read from factorize's
+    sweeps first (``_pure_ranks``). The state rank and every entry not read
+    there come from one ``subset_ranks`` call, as every entry of any other
+    lattice does.
     """
     n = state.n
     units = [(i,) for i in range(n)] if parts is None else _partition(parts, n)
@@ -143,14 +146,123 @@ def rank_lattice(
         for size in range(1, max_depth + 1)
         for combo in combinations(units, size)
     ]
-    kept = [tuple(i for i in range(n) if i not in traced) for traced in traced_sets]
-    state_rank, *ranks = subset_ranks(state, [tuple(range(n))] + kept, tol)
+    state = state.factored(tol)
+    v = state.factor
+    if parts is None and v.shape[1] == 1 and max_depth >= n // 2 and (
+        (1 << (n - 1)) * v.nbytes > CHUNK_BYTES
+    ):
+        ranks = _pure_ranks(PureState(state.dims, v[:, 0]), traced_sets, tol)
+    else:
+        ranks = [None] * len(traced_sets)
+    todo = [k for k, rank in enumerate(ranks) if rank is None]
+    kept = [tuple(i for i in range(n) if i not in traced_sets[k]) for k in todo]
+    state_rank, *direct = subset_ranks(state, [tuple(range(n))] + kept, tol)
+    for k, rank in zip(todo, direct):
+        ranks[k] = rank
     return RankLattice(
         state_rank=state_rank,
         entries=dict(zip(traced_sets, ranks)),
         max_depth=max_depth,
         parts=tuple(units),
     )
+
+
+def _pure_ranks(psi: PureState, traced_sets: list, tol: RankTolerance) -> list[Optional[int]]:
+    """The entries of ψ's lattice that factorize's sweeps decide; None for
+    the others, and for all of them when the sweeps fail.
+
+    When the first sweep splits off nothing, the sweeps rank every subset of
+    at most n // 2 particles, so each entry is the rank of its traced or of
+    its kept set, the same cut. Otherwise ψ has split, and unless the
+    residual exceeds ``RESIDUAL_THRESHOLD`` its entries are counted from its
+    blocks' spectra (``_product_ranks``).
+    """
+    n = psi.n
+    try:
+        _, partition, swept = sweep_pure(psi, tol)
+        if len(swept) == sum(comb(n, k) for k in range(1, n // 2 + 1)):
+            return [
+                swept[t if 2 * len(t) <= n else tuple(i for i in range(n) if i not in t)]
+                for t in traced_sets
+            ]
+        factors, residual = product_factors(psi, partition, tol)
+    except InternalInconsistencyError:  # an acceptance the sweeps or the factors contradict
+        return [None] * len(traced_sets)
+    if residual > RESIDUAL_THRESHOLD:
+        return [None] * len(traced_sets)
+    return _product_ranks(partition, factors, residual, traced_sets, tol)
+
+
+def _product_ranks(
+    partition: tuple[tuple[int, ...], ...],
+    factors: tuple[PureState, ...],
+    residual: float,
+    traced_sets: list,
+    tol: RankTolerance,
+) -> list[Optional[int]]:
+    """Ranks of ψ ≈ e^{iθ}·φ, φ = ⊗_b φ_b over the parts b of ``partition``
+    with ``factors`` φ_b, each counted from the product of the blocks'
+    spectra where that count is certain, else None.
+
+    Across the cut T | K (traced | kept) the singular values of φ's cut
+    matrix are the products over blocks of φ_b's Schmidt coefficients across
+    (b ∩ T) | (b ∩ K) (a block on one side gives 1), zero-padded to the
+    bound min(d_T, d_K). By Weyl's inequality each singular value of ψ's cut
+    matrix lies within Δ = ‖ψ − e^{iθ}φ‖ ≤ residual of the one of the same
+    order, and LAPACK returns them to within its backward error, taken as
+    4·ε·(d_T + d_K)·(1 + Δ) ≤ 4·ε·(d + 1)·(1 + Δ) for the direct SVD, the
+    block SVDs and the products together (d_T·d_K = d, and 1 + Δ ≥ ‖ψ‖
+    bounds every singular value). With slack the sum of the two and s_1 the
+    top product, the direct count compares
+    each computed value with the √ of tol.cutoff at a top value in
+    [s_1 − slack, s_1 + slack]. A count is taken when every product, and
+    zero, lies more than slack away from that range of thresholds: it then
+    equals the direct count, value by value.
+    """
+    d = prod(factor.dim for factor in factors)
+    slack = residual + 4 * np.finfo(float).eps * (d + 1) * (1 + residual)
+    masks = np.array([sum(1 << i for i in t) for t in traced_sets], np.int64)
+    # Per block, the row of each entry's b ∩ T in the block's spectra.
+    rows = [sum(((masks >> i) & 1) << j for j, i in enumerate(part)) for part in partition]
+    tables = [_block_spectra(factor) for factor in factors]
+    step = max(1, CHUNK_BYTES // (8 * prod(table.shape[1] for table in tables)))
+    ranks: list[Optional[int]] = []
+    for lo in range(0, len(masks), step):
+        values = np.ones((len(masks[lo : lo + step]), 1))
+        for table, row in zip(tables, rows):
+            block = table[row[lo : lo + step]]
+            values = (values[:, :, None] * block[:, None, :]).reshape(len(values), -1)
+        top = values[:, :1]
+        low = np.sqrt(tol.cutoff(np.maximum(top - slack, 0.0) ** 2))
+        high = np.sqrt(tol.cutoff((top + slack) ** 2))
+        above = values - slack > high
+        certain = (above | (values + slack < low)).all(axis=1) & (slack < low[:, 0])
+        ranks += [int(c) if ok else None for c, ok in zip(above.sum(axis=1), certain)]
+    return ranks
+
+
+def _block_spectra(factor: PureState) -> np.ndarray:
+    """Row x: the descending Schmidt coefficients of ``factor`` across the
+    subset of its particles whose bits are set in x, zero-padded; the empty
+    and the full subset give 1. The cuts of one shape are stacked into
+    chunks of at most ``CHUNK_BYTES``, one SVD each."""
+    k, d = factor.n, factor.dim
+    full = (1 << k) - 1
+    shapes: dict[int, list] = {}
+    for x in range(1, 1 << (k - 1)):  # x and full ^ x are the same cut
+        subset = tuple(i for i in range(k) if x >> i & 1)
+        shapes.setdefault(prod(factor.dims[i] for i in subset), []).append((x, subset))
+    table = np.zeros((full + 1, max([min(d_x, d // d_x) for d_x in shapes] + [1])))
+    table[[0, full], 0] = 1.0
+    step = max(1, CHUNK_BYTES // factor.amplitudes.nbytes)
+    for members in shapes.values():
+        for lo in range(0, len(members), step):
+            chunk = members[lo : lo + step]
+            stack = np.stack([bipartition_matrix(factor, subset) for _, subset in chunk])
+            values = np.linalg.svd(stack, compute_uv=False)
+            rows = [x for x, _ in chunk]
+            table[rows + [full ^ x for x in rows], : values.shape[1]] = np.concatenate([values] * 2)
+    return table
 
 
 def check_rank_monotonicity(lattice: RankLattice) -> list[Violation]:

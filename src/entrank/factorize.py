@@ -11,6 +11,18 @@ no subset is tested twice.
 Accepted subsets of one sweep are provably disjoint: an overlap would imply
 a smaller separable subset that an earlier sweep would have accepted. This
 is asserted at runtime rather than assumed.
+
+The ranks come from ``states.subset_ranks``: one call per size while every
+sweep splits off a factor, which shrinks the remainder fast. Once a sweep
+splits off nothing, one call takes every remaining size over the remainder,
+so that its large cuts certify the small ones (rank inheritance), and every
+later sweep, even over a smaller remainder, reads its ranks from that call:
+the rank of ψ's reduced state on a subset does not depend on the remainder.
+
+``sweep_pure`` runs the sweeps and ``product_factors`` the reconstruction;
+``factorize_pure`` adds the budget check, the reading of ψ and the residual
+threshold, and ``criteria.rank_lattice`` reads a pure state's lattice from
+the two.
 """
 
 from __future__ import annotations
@@ -20,10 +32,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .criteria import DEFAULT_MAX_SUBSETS, lattice_depth
 from .errors import InputError, InternalInconsistencyError, PartitionError
 from .linalg import DEFAULT_TOLERANCE, RankTolerance, rank_from_values
-from .states import PureState, State, bipartition_matrix, canonical_pure, subset_ranks
+from .states import (
+    DEFAULT_MAX_SUBSETS,
+    PureState,
+    State,
+    bipartition_matrix,
+    canonical_pure,
+    lattice_depth,
+    subset_ranks,
+)
 
 RESIDUAL_THRESHOLD = 1e-8
 
@@ -86,13 +105,8 @@ def _extract_factor(psi: PureState, part: tuple[int, ...], tol: RankTolerance) -
 
 
 def _sweep(
-    psi: PureState,
-    remainder: list[int],
-    size: int,
-    tol: RankTolerance,
+    remainder: list[int], size: int, tested: tuple[tuple[tuple[int, ...], int], ...]
 ) -> StepRecord:
-    subsets = list(combinations(remainder, size))
-    tested = tuple(zip(subsets, subset_ranks(psi, subsets, tol)))
     accepted: list[tuple[int, ...]] = []
     taken: set[int] = set()
     for subset, rank in tested:
@@ -109,6 +123,47 @@ def _sweep(
         tested=tested,
         accepted=tuple(accepted),
     )
+
+
+def sweep_pure(
+    psi: PureState, tol: RankTolerance
+) -> tuple[tuple[StepRecord, ...], tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The sweeps over ψ: their trace, ψ's finest product partition (parts
+    ordered by smallest member) and the rank of every subset the kernel was
+    given. ψ's amplitudes are used as given."""
+    log: list[StepRecord] = []
+    parts: list[tuple[int, ...]] = []
+    remainder = list(range(psi.n))
+    ranks: dict[tuple[int, ...], int] = {}
+    covered = 0  # the largest size whose subsets of the remainder ``ranks`` holds
+
+    size = 1
+    while 2 * size <= len(remainder):
+        if size > covered:
+            covered = size if not log or log[-1].accepted else len(remainder) // 2
+            batch = [s for k in range(size, covered + 1) for s in combinations(remainder, k)]
+            ranks.update(zip(batch, subset_ranks(psi, batch, tol)))
+        tested = tuple((s, ranks[s]) for s in combinations(remainder, size))
+        record = _sweep(remainder, size, tested)
+        log.append(record)
+        for subset in record.accepted:
+            parts.append(subset)
+            remainder = [i for i in remainder if i not in set(subset)]
+        size += 1
+
+    if remainder:
+        parts.append(tuple(remainder))
+    parts.sort(key=lambda p: p[0])
+    return tuple(log), tuple(parts), ranks
+
+
+def product_factors(
+    psi: PureState, partition: tuple[tuple[int, ...], ...], tol: RankTolerance
+) -> tuple[tuple[PureState, ...], float]:
+    """The normalized factor of each part of ``partition`` and the residual
+    of ψ against their product."""
+    factors = tuple(_extract_factor(psi, part, tol) for part in partition)
+    return factors, _reconstruction_residual(psi, partition, factors)
 
 
 def factorize_pure(
@@ -139,40 +194,19 @@ def factorize_pure(
             f" this state is a mixture of {rank} components"
         )
     psi = canonical_pure(state.dims, vec)
-    n = psi.n
-
-    log: list[StepRecord] = []
-    parts: list[tuple[int, ...]] = []
-    remainder = list(range(n))
-
-    size = 1
-    while 2 * size <= len(remainder):
-        record = _sweep(psi, remainder, size, tol)
-        log.append(record)
-        for subset in record.accepted:
-            parts.append(subset)
-            remainder = [i for i in remainder if i not in set(subset)]
-        size += 1
-
-    if remainder:
-        parts.append(tuple(remainder))
-    parts.sort(key=lambda p: p[0])
-
-    factors = tuple(_extract_factor(psi, part, tol) for part in parts)
-    fully_entangled = tuple(p for p in parts if len(p) >= 2)
-    residual = _reconstruction_residual(psi, tuple(parts), factors)
+    log, partition, _ = sweep_pure(psi, tol)
+    factors, residual = product_factors(psi, partition, tol)
     if residual > RESIDUAL_THRESHOLD:
         raise InternalInconsistencyError(
             f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_THRESHOLD:.1e};"
             " the rank tolerance accepted a non-product cut"
         )
-
     return FactorizationResult(
-        partition=tuple(parts),
+        partition=partition,
         factors=factors,
-        fully_entangled_parts=fully_entangled,
+        fully_entangled_parts=tuple(p for p in partition if len(p) >= 2),
         residual=residual,
-        trace_log=tuple(log),
+        trace_log=log,
     )
 
 

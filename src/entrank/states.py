@@ -36,9 +36,10 @@ that the support form and the inherited ranks change no rank are in
 
 The partial-transpose baseline ``ppt_minimum`` transposes the smaller side of
 the cut (ρ^{T_A} = (ρ^{T_rest})^T has the same spectrum) and uses an exact
-factor (a PureState, or a mixture from ``mix``): when d_A·r < d_rest for the
-transposed part A, it compresses the rest to ρ's support and solves a d_A²·r
-eigenproblem. A bare matrix, and a factor too wide to shrink, take the full
+factor (a PureState, or a mixture from ``mix``): a pure state's value is
+−s_1·s_2 of its Schmidt coefficients across the cut, from one SVD, and when
+d_A·r < d_rest for the transposed part A of a mixture, it compresses the rest
+to ρ's support and solves a d_A²·r eigenproblem. A bare matrix, and a factor too wide to shrink, take the full
 d × d transpose of ``matrix`` (a PureState builds ψψ† on each access); the
 truncated factor ``factored`` gives a bare matrix is not exact and is not what
 the CLI passes. A dense matrix from outside enters through ``density_matrix``
@@ -54,12 +55,14 @@ import os
 import string
 import threading
 from dataclasses import dataclass, field, replace
-from math import prod, sqrt
+from math import comb, prod, sqrt
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
+    EnumerationLimitError,
+    InputError,
     NormalizationError,
     PartitionError,
     ShapeError,
@@ -77,6 +80,7 @@ DENSITY_ATOL = 1e-9
 RESCALE_GUARD = 1e-12
 CHUNK_BYTES = 1 << 20
 CERTIFY_MARGIN = 100.0
+DEFAULT_MAX_SUBSETS = 100_000
 
 SubsetLike = Iterable[int]
 
@@ -92,6 +96,27 @@ def validate_dims(dims: Sequence[int], max_dim: int = DEFAULT_MAX_DIM) -> tuple[
     if total > max_dim:
         raise SizeLimitError(f"joint dimension {total} exceeds the maximum {max_dim}")
     return dims
+
+
+def lattice_depth(
+    k: int, max_depth: Optional[int] = None, max_subsets: int = DEFAULT_MAX_SUBSETS
+) -> int:
+    """The depth of a lattice over k parts, by default k // 2 (for pure
+    states the complement symmetry makes deeper levels redundant). A depth
+    outside min(1, k − 1)..k − 1 is an input error; more than ``max_subsets``
+    traced sets is an enumeration limit, raised before any set is built.
+    This is the one budget check of every lattice, factorize sweep and
+    ``bench``, the subset cap beside ``validate_dims``'s dimension cap."""
+    if max_depth is None:
+        max_depth = k // 2
+    if not min(1, k - 1) <= max_depth <= k - 1:
+        raise InputError(f"max_depth must lie in {min(1, k - 1)}..{k - 1}, got {max_depth}")
+    total = sum(comb(k, size) for size in range(1, max_depth + 1))
+    if total > max_subsets:
+        raise EnumerationLimitError(
+            f"{total} subsets at depth {max_depth} exceed the cap {max_subsets}"
+        )
+    return max_depth
 
 
 def normalize_subset(indices: SubsetLike, n: int) -> tuple[int, ...]:
@@ -330,7 +355,14 @@ def ppt_minimum(state: State, part: SubsetLike) -> float:
     has the same spectrum, and the smaller side is the one that compresses.
     The value then agrees with the transpose on A to rounding (≤ 1e-14).
 
-    A state that carries an exact factor V (d × r: a PureState, or a mixture
+    A state with an exact factor of one column (a PureState, or a mixture of
+    one term) needs no eigensolve: for ψ with Schmidt coefficients s_1 ≥ s_2
+    ≥ ..., the eigenvalues of ρ^{T_A} are s_i² and ±s_i·s_j for i < j (Vidal
+    & Werner, PRA 65, 032314 (2002)), so the value is −s_1·s_2 from one SVD
+    of the cut's (d_A, d_rest) matrix, 0 at Schmidt rank 1. It agrees with
+    the dense value to rounding (≤ 1e-14), not bit for bit.
+
+    Any other state that carries an exact factor V (d × r: a mixture
     built by ``mix``) is first compressed to ρ's support on the rest when
     d_A·r < d_rest. With V regrouped as W (d_rest × d_A·r) = Q R, ρ =
     (1_A ⊗ Q) ρ′ (1_A ⊗ Q)† for the state ρ′ on A ⊗ C^{d_A·r} whose factor is
@@ -354,6 +386,9 @@ def ppt_minimum(state: State, part: SubsetLike) -> float:
         part = _complement(part, state.n)
         d_a = state.dim // d_a
     v = state.factor
+    if v is not None and v.shape[1] == 1:
+        s = np.linalg.svd(bipartition_matrix(state, part), compute_uv=False)
+        return 0.0 - float(s[0] * s[1])
     if v is not None and d_a * v.shape[1] < state.dim // d_a:
         r = v.shape[1]
         w = bipartition_matrix(state, _complement(part, state.n))
@@ -403,8 +438,9 @@ def subset_ranks(
     (d_subset, d_rest · r) above tol.cutoff of the largest, as
     ``rank_from_values(bipartition_spectrum(state, subset), tol)`` does. The
     state is factored once. A repeated subset is computed once, and so are a
-    pure state's subset and its complement: they are the same cut, and the
-    one listed first is decomposed. Each cut then gets its plan: the matrix
+    pure state's subset and its complement: they are the same cut, built from
+    the side that holds particle 0 whichever side is listed, so a cut's rank
+    does not depend on the call it comes from. Each cut then gets its plan: the matrix
     that stands for it, its level and the small sides it can certify. One
     loop takes the levels in decreasing order: it gives full rank to each cut
     certified by a side found so far, decomposes the others in stacked SVDs
@@ -460,7 +496,7 @@ def subset_ranks(
                 slot[subset] = slot[rest]
             else:
                 slot[subset] = len(cuts)
-                cuts.append((subset, rest))
+                cuts.append((subset, rest) if r > 1 or subset[0] == 0 else (rest, subset))
         order.append(slot[subset])
 
     # The plan: per cut (rows, shape, fill item, level, small sides it certifies),
@@ -472,7 +508,10 @@ def subset_ranks(
         fill, size = _support_fill(state, support), m * m * r
         plan = [(m * r, (m * r, m), sum(map(bits.__getitem__, s)), 0, ()) for s, _ in cuts]
     else:
-        tensor = v.reshape(state.dims + (r,))
+        # The ancilla axis n, which a pure state's tensor leaves out, so that
+        # both sides of its cut give the same shape.
+        anc = (n,) if r > 1 else ()
+        tensor = v.reshape(state.dims + (r,) * len(anc))
 
         def fill(stack: np.ndarray, orders: list) -> None:
             for j, axes in enumerate(orders):
@@ -484,7 +523,7 @@ def subset_ranks(
         for subset, rest in cuts:
             d_s = prod(map(state.dims.__getitem__, subset))
             d_y = d // d_s * r
-            axes, rows = (rest + (n,) + subset, d_y) if d_s < d_y else (subset + rest + (n,), d_s)
+            axes, rows = (rest + anc + subset, d_y) if d_s < d_y else (subset + rest + anc, d_s)
             shape = tuple(map(tensor.shape.__getitem__, axes))
             if not levelled:
                 plan.append((rows, shape, axes, 0, ()))

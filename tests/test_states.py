@@ -272,10 +272,11 @@ def _eigvalsh_sizes(monkeypatch):
 @factor_path_dims
 @pytest.mark.parametrize("kind", ["pure", "mix1", "mix2", "mix3", "mix4"])
 def test_ppt_factor_path_agrees_with_dense_reference(dims, kind, monkeypatch):
-    """A state with an exact factor V (d × r) is compressed to ρ's support on
-    the rest when d_A·r < d_rest, A being the smaller side of the cut; over
-    every proper part its value agrees with the full d × d transpose and
-    gives the same flag."""
+    """A state with an exact factor V (d × r) of one column takes −s_1·s_2 of
+    the cut's Schmidt coefficients, with no eigensolve; one of more columns
+    is compressed to ρ's support on the rest when d_A·r < d_rest, A being
+    the smaller side of the cut. Over every proper part the value agrees
+    with the full d × d transpose and gives the same flag."""
     state = (
         haar_pure(dims, seed=21)
         if kind == "pure"
@@ -291,7 +292,7 @@ def test_ppt_factor_path_agrees_with_dense_reference(dims, kind, monkeypatch):
         d_a = int(np.prod([dims[i] for i in part]))
         d_a = min(d_a, d // d_a)
         compressed = d_a * r < d // d_a
-        assert sizes == [d_a * d_a * r if compressed else d], part
+        assert sizes == ([] if r == 1 else [d_a * d_a * r if compressed else d]), part
         assert abs(value - reference) <= 1e-14, part
         # The discarded directions carry exact zeros of ρ^{T_A}.
         assert value <= 0.0 or not compressed, part
@@ -327,7 +328,7 @@ def test_ppt_factor_path_never_flags_separable_mixtures(dims):
 def test_ppt_of_a_part_larger_than_its_complement(state, monkeypatch, tmp_path):
     """A part with d_A > d_rest is answered by transposing the rest: the
     value agrees with the transpose on the part itself, and a pure state
-    solves the small compressed problem of the rest."""
+    needs no eigensolve."""
     if state == "dense_file":
         state = _ppt_state("dense_file", tmp_path)
     dims, d = state.dims, state.dim
@@ -340,8 +341,7 @@ def test_ppt_of_a_part_larger_than_its_complement(state, monkeypatch, tmp_path):
         assert abs(value - reference) <= 1e-14, part
         assert (value < -PPT_NEG_TOL) == (reference < -PPT_NEG_TOL), part
         if isinstance(state, PureState):
-            d_rest = d // int(np.prod([dims[i] for i in part]))
-            assert sizes == [d_rest * d_rest], part
+            assert sizes == [], part
     assert larger
 
 
