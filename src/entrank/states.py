@@ -39,8 +39,8 @@ the cut (ρ^{T_A} = (ρ^{T_rest})^T has the same spectrum) and uses an exact
 factor (a PureState, or a mixture from ``mix``): a pure state's value is
 −s_1·s_2 of its Schmidt coefficients across the cut, from one SVD, and when
 d_A·r < d_rest for the transposed part A of a mixture, it compresses the rest
-to ρ's support and solves a d_A²·r eigenproblem. A bare matrix, and a factor too wide to shrink, take the full
-d × d transpose of ``matrix`` (a PureState builds ψψ† on each access); the
+to ρ's support and solves a d_A²·r eigenproblem. A bare matrix, and a factor
+too wide to shrink, take the full d × d transpose of ``matrix``; the
 truncated factor ``factored`` gives a bare matrix is not exact and is not what
 the CLI passes. A dense matrix from outside enters through ``density_matrix``
 alone, which validates it once; the eigh of its PSD check is the one
@@ -440,11 +440,12 @@ def subset_ranks(
     state is factored once. A repeated subset is computed once, and so are a
     pure state's subset and its complement: they are the same cut, built from
     the side that holds particle 0 whichever side is listed, so a cut's rank
-    does not depend on the call it comes from. Each cut then gets its plan: the matrix
-    that stands for it, its level and the small sides it can certify. One
-    loop takes the levels in decreasing order: it gives full rank to each cut
-    certified by a side found so far, decomposes the others in stacked SVDs
-    (``_decompose``), and records the sides of those that certify.
+    does not depend on the call it comes from. Each cut then gets its plan:
+    the matrix that stands for it, its level and the small sides it can
+    certify. One loop takes the levels in decreasing order: it gives full
+    rank to each cut certified by a side found so far, decomposes the others
+    in stacked SVDs (``_decompose``), and records the sides of those that
+    certify.
 
     Support form. Let m be the number of nonzero rows of V. When m² < d,
     every cut is built from those rows alone: the dense (d_S, d_rest·r)
