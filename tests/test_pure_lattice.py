@@ -185,6 +185,24 @@ def test_inherited_sweeps_log_what_one_call_per_size_logs(psi):
     expected = reference_log(canonical_pure(psi.dims, psi.amplitudes), DEFAULT_TOLERANCE)
     assert [(r.step, r.remainder, r.tested, r.accepted) for r in result.trace_log] == expected
     assert len(result.partition) == 2
+    # The first sweep split nothing, so the sweeps ranked every cut.
+    lattice = criteria.rank_lattice(psi, psi.n - 1)
+    assert lattice.entries == direct_entries(psi, lattice, DEFAULT_TOLERANCE)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=lambda t: f"rtol{t.rtol}-atol{t.atol}")
+def test_qudit_block_product_matches_the_direct_lattice(tol, monkeypatch):
+    """A qutrit alone and two interleaved blocks over qubits and qutrits:
+    the blocks' spectra have unequal lengths, padded to one width."""
+    dims = (3, 2, 3, 2, 3, 2, 2, 2)
+    parts = ((0,), (1, 3, 5), (2, 4, 6, 7))
+    blocks = [haar_pure(tuple(dims[i] for i in p), seed=60 + j) for j, p in enumerate(parts)]
+    psi = pure_state(*place_parts([(b.dims, b.amplitudes) for b in blocks], parts))
+    calls = spy(monkeypatch)
+    lattice = criteria.rank_lattice(psi, psi.n - 1, tol)
+    assert lattice.entries == direct_entries(psi, lattice, tol)
+    if tol.rtol or tol.atol:  # at a zero cutoff rounding noise keeps every rank above 1
+        assert calls["product"]
 
 
 def test_haar_factorize_makes_two_kernel_calls(monkeypatch):
