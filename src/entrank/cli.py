@@ -21,7 +21,7 @@ import hashlib
 import io
 import sys
 import time
-from itertools import combinations, islice
+from itertools import combinations, groupby, islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -88,6 +88,20 @@ def _tolerance(args: argparse.Namespace) -> RankTolerance:
     return RankTolerance(rtol=args.rtol, atol=args.atol)
 
 
+def _report_header(
+    command: str, args: argparse.Namespace, state: State, tol: Optional[RankTolerance] = None
+) -> dict:
+    """A report's first fields; ``tolerance`` only for a command that takes ranks."""
+    tolerance = {} if tol is None else {"tolerance": {"rtol": tol.rtol, "atol": tol.atol}}
+    return {
+        "format_version": "1",
+        "command": command,
+        "input": {"path": str(args.file), "sha256": _digest(args.file)},
+        "dims": list(state.dims),
+        **tolerance,
+    }
+
+
 def _lattice_report(lattice: criteria.RankLattice, verdict: criteria.Verdict) -> dict:
     """The state rank, lattice rows and violation rows of a report, in
     1-based particles."""
@@ -107,6 +121,14 @@ def _lattice_report(lattice: criteria.RankLattice, verdict: criteria.Verdict) ->
             for v in verdict.witnesses
         ],
     }
+
+
+def _ppt_row(state: State, part: tuple[int, ...]) -> dict:
+    """The PPT fields of a report for ``part``: its 1-based particles, the
+    minimum eigenvalue of the partial transpose and the flag."""
+    value = ppt_minimum(state, part)
+    flag = PPT_ENTANGLED if value < -PPT_NEG_TOL else PPT_NOT_DETECTED
+    return {"part": _one_based(part), "min_eigenvalue": value, "flag": flag}
 
 
 def _violation_lines(verdict: criteria.Verdict) -> list[str]:
@@ -144,27 +166,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     depth = lattice.max_depth
     verdict = criteria.verdict(lattice)
 
-    ppt_rows = []
-    if args.ppt and n >= 2:
-        # The state as loaded, not factored: a dense file's PPT value is that of
-        # its stored matrix, whatever the rank tolerance.
-        for i in range(n):
-            value = ppt_minimum(state, (i,))
-            ppt_rows.append(
-                {
-                    "part": [i + 1],
-                    "min_eigenvalue": value,
-                    "flag": PPT_ENTANGLED if value < -PPT_NEG_TOL else PPT_NOT_DETECTED,
-                }
-            )
+    # The state as loaded, not factored: a dense file's PPT value is that of
+    # its stored matrix, whatever the rank tolerance.
+    ppt_rows = [_ppt_row(state, (i,)) for i in range(n)] if args.ppt and n >= 2 else []
     elapsed = time.perf_counter() - started
 
     report = {
-        "format_version": "1",
-        "command": "analyze",
-        "input": {"path": str(args.file), "sha256": _digest(args.file)},
-        "dims": list(state.dims),
-        "tolerance": {"rtol": tol.rtol, "atol": tol.atol},
+        **_report_header("analyze", args, state, tol),
         "depth": depth,
         **_lattice_report(lattice, verdict),
         "verdict": verdict.tag,
@@ -182,17 +190,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     if lattice.entries:
         lines.append(f"rank lattice to depth {depth} (rank after tracing out the listed set):")
-        by_size: dict[int, list[str]] = {}
-        for traced, rank in lattice.entries.items():
-            by_size.setdefault(len(traced), []).append(f"{_fmt_subset(traced)}={rank}")
-        for size in sorted(by_size):
-            lines.append(f"  size {size}:  " + "  ".join(by_size[size]))
+        # The entries of a lattice over particles come by size.
+        for size, row in groupby(lattice.entries.items(), key=lambda entry: len(entry[0])):
+            lines.append(f"  size {size}:  " + "  ".join(f"{_fmt_subset(t)}={r}" for t, r in row))
     lines += _violation_lines(verdict)
     if ppt_rows:
         lines.append("partial transpose minimum eigenvalues:")
-        for row in ppt_rows:
-            part = "{" + ",".join(str(i) for i in row["part"]) + "}"
-            lines.append(f"  part {part}: {row['min_eigenvalue']:+.6e}  {row['flag']}")
+        for i, row in enumerate(ppt_rows):
+            lines.append(f"  part {_fmt_subset((i,))}: {row['min_eigenvalue']:+.6e}  {row['flag']}")
     lines.append(f"verdict: {verdict.tag}")
     print("\n".join(lines))
     return 0
@@ -218,11 +223,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             statefile.write_state_file(out_dir / f"factor_{idx:02d}.json", payload)
 
     report = {
-        "format_version": "1",
-        "command": "factorize",
-        "input": {"path": str(args.file), "sha256": _digest(args.file)},
-        "dims": list(state.dims),
-        "tolerance": {"rtol": tol.rtol, "atol": tol.atol},
+        **_report_header("factorize", args, state, tol),
         "partition": [_one_based(p) for p in result.partition],
         "fully_entangled_parts": [_one_based(p) for p in result.fully_entangled_parts],
         "residual": result.residual,
@@ -277,8 +278,9 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
 
     # Each pair check is an edge of the lattice: either part alone against
     # the two together.
+    pairs = list(combinations(lattice.parts, 2))
     pair_rows = []
-    for u, v in combinations(lattice.parts, 2):
+    for u, v in pairs:
         rank_u, rank_v, rank_composite = rank_of(u), rank_of(v), rank_of(u + v)
         tag = criteria.ENTANGLED if max(rank_u, rank_v) > rank_composite else criteria.INCONCLUSIVE
         pair_rows.append(
@@ -293,11 +295,7 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
         )
 
     report = {
-        "format_version": "1",
-        "command": "check-partition",
-        "input": {"path": str(args.file), "sha256": _digest(args.file)},
-        "dims": list(state.dims),
-        "tolerance": {"rtol": tol.rtol, "atol": tol.atol},
+        **_report_header("check-partition", args, state, tol),
         "partition": [_one_based(p) for p in parts],
         "pairs": pair_rows,
         **_lattice_report(lattice, verdict),
@@ -307,11 +305,9 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
         return _print_json(report)
 
     lines = [f"input: {args.file}", "pair checks (rank_u, rank_v vs rank of the pair together):"]
-    for row in pair_rows:
-        u = "{" + ",".join(map(str, row["u"])) + "}"
-        v = "{" + ",".join(map(str, row["v"])) + "}"
+    for (u, v), row in zip(pairs, pair_rows):
         lines.append(
-            f"  {u} vs {v}: ranks ({row['rank_u']}, {row['rank_v']},"
+            f"  {_fmt_subset(u)} vs {_fmt_subset(v)}: ranks ({row['rank_u']}, {row['rank_v']},"
             f" {row['rank_composite']}) -> {row['verdict']}"
         )
     lines += _violation_lines(verdict)
@@ -326,25 +322,14 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
 def cmd_ppt(args: argparse.Namespace) -> int:
     state = statefile.load_state(args.file, max_dim=args.max_dim)
     part = _parse_indices(args.part, state.n, "part")
-    value = ppt_minimum(state, part)
-    flag = PPT_ENTANGLED if value < -PPT_NEG_TOL else PPT_NOT_DETECTED
-
-    report = {
-        "format_version": "1",
-        "command": "ppt",
-        "input": {"path": str(args.file), "sha256": _digest(args.file)},
-        "dims": list(state.dims),
-        "part": _one_based(part),
-        "min_eigenvalue": value,
-        "flag": flag,
-    }
+    row = _ppt_row(state, part)
     if args.json:
-        return _print_json(report)
+        return _print_json({**_report_header("ppt", args, state), **row})
     print(
         f"input: {args.file}\n"
         f"part: {_fmt_subset(part)}\n"
-        f"minimum eigenvalue of the partial transpose: {value:+.9e}\n"
-        f"flag: {flag}"
+        f"minimum eigenvalue of the partial transpose: {row['min_eigenvalue']:+.9e}\n"
+        f"flag: {row['flag']}"
     )
     return 0
 

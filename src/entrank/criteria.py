@@ -16,6 +16,10 @@ reduced matrix has rank above 1, and fully entangled iff they all do. Both
 are readings of ``factorize.factorize_pure``'s partition: some part holds two
 or more particles, or the one part holds them all.
 
+A subset is an int mask (bit i = particle i) from the enumeration of part
+unions (``states.unions``) to the verdict; the entry keys and witnesses are
+particle tuples built from the masks.
+
 Every rank comes from the one kernel ``states.subset_ranks``. A lattice makes
 one call with all the subsets it needs, except a large lattice of a pure
 state, which first reads factorize's sweeps (``factorize.sweep_pure``): once
@@ -29,8 +33,7 @@ The depth and subset budget of every lattice is ``states.lattice_depth``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, prod
+from math import prod
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -40,13 +43,16 @@ from .factorize import RESIDUAL_THRESHOLD, product_factors, sweep_pure
 from .linalg import DEFAULT_TOLERANCE, RankTolerance
 from .states import (
     CHUNK_BYTES,
-    DEFAULT_MAX_SUBSETS,
     PureState,
     State,
     bipartition_matrix,
     lattice_depth,
+    mask_of,
     normalize_subset,
+    particles_of,
+    pure_cut,
     subset_ranks,
+    unions,
 )
 
 ENTANGLED = "ENTANGLED"
@@ -103,14 +109,14 @@ def _partition(parts: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
         raise PartitionError("a partition needs at least two parts")
     if any(not p for p in norm_parts):
         raise PartitionError("parts must be nonempty")
-    seen: set[int] = set()
-    for p in norm_parts:
-        if seen & set(p):
-            raise PartitionError(f"parts overlap at {sorted(seen & set(p))}")
-        seen |= set(p)
-    if seen != set(range(n)):
-        missing = sorted(set(range(n)) - seen)
-        raise PartitionError(f"partition does not cover particles {missing}")
+    seen = 0
+    for part in map(mask_of, norm_parts):
+        if seen & part:
+            raise PartitionError(f"parts overlap at {list(particles_of(seen & part))}")
+        seen |= part
+    if seen != (1 << n) - 1:
+        missing = particles_of(((1 << n) - 1) ^ seen)
+        raise PartitionError(f"partition does not cover particles {list(missing)}")
     return norm_parts
 
 
@@ -118,7 +124,6 @@ def rank_lattice(
     state: State,
     max_depth: Optional[int] = None,
     tol: RankTolerance = DEFAULT_TOLERANCE,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
     parts: Optional[Sequence[Sequence[int]]] = None,
 ) -> RankLattice:
     """Ranks of every reduced state with 1..max_depth parts traced out.
@@ -138,71 +143,64 @@ def rank_lattice(
     lattice does.
     """
     n = state.n
+    full = (1 << n) - 1
     units = [(i,) for i in range(n)] if parts is None else _partition(parts, n)
-    max_depth = lattice_depth(len(units), max_depth, max_subsets)
-
-    traced_sets = [
-        tuple(sorted(sum(combo, ())))
-        for size in range(1, max_depth + 1)
-        for combo in combinations(units, size)
-    ]
+    max_depth = lattice_depth(len(units), max_depth)
+    traced = unions([mask_of(unit) for unit in units], max_depth)
     state = state.factored(tol)
     v = state.factor
     if parts is None and v.shape[1] == 1 and max_depth >= n // 2 and (
         (1 << (n - 1)) * v.nbytes > CHUNK_BYTES
     ):
-        ranks = _pure_ranks(PureState(state.dims, v[:, 0]), traced_sets, tol)
+        ranks = _pure_ranks(PureState(state.dims, v[:, 0]), traced, tol)
     else:
-        ranks = [None] * len(traced_sets)
+        ranks = [None] * len(traced)
     todo = [k for k, rank in enumerate(ranks) if rank is None]
-    kept = [tuple(i for i in range(n) if i not in traced_sets[k]) for k in todo]
-    state_rank, *direct = subset_ranks(state, [tuple(range(n))] + kept, tol)
+    state_rank, *direct = subset_ranks(state, [full] + [full ^ traced[k] for k in todo], tol)
     for k, rank in zip(todo, direct):
         ranks[k] = rank
     return RankLattice(
         state_rank=state_rank,
-        entries=dict(zip(traced_sets, ranks)),
+        entries=dict(zip(map(particles_of, traced), ranks)),
         max_depth=max_depth,
         parts=tuple(units),
     )
 
 
-def _pure_ranks(psi: PureState, traced_sets: list, tol: RankTolerance) -> list[Optional[int]]:
-    """The entries of ψ's lattice that factorize's sweeps decide; None for
-    the others, and for all of them when the sweeps fail.
+def _pure_ranks(psi: PureState, traced: list[int], tol: RankTolerance) -> list[Optional[int]]:
+    """The entries of ψ's lattice, at the traced masks ``traced``, that
+    factorize's sweeps decide; None for the others, and for all of them when
+    the sweeps fail.
 
-    When the first sweep splits off nothing, the sweeps rank every subset of
-    at most n // 2 particles, so each entry is the rank of its traced or of
-    its kept set, the same cut. Otherwise ψ has split, and unless the
-    residual exceeds ``RESIDUAL_THRESHOLD`` its entries are counted from its
-    blocks' spectra (``_product_ranks``).
+    When the sweeps rank every one of the 2^(n−1) − 1 cuts (their first
+    sweep split off nothing), each entry is the rank of its cut, looked up by
+    ``pure_cut``. Otherwise ψ has split, and unless the residual exceeds
+    ``RESIDUAL_THRESHOLD`` its entries are counted from its blocks' spectra
+    (``_product_ranks``).
     """
-    n = psi.n
+    full = (1 << psi.n) - 1
     try:
         _, partition, swept = sweep_pure(psi, tol)
-        if len(swept) == sum(comb(n, k) for k in range(1, n // 2 + 1)):
-            return [
-                swept[t if 2 * len(t) <= n else tuple(i for i in range(n) if i not in t)]
-                for t in traced_sets
-            ]
+        if len(swept) == full >> 1:
+            return [swept[pure_cut(t, full)] for t in traced]
         factors, residual = product_factors(psi, partition, tol)
     except InternalInconsistencyError:  # an acceptance the sweeps or the factors contradict
-        return [None] * len(traced_sets)
+        return [None] * len(traced)
     if residual > RESIDUAL_THRESHOLD:
-        return [None] * len(traced_sets)
-    return _product_ranks(partition, factors, residual, traced_sets, tol)
+        return [None] * len(traced)
+    return _product_ranks(partition, factors, residual, traced, tol)
 
 
 def _product_ranks(
     partition: tuple[tuple[int, ...], ...],
     factors: tuple[PureState, ...],
     residual: float,
-    traced_sets: list,
+    traced: list[int],
     tol: RankTolerance,
 ) -> list[Optional[int]]:
     """Ranks of ψ ≈ e^{iθ}·φ, φ = ⊗_b φ_b over the parts b of ``partition``
-    with ``factors`` φ_b, each counted from the product of the blocks'
-    spectra where that count is certain, else None.
+    with ``factors`` φ_b, at the traced masks ``traced``, each counted from
+    the product of the blocks' spectra where that count is certain, else None.
 
     Across the cut T | K (traced | kept) the singular values of φ's cut
     matrix are the products over blocks of φ_b's Schmidt coefficients across
@@ -221,7 +219,7 @@ def _product_ranks(
     """
     d = prod(factor.dim for factor in factors)
     slack = residual + 4 * np.finfo(float).eps * (d + 1) * (1 + residual)
-    masks = np.array([sum(1 << i for i in t) for t in traced_sets], np.int64)
+    masks = np.array(traced, np.int64)
     # Per block, the row of each entry's b ∩ T in the block's spectra.
     rows = [sum(((masks >> i) & 1) << j for j, i in enumerate(part)) for part in partition]
     tables = [_block_spectra(factor) for factor in factors]
@@ -244,24 +242,23 @@ def _product_ranks(
 def _block_spectra(factor: PureState) -> np.ndarray:
     """Row x: the descending Schmidt coefficients of ``factor`` across the
     subset of its particles whose bits are set in x, zero-padded; the empty
-    and the full subset give 1. The cuts of one shape are stacked into
-    chunks of at most ``CHUNK_BYTES``, one SVD each."""
+    and the full subset give 1. Each cut is decomposed once, from its side
+    named by ``pure_cut``, and fills the rows of both sides; the cuts of one
+    shape are stacked into chunks of at most ``CHUNK_BYTES``, one SVD each."""
     k, d = factor.n, factor.dim
     full = (1 << k) - 1
     shapes: dict[int, list] = {}
-    for x in range(1, 1 << (k - 1)):  # x and full ^ x are the same cut
-        subset = tuple(i for i in range(k) if x >> i & 1)
-        shapes.setdefault(prod(factor.dims[i] for i in subset), []).append((x, subset))
+    for x in range(1, full, 2):  # every cut, by its side that holds particle 0
+        shapes.setdefault(prod(factor.dims[i] for i in particles_of(x)), []).append(x)
     table = np.zeros((full + 1, max([min(d_x, d // d_x) for d_x in shapes] + [1])))
     table[[0, full], 0] = 1.0
     step = max(1, CHUNK_BYTES // factor.amplitudes.nbytes)
     for members in shapes.values():
         for lo in range(0, len(members), step):
-            chunk = members[lo : lo + step]
-            stack = np.stack([bipartition_matrix(factor, subset) for _, subset in chunk])
+            xs = members[lo : lo + step]
+            stack = np.stack([bipartition_matrix(factor, particles_of(x)) for x in xs])
             values = np.linalg.svd(stack, compute_uv=False)
-            rows = [x for x, _ in chunk]
-            table[rows + [full ^ x for x in rows], : values.shape[1]] = np.concatenate([values] * 2)
+            table[xs + [full ^ x for x in xs], : values.shape[1]] = np.concatenate([values] * 2)
     return table
 
 
@@ -271,24 +268,21 @@ def check_rank_monotonicity(lattice: RankLattice) -> list[Violation]:
     Every traced-out set is compared against each set one part smaller (its
     1-level-higher states); a single traced part is compared against the
     full state. A state separable across the parts can never produce a
-    violation.
+    violation. Each child is compared, as masks, with child ^ part for each
+    part it holds, in entry order and then in part order.
     """
-    # A child, a union of parts, holds a part iff it holds the part's first
-    # particle; walking the child's particles in order visits its parts in order.
-    part_of = {part[0]: part for part in lattice.parts}
-    entries = lattice.entries
+    keys = [None, *lattice.entries]
+    ranks = [lattice.state_rank, *lattice.entries.values()]
+    masks = [0] + [mask_of(key) for key in keys[1:]]
+    slot = dict(zip(masks, range(len(masks))))
+    parts = [mask_of(part) for part in lattice.parts]
     violations: list[Violation] = []
-    for child, child_rank in entries.items():
-        for first in child:
-            part = part_of.get(first)
-            if part is None:
-                continue
-            parent = tuple([i for i in child if i not in part])
-            parent_rank = entries[parent] if parent else lattice.state_rank
-            if child_rank > parent_rank:
-                violations.append(
-                    Violation(child, parent or None, child_rank, parent_rank)
-                )
+    for c in range(1, len(masks)):
+        for part in parts:
+            if masks[c] & part:
+                p = slot[masks[c] ^ part]
+                if ranks[c] > ranks[p]:
+                    violations.append(Violation(keys[c], keys[p], ranks[c], ranks[p]))
     return violations
 
 
@@ -309,10 +303,7 @@ def verdict(lattice: RankLattice) -> Verdict:
 
 
 def entanglement_verdict(
-    state: State,
-    max_depth: Optional[int] = None,
-    tol: RankTolerance = DEFAULT_TOLERANCE,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
+    state: State, max_depth: Optional[int] = None, tol: RankTolerance = DEFAULT_TOLERANCE
 ) -> Verdict:
     """``verdict`` of the state's rank lattice over single particles."""
-    return verdict(rank_lattice(state, max_depth, tol, max_subsets))
+    return verdict(rank_lattice(state, max_depth, tol))

@@ -18,6 +18,8 @@ splits off nothing, one call takes every remaining size over the remainder,
 so that its large cuts certify the small ones (rank inheritance), and every
 later sweep, even over a smaller remainder, reads its ranks from that call:
 the rank of ψ's reduced state on a subset does not depend on the remainder.
+A sweep's subsets are masks, the unions of the remainder's particle bits
+(``states.unions``), and a cut's rank is keyed by ``states.pure_cut``.
 
 ``sweep_pure`` runs the sweeps and ``product_factors`` the reconstruction;
 ``factorize_pure`` adds the budget check, the reading of ψ and the residual
@@ -28,20 +30,22 @@ the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InputError, InternalInconsistencyError, PartitionError
 from .linalg import DEFAULT_TOLERANCE, RankTolerance, rank_from_values
 from .states import (
-    DEFAULT_MAX_SUBSETS,
     PureState,
     State,
     bipartition_matrix,
     canonical_pure,
     lattice_depth,
+    mask_of,
+    particles_of,
+    pure_cut,
     subset_ranks,
+    unions,
 )
 
 RESIDUAL_THRESHOLD = 1e-8
@@ -104,55 +108,57 @@ def _extract_factor(psi: PureState, part: tuple[int, ...], tol: RankTolerance) -
     return canonical_pure([psi.dims[i] for i in part], vec)
 
 
-def _sweep(
-    remainder: list[int], size: int, tested: tuple[tuple[tuple[int, ...], int], ...]
-) -> StepRecord:
+def _sweep(remainder: list[int], size: int, tested: list[int], ranks: list[int]) -> StepRecord:
+    """One sweep's record: the ``tested`` masks with their ``ranks``, and
+    those of rank 1, checked to be disjoint, as accepted."""
     accepted: list[tuple[int, ...]] = []
-    taken: set[int] = set()
-    for subset, rank in tested:
+    taken = 0
+    for subset, rank in zip(tested, ranks):
         if rank == 1:
-            if taken & set(subset):
+            if taken & subset:
                 raise InternalInconsistencyError(
-                    f"rank-1 subsets overlap at size {size}: {subset} vs {sorted(taken)}"
+                    f"rank-1 subsets overlap at size {size}:"
+                    f" {particles_of(subset)} vs {list(particles_of(taken))}"
                 )
-            accepted.append(subset)
-            taken |= set(subset)
+            accepted.append(particles_of(subset))
+            taken |= subset
     return StepRecord(
         step=size,
-        remainder=tuple(remainder),
-        tested=tested,
+        remainder=particles_of(sum(remainder)),
+        tested=tuple(zip(map(particles_of, tested), ranks)),
         accepted=tuple(accepted),
     )
 
 
 def sweep_pure(
     psi: PureState, tol: RankTolerance
-) -> tuple[tuple[StepRecord, ...], tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+) -> tuple[tuple[StepRecord, ...], tuple[tuple[int, ...], ...], dict[int, int]]:
     """The sweeps over ψ: their trace, ψ's finest product partition (parts
-    ordered by smallest member) and the rank of every subset the kernel was
-    given. ψ's amplitudes are used as given."""
+    ordered by smallest member) and the rank of every cut the kernel was
+    given, keyed by ``pure_cut``. ψ's amplitudes are used as given."""
+    full = (1 << psi.n) - 1
     log: list[StepRecord] = []
     parts: list[tuple[int, ...]] = []
-    remainder = list(range(psi.n))
-    ranks: dict[tuple[int, ...], int] = {}
+    remainder = [1 << i for i in range(psi.n)]  # the remainder's particle bits
+    ranks: dict[int, int] = {}
     covered = 0  # the largest size whose subsets of the remainder ``ranks`` holds
 
     size = 1
     while 2 * size <= len(remainder):
         if size > covered:
             covered = size if not log or log[-1].accepted else len(remainder) // 2
-            batch = [s for k in range(size, covered + 1) for s in combinations(remainder, k)]
-            ranks.update(zip(batch, subset_ranks(psi, batch, tol)))
-        tested = tuple((s, ranks[s]) for s in combinations(remainder, size))
-        record = _sweep(remainder, size, tested)
+            batch = unions(remainder, covered, size)
+            ranks.update(zip([pure_cut(s, full) for s in batch], subset_ranks(psi, batch, tol)))
+        tested = unions(remainder, size, size)
+        record = _sweep(remainder, size, tested, [ranks[pure_cut(s, full)] for s in tested])
         log.append(record)
-        for subset in record.accepted:
-            parts.append(subset)
-            remainder = [i for i in remainder if i not in set(subset)]
+        parts += record.accepted
+        taken = mask_of(i for subset in record.accepted for i in subset)
+        remainder = [bit for bit in remainder if not bit & taken]
         size += 1
 
     if remainder:
-        parts.append(tuple(remainder))
+        parts.append(particles_of(sum(remainder)))
     parts.sort(key=lambda p: p[0])
     return tuple(log), tuple(parts), ranks
 
@@ -166,11 +172,7 @@ def product_factors(
     return factors, _reconstruction_residual(psi, partition, factors)
 
 
-def factorize_pure(
-    state: State,
-    tol: RankTolerance = DEFAULT_TOLERANCE,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-) -> FactorizationResult:
+def factorize_pure(state: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> FactorizationResult:
     """Split a state of rank 1 into its finest tensor-product partition.
 
     The sweep budget is checked first, before the state is decomposed. Then
@@ -185,7 +187,7 @@ def factorize_pure(
     accepted a cut that is not actually a product and is reported as an
     internal inconsistency.
     """
-    lattice_depth(state.n, None, max_subsets)
+    lattice_depth(state.n)
     factor = state.factored(tol).factor
     vec, rank = (factor[:, 0], 1) if factor.shape[1] == 1 else _top_vector(factor, tol)
     if rank != 1:

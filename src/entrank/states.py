@@ -13,10 +13,12 @@ case r = 1 (V is its amplitude column), a mixture keeps the columns
 one eigendecomposition (``factored``). The rank of the reduced state of a
 subset S is then the rank of V reshaped to (d_S, d_rest·r), the Schmidt rank
 of the purification across S | rest+ancilla, and one kernel,
-``subset_ranks``, takes every rank of every state (``subset_rank`` is its
-one-subset form); the full particle set gives the rank of the state itself.
-The kernel factors the state once and, for a pure state (r = 1), computes a
-subset and its complement once, since they are the same cut.
+``subset_ranks``, takes every rank of every state, each subset an int mask
+(bit i = particle i) as ``unions`` enumerates them (``subset_rank``, its
+one-subset form, takes particles); the full mask gives the rank of the state
+itself. The kernel factors the state once and, for a pure state (r = 1),
+computes a subset and its complement once, since they are the same cut,
+named by ``pure_cut``.
 
 ``subset_ranks`` plans each call once and runs every plan through one level
 loop. The plan decides each cut's form: the support form, built from the m
@@ -55,7 +57,9 @@ import os
 import string
 import threading
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from math import comb, prod, sqrt
+from operator import index
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -98,25 +102,51 @@ def validate_dims(dims: Sequence[int], max_dim: int = DEFAULT_MAX_DIM) -> tuple[
     return dims
 
 
-def lattice_depth(
-    k: int, max_depth: Optional[int] = None, max_subsets: int = DEFAULT_MAX_SUBSETS
-) -> int:
+def lattice_depth(k: int, max_depth: Optional[int] = None) -> int:
     """The depth of a lattice over k parts, by default k // 2 (for pure
     states the complement symmetry makes deeper levels redundant). A depth
-    outside min(1, k − 1)..k − 1 is an input error; more than ``max_subsets``
-    traced sets is an enumeration limit, raised before any set is built.
-    This is the one budget check of every lattice, factorize sweep and
+    outside min(1, k − 1)..k − 1 is an input error; more traced sets than
+    ``DEFAULT_MAX_SUBSETS`` is an enumeration limit, raised before any is
+    built: the one budget check of every lattice, factorize sweep and
     ``bench``, the subset cap beside ``validate_dims``'s dimension cap."""
     if max_depth is None:
         max_depth = k // 2
     if not min(1, k - 1) <= max_depth <= k - 1:
         raise InputError(f"max_depth must lie in {min(1, k - 1)}..{k - 1}, got {max_depth}")
     total = sum(comb(k, size) for size in range(1, max_depth + 1))
-    if total > max_subsets:
+    if total > DEFAULT_MAX_SUBSETS:
         raise EnumerationLimitError(
-            f"{total} subsets at depth {max_depth} exceed the cap {max_subsets}"
+            f"{total} subsets at depth {max_depth} exceed the cap {DEFAULT_MAX_SUBSETS}"
         )
     return max_depth
+
+
+def unions(units: Sequence[int], depth: int, least: int = 1) -> list[int]:
+    """The unions of ``least``..``depth`` of the disjoint masks ``units``,
+    listed by the number of units and then in ``itertools.combinations``
+    order: the one enumeration of every lattice and factorize sweep."""
+    return [sum(combo) for size in range(least, depth + 1) for combo in combinations(units, size)]
+
+
+def mask_of(subset: SubsetLike) -> int:
+    """The mask of a set of distinct particles: bit i is particle i."""
+    return sum(1 << i for i in subset)
+
+
+def particles_of(mask: int) -> tuple[int, ...]:
+    """The particles of ``mask`` in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def pure_cut(mask: int, full: int) -> int:
+    """The name of a pure state's cut mask | full ^ mask: its side that holds
+    particle 0, by which the kernel, the sweeps and the block spectra key it."""
+    return mask if mask & 1 else full ^ mask
 
 
 def normalize_subset(indices: SubsetLike, n: int) -> tuple[int, ...]:
@@ -429,23 +459,23 @@ def bipartition_spectrum(state: State, subset: SubsetLike) -> np.ndarray:
 
 
 def subset_ranks(
-    state: State, subsets: Iterable[SubsetLike], tol: RankTolerance = DEFAULT_TOLERANCE
+    state: State, masks: Iterable[int], tol: RankTolerance = DEFAULT_TOLERANCE
 ) -> list[int]:
-    """Ranks of the reduced density matrices of ``subsets``, in input order;
-    the full particle set gives the rank of the state.
+    """Ranks of the reduced states of the subsets ``masks`` (each in 1..2^n −
+    1), in input order; the full mask gives the rank of the state.
 
     Each rank counts the squared singular values of the factor V reshaped to
     (d_subset, d_rest · r) above tol.cutoff of the largest, as
     ``rank_from_values(bipartition_spectrum(state, subset), tol)`` does. The
-    state is factored once. A repeated subset is computed once, and so are a
-    pure state's subset and its complement: they are the same cut, built from
-    the side that holds particle 0 whichever side is listed, so a cut's rank
-    does not depend on the call it comes from. Each cut then gets its plan:
-    the matrix that stands for it, its level and the small sides it can
-    certify. One loop takes the levels in decreasing order: it gives full
-    rank to each cut certified by a side found so far, decomposes the others
-    in stacked SVDs (``_decompose``), and records the sides of those that
-    certify.
+    state is factored once. A repeated mask is computed once, and so are a
+    pure state's subset and its complement: they are the same cut, keyed and
+    built by ``pure_cut``, the side that holds particle 0, whichever side is
+    listed, so a cut's rank does not depend on the call it comes from. Each
+    cut then gets its plan: the matrix that stands for it, its level and the
+    small sides it can certify. One loop takes the levels in decreasing
+    order: it gives full rank to each cut certified by a side found so far,
+    decomposes the others in stacked SVDs (``_decompose``), and records the
+    sides of those that certify.
 
     Support form. Let m be the number of nonzero rows of V. When m² < d,
     every cut is built from those rows alone: the dense (d_S, d_rest·r)
@@ -484,30 +514,22 @@ def subset_ranks(
     state = state.factored(tol)
     n, v = state.n, state.factor
     d, r = v.shape
-    slot: dict[tuple[int, ...], int] = {}
-    order = []
-    cuts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (subset, rest)
-    for subset in subsets:
-        subset = normalize_subset(subset, n)
-        if not subset:
-            raise PartitionError("subset must be nonempty")
-        if subset not in slot:
-            rest = _complement(subset, n)
-            if r == 1 and rest in slot:
-                slot[subset] = slot[rest]
-            else:
-                slot[subset] = len(cuts)
-                cuts.append((subset, rest) if r > 1 or subset[0] == 0 else (rest, subset))
-        order.append(slot[subset])
+    full = (1 << n) - 1
+    masks = list(map(index, masks))
+    for mask in masks:
+        if not 0 < mask <= full:
+            raise PartitionError(f"subset mask {mask} lies outside 1..{full}")
+    keys = masks if r > 1 else [pure_cut(mask, full) for mask in masks]
+    cuts = list(dict.fromkeys(keys))  # the mask of the side each cut is built from
+    slot = dict(zip(cuts, range(len(cuts))))
 
     # The plan: per cut (rows, shape, fill item, level, small sides it certifies),
     # with sides as bit masks over the n particles and the ancilla (bit n).
-    bits = [1 << i for i in range(n)]
     support = np.flatnonzero(v.any(axis=1))
     m = len(support)
     if m * m < d:
         fill, size = _support_fill(state, support), m * m * r
-        plan = [(m * r, (m * r, m), sum(map(bits.__getitem__, s)), 0, ()) for s, _ in cuts]
+        plan = [(m * r, (m * r, m), mask, 0, ()) for mask in cuts]
     else:
         # The ancilla axis n, which a pure state's tensor leaves out, so that
         # both sides of its cut give the same shape.
@@ -520,19 +542,16 @@ def subset_ranks(
 
         size, plan = v.size, []
         levelled = len(cuts) * v.nbytes > CHUNK_BYTES
-        full, ancilla = (1 << n) - 1, (1 << n) if r > 1 else 0
-        for subset, rest in cuts:
+        ancilla = (1 << n) if r > 1 else 0
+        for mask in cuts:
+            subset, rest = particles_of(mask), particles_of(full ^ mask)
             d_s = prod(map(state.dims.__getitem__, subset))
             d_y = d // d_s * r
             axes, rows = (rest + anc + subset, d_y) if d_s < d_y else (subset + rest + anc, d_s)
             shape = tuple(map(tensor.shape.__getitem__, axes))
-            if not levelled:
-                plan.append((rows, shape, axes, 0, ()))
-                continue
-            mask = sum(map(bits.__getitem__, subset))
             other = (full ^ mask) | ancilla
             sides = (mask,) if d_s < d_y else (other,) if d_y < d_s else (mask, other)
-            plan.append((rows, shape, axes, min(d_s, d_y), sides))
+            plan.append((rows, shape, axes, min(d_s, d_y) if levelled else 0, sides))
 
     ranks = [0] * len(plan)
     step = min(len(plan), max(1, CHUNK_BYTES // (size * v.itemsize)))
@@ -558,7 +577,7 @@ def subset_ranks(
                 found += plan[k][4]
         if found:
             definite = np.concatenate([definite, np.array(found, np.uint64)])
-    return [ranks[k] for k in order]
+    return [ranks[slot[key]] for key in keys]
 
 
 def _support_fill(state: State, support: np.ndarray):
@@ -691,8 +710,9 @@ def _chunk_ranks(
 def subset_rank(
     state: State, subset: SubsetLike, tol: RankTolerance = DEFAULT_TOLERANCE
 ) -> int:
-    """Rank of the reduced density matrix of ``subset`` (``subset_ranks`` of one)."""
-    return subset_ranks(state, [subset], tol)[0]
+    """Rank of the reduced density matrix of the particles ``subset``
+    (``subset_ranks`` of their mask)."""
+    return subset_ranks(state, [mask_of(normalize_subset(subset, state.n))], tol)[0]
 
 
 def _workers() -> int:

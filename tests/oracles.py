@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: explicit
 index loops instead of einsum or reshape tricks, characteristic polynomials
 instead of eigh, exact rational elimination instead of SVD thresholds. The
-instruments that build test inputs live here too: ``place_parts``,
-``tensor_pure``, ``random_unitary`` and ``apply_local_unitaries``.
+instruments that build test inputs live here too: ``masks``,
+``place_parts``, ``tensor_pure``, ``random_unitary`` and
+``apply_local_unitaries``.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from math import prod
 
 import numpy as np
 
+from entrank.criteria import Violation
 from entrank.states import PureState
 
 
@@ -124,6 +126,28 @@ def partition_lattice_oracle(matrix, dims, parts, max_depth):
             traced = tuple(sorted(i for part in combo for i in part))
             entries[traced] = rank_by_eigvalsh(ptrace_loop(matrix, dims, traced))
     return rank_by_eigvalsh(matrix), entries
+
+
+def monotonicity_oracle(lattice):
+    """The violations of ``lattice`` by brute force, in the order the verdict
+    lists them: each entry in order, then each part it holds in part order,
+    against the entry without that part's particles, or against the full
+    state when the part is all the entry holds."""
+    out = []
+    for child, child_rank in lattice.entries.items():
+        for part in lattice.parts:
+            if set(part) <= set(child):
+                parent = tuple(i for i in child if i not in part)
+                parent_rank = lattice.entries[parent] if parent else lattice.state_rank
+                if child_rank > parent_rank:
+                    out.append(Violation(child, parent or None, child_rank, parent_rank))
+    return out
+
+
+def masks(subsets):
+    """The rank kernel's input for particle tuples: one int per subset with
+    bit i set for particle i."""
+    return [sum(1 << i for i in subset) for subset in subsets]
 
 
 def place_parts(part_states, parts):

@@ -24,6 +24,7 @@ from entrank.criteria import (
     rank_lattice,
     verdict,
 )
+from entrank import states
 from entrank.errors import EnumerationLimitError, InputError, PartitionError
 from entrank.factorize import factorize_pure
 from entrank.states import (
@@ -104,9 +105,10 @@ def test_one_particle_lattice_is_its_state_rank():
         rank_lattice(bell(), 0)
 
 
-def test_lattice_enumeration_limit():
+def test_lattice_enumeration_limit(monkeypatch):
+    monkeypatch.setattr(states, "DEFAULT_MAX_SUBSETS", 10)
     with pytest.raises(EnumerationLimitError):
-        rank_lattice(haar_pure((2,) * 8, seed=2), 4, max_subsets=10)
+        rank_lattice(haar_pure((2,) * 8, seed=2), 4)
 
 
 def test_lattice_pure_and_density_paths_agree():
@@ -227,7 +229,7 @@ def test_check_partition_requires_cover():
         rank_lattice(rho, parts=[(0, 1, 2), ()])
 
 
-def test_lattice_over_parts_is_keyed_by_traced_particles():
+def test_lattice_over_parts_is_keyed_by_traced_particles(monkeypatch):
     """Entries are unions of parts, listed by level; depth counts parts."""
     psi = ghz(6, 2)
     parts = [(4, 5), (0, 1), (2, 3)]
@@ -241,8 +243,9 @@ def test_lattice_over_parts_is_keyed_by_traced_particles():
     ]
     with pytest.raises(InputError):
         rank_lattice(psi, 3, parts=parts)
+    monkeypatch.setattr(states, "DEFAULT_MAX_SUBSETS", 5)
     with pytest.raises(EnumerationLimitError):
-        rank_lattice(psi, 2, parts=parts, max_subsets=5)
+        rank_lattice(psi, 2, parts=parts)
 
 
 def test_singleton_parts_are_the_particle_lattice():
@@ -421,7 +424,7 @@ def test_verdict_dataclass_shape():
     assert verdict.witnesses == ()
 
 
-def test_lattice_depth_default_and_limits():
+def test_lattice_depth_default_and_limits(monkeypatch):
     """The one budget helper: half the parts by default, a depth outside
     min(1, k - 1)..k - 1 is an input error (exit 2), and too many traced
     sets an enumeration limit (exit 3)."""
@@ -439,6 +442,8 @@ def test_lattice_depth_default_and_limits():
     assert (str(exc.value), exc.value.exit_code) == (
         "155381 subsets at depth 9 exceed the cap 100000", 3
     )
-    assert lattice_depth(6, 2, max_subsets=21) == 2
+    monkeypatch.setattr(states, "DEFAULT_MAX_SUBSETS", 21)
+    assert lattice_depth(6, 2) == 2
+    monkeypatch.setattr(states, "DEFAULT_MAX_SUBSETS", 20)
     with pytest.raises(EnumerationLimitError, match="^21 subsets at depth 2 exceed the cap 20$"):
-        lattice_depth(6, 2, max_subsets=20)
+        lattice_depth(6, 2)

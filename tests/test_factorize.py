@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from entrank import states
 from entrank.catalog import (
     bell,
     ghz,
@@ -24,6 +25,7 @@ from entrank.states import (
 from oracles import (
     apply_local_unitaries,
     frobenius_sum,
+    masks,
     place_parts,
     random_unitary,
     tensor_pure,
@@ -215,8 +217,8 @@ def test_agreement_with_predicates():
     for psi in cases:
         result = factorize_pure(psi)
         halves = [s for k in range(1, psi.n // 2 + 1) for s in combinations(range(psi.n), k)]
-        assert (len(result.partition) == 1) == (min(subset_ranks(psi, halves)) > 1)
-        singles = subset_ranks(psi, [(i,) for i in range(psi.n)])
+        assert (len(result.partition) == 1) == (min(subset_ranks(psi, masks(halves))) > 1)
+        singles = subset_ranks(psi, masks([(i,) for i in range(psi.n)]))
         assert all(len(p) == 1 for p in result.partition) == (max(singles) == 1)
 
 
@@ -233,7 +235,7 @@ def test_every_multiparticle_part_is_fully_entangled():
         if len(part) >= 2:
             assert part in result.fully_entangled_parts
             subsets = [s for k in range(1, factor.n) for s in combinations(range(factor.n), k)]
-            assert min(subset_ranks(factor, subsets)) > 1
+            assert min(subset_ranks(factor, masks(subsets))) > 1
 
 
 def test_accepted_subsets_disjoint_in_log():
@@ -245,11 +247,12 @@ def test_accepted_subsets_disjoint_in_log():
             taken |= set(accepted)
 
 
-def test_enumeration_limit():
+def test_enumeration_limit(monkeypatch):
     from entrank.errors import EnumerationLimitError
 
+    monkeypatch.setattr(states, "DEFAULT_MAX_SUBSETS", 10)
     with pytest.raises(EnumerationLimitError):
-        factorize_pure(ghz(10, 2), max_subsets=10)
+        factorize_pure(ghz(10, 2))
 
 
 def test_loose_tolerance_caught_by_residual_check():
@@ -312,8 +315,10 @@ def test_enumeration_limit_comes_before_any_decomposition(monkeypatch):
         monkeypatch.setattr(
             np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
         )
-    with pytest.raises(EnumerationLimitError, match="41 subsets at depth 3 exceed the cap 10"):
-        factorize_pure(rho, max_subsets=10)
+    with monkeypatch.context() as capped:
+        capped.setattr(states, "DEFAULT_MAX_SUBSETS", 10)
+        with pytest.raises(EnumerationLimitError, match="41 subsets at depth 3 exceed the cap 10"):
+            factorize_pure(rho)
     assert calls == []
     assert factorize_pure(rho).partition == (tuple(range(6)),)
     assert calls[0] == "eigh"

@@ -1,10 +1,12 @@
 """Property tests: a mixture of products across the parts of a random
-partition never gets a witness from the lattice over those parts; the rank
-kernel's support form, and its dense form in one level and in levels, give
-the ranks of one dense SVD per subset; a pure state's reduced states on S and
-on its complement have one rank; local unitaries leave every lattice entry as
-it is; and factorize returns a planted block partition whose factors rebuild
-the state."""
+partition never gets a witness from the lattice over those parts; the
+verdict lists a lattice's violations as a brute-force walk over its entries
+and parts does, and the entries come in ``combinations`` order over the
+parts; the rank kernel's support form, and its dense form in one level and
+in levels, give the ranks of one dense SVD per subset; a pure state's reduced
+states on S and on its complement have one rank; local unitaries leave every
+lattice entry as it is; and factorize returns a planted block partition whose
+factors rebuild the state."""
 
 from itertools import combinations
 from math import isqrt, prod
@@ -27,7 +29,13 @@ from entrank.states import (
     subset_rank,
     subset_ranks,
 )
-from oracles import apply_local_unitaries, place_parts, random_unitary
+from oracles import (
+    apply_local_unitaries,
+    masks,
+    monotonicity_oracle,
+    place_parts,
+    random_unitary,
+)
 
 
 @st.composite
@@ -65,6 +73,67 @@ def test_separable_across_parts_never_gets_a_witness(case):
         assert verdict(lattice).tag == SEPARABLE_PURE_PRODUCT
 
 
+def random_partition(draw, n, least):
+    """The particles 0..n − 1 dealt round-robin in a random order into
+    ``least``..n parts, each sorted."""
+    k = draw(st.integers(least, n))
+    order = draw(st.permutations(range(n)))
+    return [tuple(sorted(order[j::k])) for j in range(k)]
+
+
+@st.composite
+def small_lattices(draw):
+    """The lattice of a pure state or a mixture of two or three Haar states
+    on 1 to 5 particles of dimension 2 or 3, over the particles or over a
+    random partition, at a random depth."""
+    n = draw(st.integers(1, 5))
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n)))
+    seed = draw(st.integers(0, 10**6))
+    terms = [haar_pure(dims, seed=seed + j) for j in range(draw(st.integers(1, 3)))]
+    state = terms[0] if len(terms) == 1 else mix([(1 / len(terms), t) for t in terms])
+    parts = random_partition(draw, n, 2) if n > 2 and draw(st.booleans()) else None
+    k = n if parts is None else len(parts)
+    return rank_lattice(state, draw(st.integers(min(1, k - 1), k - 1)), parts=parts)
+
+
+@st.composite
+def wide_lattices(draw):
+    """The lattice over the particles of a pure state on 9 or 10 qubits, Haar
+    or a product of Haar blocks, at a depth of at least n/2: it is read from
+    factorize's sweeps, or from its blocks' spectra."""
+    n = draw(st.integers(9, 10))
+    blocks = random_partition(draw, n, 1)
+    seed = draw(st.integers(0, 10**6))
+    part_states = [haar_pure((2,) * len(b), seed=seed + j) for j, b in enumerate(blocks)]
+    dims, amplitudes = place_parts([(s.dims, s.amplitudes) for s in part_states], blocks)
+    return rank_lattice(pure_state(dims, amplitudes), draw(st.integers(n // 2, n - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.one_of(small_lattices(), wide_lattices()))
+def test_violations_are_those_of_the_brute_force_walk_in_its_order(lattice):
+    assert check_rank_monotonicity(lattice) == monotonicity_oracle(lattice)
+    parts = lattice.parts
+    assert list(lattice.entries) == [
+        tuple(sorted(i for part in combo for i in part))
+        for size in range(1, lattice.max_depth + 1)
+        for combo in combinations(parts, size)
+    ]
+
+
+def test_violations_of_one_particle_lattices():
+    """Depth 0: the state rank alone and no violation, also for a state
+    beyond one kernel chunk, which passes the lattice's sweep gate with an
+    empty sweep log."""
+    rng = np.random.default_rng(7)
+    wide = rng.normal(size=70000) + 1j * rng.normal(size=70000)
+    for state in (haar_pure((3,), seed=8), pure_state((70000,), wide / np.linalg.norm(wide),
+                                                      max_dim=100000)):
+        lattice = rank_lattice(state)
+        assert (lattice.state_rank, lattice.entries, lattice.max_depth) == (1, {}, 0)
+        assert check_rank_monotonicity(lattice) == monotonicity_oracle(lattice) == []
+
+
 @st.composite
 def sparse_states(draw, max_terms=3):
     """A pure state, or a mixture of up to ``max_terms``, on 2 to 6 particles
@@ -99,7 +168,7 @@ def test_support_form_ranks_are_those_of_one_svd_per_subset(state):
         for atol in (RankTolerance().atol, 0.0):
             tol = RankTolerance(rtol=rtol, atol=atol)
             expected = [rank_from_values(bipartition_spectrum(state, s), tol) for s in subsets]
-            assert subset_ranks(state, subsets, tol) == expected, tol
+            assert subset_ranks(state, masks(subsets), tol) == expected, tol
 
 
 @st.composite
@@ -135,7 +204,7 @@ def test_dense_form_ranks_are_those_of_one_svd_per_subset(mixture):
                 ]
                 for chunk_bytes in (states.CHUNK_BYTES, 4096):
                     with patch.object(states, "CHUNK_BYTES", chunk_bytes):
-                        assert subset_ranks(state, subsets, tol) == expected, (tol, chunk_bytes)
+                        assert subset_ranks(state, masks(subsets), tol) == expected, (tol, chunk_bytes)
 
 
 @st.composite
@@ -173,7 +242,7 @@ def test_pure_state_ranks_are_complement_symmetric(psi):
     single = [subset_rank(psi, s) for s in with_first]
     for chunk_bytes in (states.CHUNK_BYTES, 4096):
         with patch.object(states, "CHUNK_BYTES", chunk_bytes):
-            assert subset_ranks(psi, with_first) == subset_ranks(psi, complements) == single
+            assert subset_ranks(psi, masks(with_first)) == subset_ranks(psi, masks(complements)) == single
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

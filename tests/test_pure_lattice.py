@@ -22,7 +22,7 @@ from entrank.factorize import factorize_pure
 from entrank.linalg import DEFAULT_TOLERANCE, RankTolerance
 from entrank.statefile import pure_payload, write_state_file
 from entrank.states import canonical_pure, pure_state, subset_ranks
-from oracles import place_parts, random_unitary
+from oracles import masks, place_parts, random_unitary
 
 TOLERANCES = [
     RankTolerance(rtol=1e-10),
@@ -35,7 +35,7 @@ TOLERANCES = [
 def direct_entries(state, lattice, tol):
     """The lattice's entries from one kernel call over every kept set."""
     kept = [tuple(i for i in range(state.n) if i not in t) for t in lattice.entries]
-    return dict(zip(lattice.entries, subset_ranks(state, kept, tol)))
+    return dict(zip(lattice.entries, subset_ranks(state, masks(kept), tol)))
 
 
 def spy(monkeypatch):
@@ -143,8 +143,8 @@ def test_zero_cutoff_ranks_do_not_depend_on_the_listed_side(psi):
     n = psi.n
     with_first = [s for k in range(1, n) for s in combinations(range(n), k) if s[0] == 0]
     complements = [tuple(i for i in range(n) if i not in s) for s in with_first]
-    alone = [subset_ranks(psi, [s], zero)[0] for s in complements]
-    assert subset_ranks(psi, with_first, zero) == subset_ranks(psi, complements, zero) == alone
+    alone = [subset_ranks(psi, masks([s]), zero)[0] for s in complements]
+    assert subset_ranks(psi, masks(with_first), zero) == subset_ranks(psi, masks(complements), zero) == alone
     lattice = criteria.rank_lattice(psi, n - 1, zero)
     assert lattice.entries == direct_entries(psi, lattice, zero)
 
@@ -155,7 +155,7 @@ def reference_log(psi, tol):
     log, remainder, size = [], list(range(psi.n)), 1
     while 2 * size <= len(remainder):
         subsets = list(combinations(remainder, size))
-        tested = tuple(zip(subsets, subset_ranks(psi, subsets, tol)))
+        tested = tuple(zip(subsets, subset_ranks(psi, masks(subsets), tol)))
         accepted = tuple(s for s, rank in tested if rank == 1)
         log.append((size, tuple(remainder), tested, accepted))
         remainder = [i for i in remainder if not any(i in s for s in accepted)]

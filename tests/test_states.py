@@ -22,6 +22,7 @@ from entrank.linalg import RankTolerance, hermitian_eigenvalues, numerical_rank,
 from entrank.states import (
     DensityMatrix,
     PureState,
+    bipartition_matrix,
     bipartition_spectrum,
     density_from_pure,
     density_matrix,
@@ -35,6 +36,7 @@ from entrank.states import (
 )
 from oracles import (
     apply_local_unitaries,
+    masks,
     ptrace_loop,
     random_unitary,
     rank_by_eigvalsh,
@@ -411,7 +413,7 @@ def test_purity_check_werner():
 
 def test_schmidt_rank_product_state():
     psi = product_pure((2, 2, 2), seed=16)
-    assert subset_ranks(psi, [(0,), (1,), (0, 2)]) == [1, 1, 1]
+    assert subset_ranks(psi, masks([(0,), (1,), (0, 2)])) == [1, 1, 1]
 
 
 def test_schmidt_rank_bell():
@@ -592,7 +594,7 @@ def test_subset_ranks_equal_one_svd_per_subset(dims):
     subsets = every_subset_twice(len(dims))
     for k, state in enumerate(states):
         tol = RankTolerance()
-        assert subset_ranks(state, subsets, tol) == per_subset_ranks(state, subsets, tol), k
+        assert subset_ranks(state, masks(subsets), tol) == per_subset_ranks(state, subsets, tol), k
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
@@ -605,16 +607,45 @@ def test_subset_ranks_near_threshold_components(dims, eps):
         for rtol in (1e-10, 1e-6, 1e-13):
             tol = RankTolerance(rtol=rtol, atol=0.0)
             expected = per_subset_ranks(rho, subsets, tol)
-            assert subset_ranks(rho, subsets, tol) == expected, (k, rtol)
+            assert subset_ranks(rho, masks(subsets), tol) == expected, (k, rtol)
 
 
 def test_subset_ranks_of_no_subsets_and_of_bad_subsets():
     psi = ghz(3, 2)
     assert subset_ranks(psi, []) == []
     with pytest.raises(PartitionError):
-        subset_ranks(psi, [(0,), ()])
+        subset_ranks(psi, masks([(0,), ()]))
     with pytest.raises(PartitionError):
-        subset_ranks(psi, [(0,), (3,)])
+        subset_ranks(psi, masks([(0,), (3,)]))
+
+
+def test_subset_ranks_takes_masks_and_subset_rank_takes_particles(monkeypatch):
+    """The kernel reads int masks 1..2^n − 1, numpy integers too, and builds
+    a pure state's cut from the side that holds particle 0 whichever side is
+    listed; ``subset_rank`` still takes a particle list."""
+    psi = haar_pure((2, 3, 2), seed=5)
+    for bad in (0, 2**3, -1):
+        with pytest.raises(PartitionError):
+            subset_ranks(psi, [1, bad])
+    assert subset_ranks(psi, [np.int64(1), np.uint8(6), np.intp(7)]) == [2, 2, 1]
+    stacks = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        stacks.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for order in ([0b011, 0b100], [0b100, 0b011]):
+        del stacks[:]
+        assert subset_ranks(psi, order) == [2, 2]
+        assert [stack.shape[0] for stack in stacks] == [1]
+        assert np.array_equal(stacks[0], bipartition_matrix(psi, (0, 1))[None])
+    monkeypatch.undo()
+    assert subset_rank(psi, [2, 0]) == subset_ranks(psi, [0b101])[0] == 3
+    for subset in ((), (3,), (-1,), (0, 0)):
+        with pytest.raises(PartitionError):
+            subset_rank(psi, subset)
 
 
 def test_subset_ranks_decomposes_each_cut_once(monkeypatch):
@@ -638,10 +669,10 @@ def test_subset_ranks_decomposes_each_cut_once(monkeypatch):
     subsets = kept + kept[:5]
     expected = per_subset_ranks(psi, subsets, RankTolerance())
     del decomposed[:]
-    assert subset_ranks(psi, subsets) == expected
+    assert subset_ranks(psi, masks(subsets)) == expected
     assert sum(decomposed) == 32
     del decomposed[:]
-    subset_ranks(mixed_of_rank((2,) * 6, seed=69, rank=2), subsets)
+    subset_ranks(mixed_of_rank((2,) * 6, seed=69, rank=2), masks(subsets))
     assert sum(decomposed) == len(kept) == 42
 
 
@@ -676,7 +707,7 @@ def test_subset_ranks_threaded_and_inline_paths_agree(workers, monkeypatch):
     kept = depth5_kept()
     assert len(kept) == 637
     tol = RankTolerance()
-    assert subset_ranks(psi, kept, tol) == per_subset_ranks(psi, kept, tol)
+    assert subset_ranks(psi, masks(kept), tol) == per_subset_ranks(psi, kept, tol)
     if workers == 1:
         assert ran_on == {threading.current_thread()}
     else:
@@ -695,7 +726,7 @@ def test_subset_ranks_raises_a_worker_error_after_joining(monkeypatch):
     monkeypatch.setattr(states, "_chunk_ranks", failing)
     before = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError):
-        subset_ranks(haar_pure((2,) * 10, seed=67), depth5_kept())
+        subset_ranks(haar_pure((2,) * 10, seed=67), masks(depth5_kept()))
     assert threading.active_count() == before
 
 
@@ -714,7 +745,7 @@ def test_subset_ranks_from_more_caller_threads_than_cores(monkeypatch):
     results = {}
 
     def call(k):
-        results[k] = subset_ranks(cases[k % 3], subsets, tol)
+        results[k] = subset_ranks(cases[k % 3], masks(subsets), tol)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -790,7 +821,7 @@ def test_inferred_ranks_equal_one_svd_per_subset_on_pure_lattices(name, depth):
     psi = {"haar": haar_pure((2,) * 10, seed=80), "ghz": ghz(10, 2), "w": w(10)}[name]
     kept = lattice_kept(10, depth)
     tol = RankTolerance()
-    assert subset_ranks(psi, kept, tol) == per_subset_ranks(psi, kept, tol)
+    assert subset_ranks(psi, masks(kept), tol) == per_subset_ranks(psi, kept, tol)
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -799,7 +830,7 @@ def test_inferred_ranks_equal_one_svd_per_subset_on_mixtures(n, rank):
     rho = mixed_of_rank((2,) * n, seed=81 + rank, rank=rank)
     kept = lattice_kept(n, n - 1)
     tol = RankTolerance()
-    assert subset_ranks(rho, kept, tol) == per_subset_ranks(rho, kept, tol)
+    assert subset_ranks(rho, masks(kept), tol) == per_subset_ranks(rho, kept, tol)
 
 
 def test_inferred_ranks_keep_the_ancilla():
@@ -811,7 +842,7 @@ def test_inferred_ranks_keep_the_ancilla():
     doubled = mix([(0.5, psi), (0.5, psi)])
     kept = lattice_kept(10, 9)
     tol = RankTolerance()
-    ranks = subset_ranks(doubled, kept, tol)
+    ranks = subset_ranks(doubled, masks(kept), tol)
     assert ranks == per_subset_ranks(doubled, kept, tol)
     assert ranks == per_subset_ranks(psi, kept, tol)
 
@@ -827,7 +858,7 @@ def test_inferred_ranks_equal_one_svd_per_subset_on_qudits_and_blocks():
     tol = RankTolerance()
     for state, depth in ((qudits, 7), (blocks, 9), (blocks, 5)):
         kept = lattice_kept(state.n, depth)
-        assert subset_ranks(state, kept, tol) == per_subset_ranks(state, kept, tol)
+        assert subset_ranks(state, masks(kept), tol) == per_subset_ranks(state, kept, tol)
 
 
 @pytest.mark.parametrize("rank", [1, 3])
@@ -867,7 +898,7 @@ def test_inferred_ranks_decompose_only_what_no_cut_certifies(
     tol = RankTolerance()
     expected = per_subset_ranks(state, kept, tol)
     counts = count_decomposed(monkeypatch)
-    assert subset_ranks(state, kept, tol) == expected
+    assert subset_ranks(state, masks(kept), tol) == expected
     assert sum(counts) == decomposed
 
 
@@ -900,7 +931,7 @@ def test_inference_margin_boundary(margin, inferred, rtol, monkeypatch):
     tol = RankTolerance(rtol=rtol, atol=0.0)
     expected = per_subset_ranks(psi, subsets, tol)
     counts = count_decomposed(monkeypatch)
-    assert subset_ranks(psi, subsets, tol) == expected
+    assert subset_ranks(psi, masks(subsets), tol) == expected
     assert sum(counts) == 126 + 210 - inferred
 
 
@@ -910,7 +941,7 @@ def test_a_zero_cutoff_certifies_nothing():
     every rank stays that of one SVD per cut."""
     tol = RankTolerance(rtol=0.0, atol=0.0)
     kept = lattice_kept(10, 5)
-    ranks = subset_ranks(ghz(10, 2), kept, tol)
+    ranks = subset_ranks(ghz(10, 2), masks(kept), tol)
     assert ranks == per_subset_ranks(ghz(10, 2), kept, tol)
     assert set(ranks[1:]) == {2}
 
@@ -963,7 +994,7 @@ def test_support_form_equals_one_svd_per_subset(name, monkeypatch):
     for tol in CUTOFFS:
         expected = per_subset_ranks(state, subsets, tol)
         inputs = svd_inputs(monkeypatch)
-        assert subset_ranks(state, subsets, tol) == expected, tol
+        assert subset_ranks(state, masks(subsets), tol) == expected, tol
         monkeypatch.undo()
         shapes = {shape[1:] for shape, _ in inputs}
         assert (shapes == {(m * r, m)}) == (m * m < state.dim), shapes
@@ -978,10 +1009,10 @@ def test_the_support_form_rule_reads_m_and_d(monkeypatch):
     subsets = every_subset_twice(3)
     expected = [2 if len(s) < 3 else 1 for s in subsets]
     inputs = svd_inputs(monkeypatch)
-    assert subset_ranks(ghz(3, 2), subsets) == expected
+    assert subset_ranks(ghz(3, 2), masks(subsets)) == expected
     assert [shape for shape, _ in inputs] == [(4, 2, 2)]
     del inputs[:]
-    assert subset_ranks(w(3), subsets) == expected
+    assert subset_ranks(w(3), masks(subsets)) == expected
     assert all(shape[1] * shape[2] == 8 for shape, _ in inputs) and len(inputs) == 2
 
 
@@ -997,8 +1028,8 @@ def test_a_tilted_ghz_state_at_the_cutoff(factor, rank, rtol):
     psi = pure_state((2,) * 10, amps)
     tol = RankTolerance(rtol=rtol, atol=0.0)
     subsets = lattice_kept(10, 9)[1:]
-    assert subset_ranks(psi, subsets, tol) == per_subset_ranks(psi, subsets, tol)
-    assert set(subset_ranks(psi, subsets, tol)) == {rank}
+    assert subset_ranks(psi, masks(subsets), tol) == per_subset_ranks(psi, subsets, tol)
+    assert set(subset_ranks(psi, masks(subsets), tol)) == {rank}
 
 
 def test_no_stack_exceeds_a_chunk(monkeypatch):
@@ -1014,7 +1045,7 @@ def test_no_stack_exceeds_a_chunk(monkeypatch):
     inputs = svd_inputs(monkeypatch)
     for state, depth, matrices in cases:
         del inputs[:]
-        subset_ranks(state, lattice_kept(state.n, depth))
+        subset_ranks(state, masks(lattice_kept(state.n, depth)))
         assert len(inputs) > 1 and sum(shape[0] for shape, _ in inputs) == matrices
         assert all(nbytes <= CHUNK_BYTES or shape[0] == 1 for shape, nbytes in inputs)
 
@@ -1031,7 +1062,7 @@ def test_no_support_form_cut_certifies_another(name, cuts, monkeypatch):
     tol = RankTolerance()
     expected = per_subset_ranks(state, kept, tol)
     counts = count_decomposed(monkeypatch)
-    assert subset_ranks(state, kept, tol) == expected
+    assert subset_ranks(state, masks(kept), tol) == expected
     assert sum(counts) == cuts
 
 
@@ -1065,10 +1096,10 @@ def test_zero_cutoff_ranks_of_sparse_states_stay_within_their_support():
     cases = [w(10)] + [random_sparse((2, 3, 2, 2, 3, 2), 7, seed=92 + k) for k in range(5)]
     for state in cases:
         subsets = every_subset_twice(state.n)[: 2**state.n - 2]
-        ranks = subset_ranks(state, subsets, zero)
-        floor = subset_ranks(state, subsets, RankTolerance())
+        ranks = subset_ranks(state, masks(subsets), zero)
+        floor = subset_ranks(state, masks(subsets), RankTolerance())
         bounds = [support_bound(state, s) for s in subsets]
         assert all(f <= k <= b for f, k, b in zip(floor, ranks, bounds))
         assert max(ranks) <= 7
-    w_ranks = subset_ranks(cases[0], [(i,) for i in range(10)], zero)
+    w_ranks = subset_ranks(cases[0], masks([(i,) for i in range(10)]), zero)
     assert w_ranks == [2] * 10
