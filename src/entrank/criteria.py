@@ -20,37 +20,27 @@ A subset is an int mask (bit i = particle i) from the enumeration of part
 unions (``states.unions``) to the verdict; the entry keys and witnesses are
 particle tuples built from the masks.
 
-Every rank comes from the one kernel ``states.subset_ranks``. A lattice makes
-one call with all the subsets it needs, except a large lattice of a pure
-state, which first reads factorize's sweeps (``factorize.sweep_pure``): once
-its first sweep splits off nothing, the sweeps hold every cut, and a product
-split earlier has its entries counted from its blocks' spectra wherever that
-count provably equals the direct one; the call then takes the state rank and
-the entries left over.
+Every entry of a lattice comes from one ``states.subset_ranks`` call, which
+also takes the state rank, except those that ``factorize.product_ranks``
+counts from a pure product's blocks: the entries of a large lattice over the
+particles of a state with a one-column factor that has split.
 The depth and subset budget of every lattice is ``states.lattice_depth``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
-from .errors import InternalInconsistencyError, PartitionError
-from .factorize import RESIDUAL_THRESHOLD, product_factors, sweep_pure
+from .errors import PartitionError
+from .factorize import product_ranks
 from .linalg import DEFAULT_TOLERANCE, RankTolerance
 from .states import (
-    CHUNK_BYTES,
-    PureState,
     State,
-    bipartition_matrix,
     lattice_depth,
     mask_of,
     normalize_subset,
     particles_of,
-    pure_cut,
     subset_ranks,
     unions,
 )
@@ -134,13 +124,9 @@ def rank_lattice(
     ``lattice_depth`` sets and checks max_depth: 1..k − 1 for k parts,
     while a one-particle state has the depth-0 lattice, its state rank alone.
 
-    The state is factored once. A lattice over particles of a state with a
-    one-column factor V, at depth ≥ n // 2, holds every cut once, 2^(n−1)
-    of them with the full set; when they exceed one chunk of the kernel
-    (2^(n−1)·‖V‖ > ``CHUNK_BYTES``), the entries are read from factorize's
-    sweeps first (``_pure_ranks``). The state rank and every entry not read
-    there come from one ``subset_ranks`` call, as every entry of any other
-    lattice does.
+    The state is factored once. Over particles, ``factorize.product_ranks``
+    counts the entries that a pure product's blocks decide; the state rank
+    and every other entry come from one ``subset_ranks`` call.
     """
     n = state.n
     full = (1 << n) - 1
@@ -148,13 +134,7 @@ def rank_lattice(
     max_depth = lattice_depth(len(units), max_depth)
     traced = unions([mask_of(unit) for unit in units], max_depth)
     state = state.factored(tol)
-    v = state.factor
-    if parts is None and v.shape[1] == 1 and max_depth >= n // 2 and (
-        (1 << (n - 1)) * v.nbytes > CHUNK_BYTES
-    ):
-        ranks = _pure_ranks(PureState(state.dims, v[:, 0]), traced, tol)
-    else:
-        ranks = [None] * len(traced)
+    ranks = product_ranks(state, traced, tol) if parts is None else [None] * len(traced)
     todo = [k for k, rank in enumerate(ranks) if rank is None]
     state_rank, *direct = subset_ranks(state, [full] + [full ^ traced[k] for k in todo], tol)
     for k, rank in zip(todo, direct):
@@ -165,101 +145,6 @@ def rank_lattice(
         max_depth=max_depth,
         parts=tuple(units),
     )
-
-
-def _pure_ranks(psi: PureState, traced: list[int], tol: RankTolerance) -> list[Optional[int]]:
-    """The entries of ψ's lattice, at the traced masks ``traced``, that
-    factorize's sweeps decide; None for the others, and for all of them when
-    the sweeps fail.
-
-    When the sweeps rank every one of the 2^(n−1) − 1 cuts (their first
-    sweep split off nothing), each entry is the rank of its cut, looked up by
-    ``pure_cut``. Otherwise ψ has split, and unless the residual exceeds
-    ``RESIDUAL_THRESHOLD`` its entries are counted from its blocks' spectra
-    (``_product_ranks``).
-    """
-    full = (1 << psi.n) - 1
-    try:
-        _, partition, swept = sweep_pure(psi, tol)
-        if len(swept) == full >> 1:
-            return [swept[pure_cut(t, full)] for t in traced]
-        factors, residual = product_factors(psi, partition, tol)
-    except InternalInconsistencyError:  # an acceptance the sweeps or the factors contradict
-        return [None] * len(traced)
-    if residual > RESIDUAL_THRESHOLD:
-        return [None] * len(traced)
-    return _product_ranks(partition, factors, residual, traced, tol)
-
-
-def _product_ranks(
-    partition: tuple[tuple[int, ...], ...],
-    factors: tuple[PureState, ...],
-    residual: float,
-    traced: list[int],
-    tol: RankTolerance,
-) -> list[Optional[int]]:
-    """Ranks of ψ ≈ e^{iθ}·φ, φ = ⊗_b φ_b over the parts b of ``partition``
-    with ``factors`` φ_b, at the traced masks ``traced``, each counted from
-    the product of the blocks' spectra where that count is certain, else None.
-
-    Across the cut T | K (traced | kept) the singular values of φ's cut
-    matrix are the products over blocks of φ_b's Schmidt coefficients across
-    (b ∩ T) | (b ∩ K) (a block on one side gives 1), zero-padded to the
-    bound min(d_T, d_K). By Weyl's inequality each singular value of ψ's cut
-    matrix lies within Δ = ‖ψ − e^{iθ}φ‖ ≤ residual of the one of the same
-    order, and LAPACK returns them to within its backward error, taken as
-    4·ε·(d_T + d_K)·(1 + Δ) ≤ 4·ε·(d + 1)·(1 + Δ) for the direct SVD, the
-    block SVDs and the products together (d_T·d_K = d, and 1 + Δ ≥ ‖ψ‖
-    bounds every singular value). With slack the sum of the two and s_1 the
-    top product, the direct count compares
-    each computed value with the √ of tol.cutoff at a top value in
-    [s_1 − slack, s_1 + slack]. A count is taken when every product, and
-    zero, lies more than slack away from that range of thresholds: it then
-    equals the direct count, value by value.
-    """
-    d = prod(factor.dim for factor in factors)
-    slack = residual + 4 * np.finfo(float).eps * (d + 1) * (1 + residual)
-    masks = np.array(traced, np.int64)
-    # Per block, the row of each entry's b ∩ T in the block's spectra.
-    rows = [sum(((masks >> i) & 1) << j for j, i in enumerate(part)) for part in partition]
-    tables = [_block_spectra(factor) for factor in factors]
-    step = max(1, CHUNK_BYTES // (8 * prod(table.shape[1] for table in tables)))
-    ranks: list[Optional[int]] = []
-    for lo in range(0, len(masks), step):
-        values = np.ones((len(masks[lo : lo + step]), 1))
-        for table, row in zip(tables, rows):
-            block = table[row[lo : lo + step]]
-            values = (values[:, :, None] * block[:, None, :]).reshape(len(values), -1)
-        top = values[:, :1]
-        low = np.sqrt(tol.cutoff(np.maximum(top - slack, 0.0) ** 2))
-        high = np.sqrt(tol.cutoff((top + slack) ** 2))
-        above = values - slack > high
-        certain = (above | (values + slack < low)).all(axis=1) & (slack < low[:, 0])
-        ranks += [int(c) if ok else None for c, ok in zip(above.sum(axis=1), certain)]
-    return ranks
-
-
-def _block_spectra(factor: PureState) -> np.ndarray:
-    """Row x: the descending Schmidt coefficients of ``factor`` across the
-    subset of its particles whose bits are set in x, zero-padded; the empty
-    and the full subset give 1. Each cut is decomposed once, from its side
-    named by ``pure_cut``, and fills the rows of both sides; the cuts of one
-    shape are stacked into chunks of at most ``CHUNK_BYTES``, one SVD each."""
-    k, d = factor.n, factor.dim
-    full = (1 << k) - 1
-    shapes: dict[int, list] = {}
-    for x in range(1, full, 2):  # every cut, by its side that holds particle 0
-        shapes.setdefault(prod(factor.dims[i] for i in particles_of(x)), []).append(x)
-    table = np.zeros((full + 1, max([min(d_x, d // d_x) for d_x in shapes] + [1])))
-    table[[0, full], 0] = 1.0
-    step = max(1, CHUNK_BYTES // factor.amplitudes.nbytes)
-    for members in shapes.values():
-        for lo in range(0, len(members), step):
-            xs = members[lo : lo + step]
-            stack = np.stack([bipartition_matrix(factor, particles_of(x)) for x in xs])
-            values = np.linalg.svd(stack, compute_uv=False)
-            table[xs + [full ^ x for x in xs], : values.shape[1]] = np.concatenate([values] * 2)
-    return table
 
 
 def check_rank_monotonicity(lattice: RankLattice) -> list[Violation]:

@@ -23,19 +23,27 @@ A sweep's subsets are masks, the unions of the remainder's particle bits
 
 ``sweep_pure`` runs the sweeps and ``product_factors`` the reconstruction;
 ``factorize_pure`` adds the budget check, the reading of ψ and the residual
-threshold, and ``criteria.rank_lattice`` reads a pure state's lattice from
-the two.
+threshold.
+
+The paper treats pure states apart because a pure product's reduced ranks
+are products over its blocks. ``product_ranks`` is that fact for
+``criteria.rank_lattice``: the entries of a large lattice of a pure product,
+counted from its blocks' spectra wherever the count is certain. Every other
+entry of every lattice comes from the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, InternalInconsistencyError, PartitionError
 from .linalg import DEFAULT_TOLERANCE, RankTolerance, rank_from_values
 from .states import (
+    CHUNK_BYTES,
     PureState,
     State,
     bipartition_matrix,
@@ -132,10 +140,9 @@ def _sweep(remainder: list[int], size: int, tested: list[int], ranks: list[int])
 
 def sweep_pure(
     psi: PureState, tol: RankTolerance
-) -> tuple[tuple[StepRecord, ...], tuple[tuple[int, ...], ...], dict[int, int]]:
-    """The sweeps over ψ: their trace, ψ's finest product partition (parts
-    ordered by smallest member) and the rank of every cut the kernel was
-    given, keyed by ``pure_cut``. ψ's amplitudes are used as given."""
+) -> tuple[tuple[StepRecord, ...], tuple[tuple[int, ...], ...]]:
+    """The sweeps over ψ: their trace and ψ's finest product partition (parts
+    ordered by smallest member). ψ's amplitudes are used as given."""
     full = (1 << psi.n) - 1
     log: list[StepRecord] = []
     parts: list[tuple[int, ...]] = []
@@ -160,7 +167,7 @@ def sweep_pure(
     if remainder:
         parts.append(particles_of(sum(remainder)))
     parts.sort(key=lambda p: p[0])
-    return tuple(log), tuple(parts), ranks
+    return tuple(log), tuple(parts)
 
 
 def product_factors(
@@ -196,7 +203,7 @@ def factorize_pure(state: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> Fact
             f" this state is a mixture of {rank} components"
         )
     psi = canonical_pure(state.dims, vec)
-    log, partition, _ = sweep_pure(psi, tol)
+    log, partition = sweep_pure(psi, tol)
     factors, residual = product_factors(psi, partition, tol)
     if residual > RESIDUAL_THRESHOLD:
         raise InternalInconsistencyError(
@@ -210,6 +217,115 @@ def factorize_pure(state: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> Fact
         residual=residual,
         trace_log=log,
     )
+
+
+def product_ranks(state: State, traced: list[int], tol: RankTolerance) -> list[Optional[int]]:
+    """The entries, at the traced masks ``traced``, of a lattice over the
+    particles of ``state`` that a pure product's blocks decide; None for the
+    others, which the lattice takes from the kernel.
+
+    Only a state with a one-column factor V whose traced sets span more than
+    one kernel chunk (len(traced)·‖V‖ > ``CHUNK_BYTES``) is tried, and only
+    when one probe kernel call over its n single particles finds one of rank
+    1, so that ψ = V's column has split. Its sweeps then give its partition,
+    and unless they or the factors contradict an acceptance, or the residual
+    exceeds ``RESIDUAL_THRESHOLD``, its entries are counted from the blocks'
+    spectra (``_product_ranks``).
+    """
+    v = state.factored(tol).factor
+    undecided: list[Optional[int]] = [None] * len(traced)
+    if v.shape[1] != 1 or len(traced) * v.nbytes <= CHUNK_BYTES:
+        return undecided
+    psi = PureState(state.dims, v[:, 0])
+    if 1 not in subset_ranks(psi, [1 << i for i in range(psi.n)], tol):
+        return undecided
+    try:
+        _, partition = sweep_pure(psi, tol)
+        factors, residual = product_factors(psi, partition, tol)
+    except InternalInconsistencyError:  # an acceptance the sweeps or the factors contradict
+        return undecided
+    if residual > RESIDUAL_THRESHOLD:
+        return undecided
+    return _product_ranks(partition, factors, residual, traced, tol)
+
+
+def _product_ranks(
+    partition: tuple[tuple[int, ...], ...],
+    factors: tuple[PureState, ...],
+    residual: float,
+    traced: list[int],
+    tol: RankTolerance,
+) -> list[Optional[int]]:
+    """Ranks of ψ ≈ e^{iθ}·φ, φ = ⊗_b φ_b over the parts b of ``partition``
+    with ``factors`` φ_b, at the traced masks ``traced``, each counted from
+    the product of the blocks' spectra where that count is certain, else None.
+
+    Across the cut T | K (traced | kept) the singular values of φ's cut
+    matrix are the products over blocks of φ_b's Schmidt coefficients across
+    (b ∩ T) | (b ∩ K) (a block on one side gives 1), zero-padded to the
+    bound min(d_T, d_K). By Weyl's inequality each singular value of ψ's cut
+    matrix lies within Δ = ‖ψ − e^{iθ}φ‖ ≤ residual of the one of the same
+    order, and LAPACK returns them to within its backward error, taken as
+    4·ε·(d_T + d_K)·(1 + Δ) ≤ 4·ε·(d + 1)·(1 + Δ) for the direct SVD, the
+    block SVDs and the products together (d_T·d_K = d, and 1 + Δ ≥ ‖ψ‖
+    bounds every singular value). With slack the sum of the two and s_1 the
+    top product, the direct count compares each computed value with the √
+    of tol.cutoff at a top value in [s_1 − slack, s_1 + slack]. A count is taken when every product, and
+    zero, lies more than slack away from that range of thresholds: it then
+    equals the direct count, value by value.
+    """
+    d = prod(factor.dim for factor in factors)
+    slack = residual + 4 * np.finfo(float).eps * (d + 1) * (1 + residual)
+    masks = np.array(traced, np.int64)
+    # Per block, the row of each entry's b ∩ T in the block's spectra.
+    rows = [sum(((masks >> i) & 1) << j for j, i in enumerate(part)) for part in partition]
+    tables = [_block_spectra(factor) for factor in factors]
+    step = max(1, CHUNK_BYTES // (8 * prod(table.shape[1] for table in tables)))
+    ranks: list[Optional[int]] = []
+    for lo in range(0, len(masks), step):
+        values = np.ones((len(masks[lo : lo + step]), 1))
+        for table, row in zip(tables, rows):
+            block = table[row[lo : lo + step]]
+            values = (values[:, :, None] * block[:, None, :]).reshape(len(values), -1)
+        top = values[:, :1]
+        low = np.sqrt(tol.cutoff(np.maximum(top - slack, 0.0) ** 2))
+        high = np.sqrt(tol.cutoff((top + slack) ** 2))
+        above = values - slack > high
+        certain = (above | (values + slack < low)).all(axis=1) & (slack < low[:, 0])
+        ranks += [int(c) if ok else None for c, ok in zip(above.sum(axis=1), certain)]
+    return ranks
+
+
+def _block_spectra(factor: PureState) -> np.ndarray:
+    """Row x: the descending Schmidt coefficients of ``factor`` across the
+    subset of its particles whose bits are set in x, zero-padded; the empty
+    and the full subset give 1. Each cut is decomposed once, from its side
+    named by ``pure_cut``, transposed from the amplitude tensor in the
+    kernel's tall orientation (the larger side's axes first), and fills the
+    rows of both sides; the cuts of one shape are stacked into chunks of at
+    most ``CHUNK_BYTES``, one SVD each."""
+    k, d = factor.n, factor.dim
+    full = (1 << k) - 1
+    tensor = factor.amplitudes.reshape(factor.dims)
+    groups: dict[tuple, list] = {}
+    for x in range(1, full, 2):  # every cut, by its side that holds particle 0
+        subset, rest = particles_of(x), particles_of(full ^ x)
+        d_x = prod(factor.dims[i] for i in subset)
+        axes, rows = (rest + subset, d // d_x) if d_x * d_x < d else (subset + rest, d_x)
+        groups.setdefault((rows, tuple(factor.dims[i] for i in axes)), []).append((x, axes))
+    table = np.zeros((full + 1, max([d // rows for rows, _ in groups] + [1])))
+    table[[0, full], 0] = 1.0
+    step = max(1, CHUNK_BYTES // factor.amplitudes.nbytes)
+    for (rows, shape), members in groups.items():
+        for lo in range(0, len(members), step):
+            chunk = members[lo : lo + step]
+            stack = np.empty((len(chunk),) + shape, tensor.dtype)
+            for j, (_, axes) in enumerate(chunk):
+                stack[j] = tensor.transpose(axes)
+            values = np.linalg.svd(stack.reshape(len(chunk), rows, -1), compute_uv=False)
+            xs = [x for x, _ in chunk]
+            table[xs + [full ^ x for x in xs], : values.shape[1]] = np.concatenate([values] * 2)
+    return table
 
 
 def _reconstruction_residual(

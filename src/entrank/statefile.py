@@ -66,13 +66,16 @@ def _is_index(value: Any) -> bool:
 def _parse_float(value: Any, where: str) -> float:
     if not _is_number(value):
         raise StateFileError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise StateFileError(f"{where}: number too large for a float") from None
 
 
 def _checked_complex(entry: dict, where: str) -> complex:
     """complex(entry["re"], entry["im"]), or an error naming ``where`` and the
-    bad field. The cell loops test the valid case inline and call this only
-    otherwise, so a valid file builds no message."""
+    bad field. Only the cell loops call it, and a valid file never reaches
+    them: the bulk parsers take it."""
     re = _parse_float(_require(entry, "re", where), where)
     im = _parse_float(_require(entry, "im", where), where)
     return complex(re, im)
@@ -139,16 +142,13 @@ def _amplitude_cells(entries: list, dims: tuple[int, ...], where: str) -> np.nda
         if flat in seen:
             raise StateFileError(f"{at(pos)}: duplicate basis index {index}")
         seen.add(flat)
-        re, im = entry.get("re"), entry.get("im")
-        if _is_number(re) and _is_number(im):
-            amps[flat] = complex(re, im)
-        else:
-            amps[flat] = _checked_complex(entry, at(pos))
+        amps[flat] = _checked_complex(entry, at(pos))
     return amps
 
 
 def _normalized(amps: np.ndarray, where: str) -> np.ndarray:
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+        norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > LOAD_TOL:
         raise StateFileError(f"{where}: amplitude norm {norm!r} is not 1 within {LOAD_TOL}")
     if abs(norm - 1.0) > RESCALE_GUARD:
@@ -183,12 +183,6 @@ def _matrix_cells(rows: list, d: int, where: str) -> np.ndarray:
             raise StateFileError(f"{where}, row {i}: expected {d} entries")
         values: list[complex] = []
         for cell in row:
-            if isinstance(cell, dict):
-                re, im = cell.get("re"), cell.get("im")
-                if _is_number(re) and _is_number(im):
-                    values.append(complex(re, im))
-                    continue
-            # The cell's column is len(values); only a bad cell gets here.
             ctx = f"{where}, row {i}, column {len(values)}"
             if not isinstance(cell, dict):
                 raise StateFileError(f"{ctx}: expected an object with re/im")

@@ -24,13 +24,13 @@ named by ``pure_cut``.
 loop. The plan decides each cut's form: the support form, built from the m
 nonzero rows of V alone, when m² < d (GHZ and W states have m = 2 and m = n),
 else V reshaped in its tall orientation (rows ≥ columns), the faster LAPACK
-path. It decides the levels: a dense call whose cuts span more than one
-chunk takes them in decreasing order of their bound min(d_S, d_rest·r), and
-a cut decomposed at full rank with margin certifies the cuts below it whose
-small side lies inside its own; any other call is one level that certifies
-nothing. Each level's undecided cuts of one shape are stacked into chunks of
-at most ``CHUNK_BYTES`` with one SVD each. A level that spans more than one
-chunk shares its chunks out among one thread per core the process's CPU
+path. It decides the levels: a dense call takes its cuts in decreasing
+order of their bound min(d_S, d_rest·r), and a cut decomposed at full rank
+with margin certifies the cuts below it whose small side lies inside its
+own; a support-form call is one level that certifies nothing. Each level's
+undecided cuts of one shape are stacked into chunks of at most
+``CHUNK_BYTES`` with one SVD each. A level that spans more than one chunk
+shares its chunks out among one thread per core the process's CPU
 affinity allows (``taskset`` limits them; there is no setting), started and
 joined within the level; other work runs in the calling thread. The proofs
 that the support form and the inherited ranks change no rank are in
@@ -283,10 +283,12 @@ def density_matrix(
     d = prod(dims)
     if mat.shape != (d, d):
         raise ShapeError(f"matrix shape {mat.shape} does not match dims {dims}")
-    norm = np.linalg.norm(mat)
-    if np.linalg.norm(mat - mat.conj().T) > atol * max(norm, 1e-300):
+    with np.errstate(over="ignore"):  # entries near the float limit give inf, rejected below
+        norm = np.linalg.norm(mat)
+        defect = np.linalg.norm(mat - mat.conj().T)
+        tr = complex(np.trace(mat))
+    if defect > atol * max(norm, 1e-300):
         raise NormalizationError("density matrix is not Hermitian within tolerance")
-    tr = complex(np.trace(mat))
     if abs(tr - 1.0) > atol:
         raise NormalizationError(f"density matrix trace {tr!r} is not 1")
     # The diagonal of (M + M†)/2 is exactly Re M_ii, so its trace is tr.real.
@@ -313,12 +315,12 @@ def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> 
     dims = terms[0][1].dims
     total = 0.0
     for weight, psi in terms:
-        if weight <= 0:
+        if not weight > 0:  # NaN too
             raise NormalizationError(f"mixture weight {weight!r} is not positive")
         if psi.dims != dims:
             raise ShapeError(f"mixture terms disagree on dims: {psi.dims} vs {dims}")
         total += float(weight)
-    if abs(total - 1.0) > weight_atol:
+    if not abs(total - 1.0) <= weight_atol:  # an infinite sum too
         raise NormalizationError(f"mixture weights sum to {total!r}, expected 1")
     columns = np.stack([psi.amplitudes for _, psi in terms], axis=1)
     weights = np.array([float(weight) for weight, _ in terms])
@@ -507,9 +509,7 @@ def subset_ranks(
     its bound, without an SVD, and inherits the margin. A zero cutoff (atol =
     rtol = 0) certifies nothing. X ⊊ P makes the certifier's bound strictly
     larger (every dimension is at least 2), so the levels are the bounds,
-    each certified from the levels before it. A call whose cuts fit in one
-    chunk (n_cuts · ‖V‖ ≤ ``CHUNK_BYTES``) is one level that certifies
-    nothing: its few stacked SVDs cost less than levelling them would.
+    each certified from the levels before it.
     """
     state = state.factored(tol)
     n, v = state.n, state.factor
@@ -541,7 +541,6 @@ def subset_ranks(
                 stack[j] = tensor.transpose(axes)
 
         size, plan = v.size, []
-        levelled = len(cuts) * v.nbytes > CHUNK_BYTES
         ancilla = (1 << n) if r > 1 else 0
         for mask in cuts:
             subset, rest = particles_of(mask), particles_of(full ^ mask)
@@ -551,7 +550,7 @@ def subset_ranks(
             shape = tuple(map(tensor.shape.__getitem__, axes))
             other = (full ^ mask) | ancilla
             sides = (mask,) if d_s < d_y else (other,) if d_y < d_s else (mask, other)
-            plan.append((rows, shape, axes, min(d_s, d_y) if levelled else 0, sides))
+            plan.append((rows, shape, axes, min(d_s, d_y), sides))
 
     ranks = [0] * len(plan)
     step = min(len(plan), max(1, CHUNK_BYTES // (size * v.itemsize)))

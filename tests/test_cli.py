@@ -476,6 +476,32 @@ def test_ppt_bad_part(capsys, werner06_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command", [("analyze",), ("analyze", "--json"), ("factorize",), ("ppt", "1")],
+    ids=["analyze", "analyze-json", "factorize", "ppt"],
+)
+def test_a_nan_mixture_weight_is_an_input_error(capsys, tmp_path, command):
+    """Python's JSON reads NaN; before the kernel saw the weight, analyze and
+    factorize ended in LAPACK's "SVD did not converge" and ppt in
+    "Eigenvalues did not converge"."""
+    payload = mixture_payload(qutrit_mixture_terms())
+    payload["terms"][0]["weight"] = float("nan")
+    path = tmp_path / "nan_weight.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert (code, out, err) == (2, "", "error: mixture weight nan is not positive\n")
+
+
+def test_a_number_beyond_the_float_range_is_an_input_error(capsys, tmp_path):
+    payload = pure_payload(ghz(3, 2))
+    payload["amplitudes"][1]["im"] = int("9" * 400)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}, amplitude 1: number too large for a float\n"
+
+
 # --------------------------------------------------------------------- gen
 
 

@@ -99,8 +99,8 @@ def small_lattices(draw):
 @st.composite
 def wide_lattices(draw):
     """The lattice over the particles of a pure state on 9 or 10 qubits, Haar
-    or a product of Haar blocks, at a depth of at least n/2: it is read from
-    factorize's sweeps, or from its blocks' spectra."""
+    or a product of Haar blocks, at a depth of at least n/2: it comes from one
+    kernel call, or from its blocks' spectra when a block is one qubit."""
     n = draw(st.integers(9, 10))
     blocks = random_partition(draw, n, 1)
     seed = draw(st.integers(0, 10**6))
@@ -123,8 +123,8 @@ def test_violations_are_those_of_the_brute_force_walk_in_its_order(lattice):
 
 def test_violations_of_one_particle_lattices():
     """Depth 0: the state rank alone and no violation, also for a state
-    beyond one kernel chunk, which passes the lattice's sweep gate with an
-    empty sweep log."""
+    beyond one kernel chunk, whose empty lattice never reaches the product
+    path."""
     rng = np.random.default_rng(7)
     wide = rng.normal(size=70000) + 1j * rng.normal(size=70000)
     for state in (haar_pure((3,), seed=8), pure_state((70000,), wide / np.linalg.norm(wide),

@@ -1,12 +1,13 @@
-"""A pure state's lattice read from factorize's sweeps, and the sweeps' one
+"""A pure product's lattice counted from its blocks, and factorize's one
 inherited kernel call.
 
 ``criteria.rank_lattice`` takes the entries of a large lattice over the
-particles of a state with a one-column factor from ``factorize.sweep_pure``:
-when the first sweep splits off nothing, every entry is a sweep rank, and a
-product split earlier has its entries counted from its blocks' spectra where
-that count is certain. Each test compares the lattice with one direct
-``subset_ranks`` call over every kept set.
+particles of a state with a one-column factor from
+``factorize.product_ranks`` when a probe over the single particles finds one
+of rank 1: the product's entries are counted from its blocks' spectra where
+that count is certain. Every other entry, and every entry of any other
+lattice, comes from one kernel call. Each test compares the lattice with one
+direct ``subset_ranks`` call over every kept set.
 """
 
 from itertools import combinations
@@ -39,16 +40,20 @@ def direct_entries(state, lattice, tol):
 
 
 def spy(monkeypatch):
-    """Sizes of the kernel calls ``criteria`` makes, and the calls of its
-    sweep and reconstruction helpers; ``product`` is set once a lattice
-    reconstructs a product to count entries from its blocks."""
-    calls = {"kernel": [], "sweeps": 0, "product": False}
-    kernel, sweeps, product = criteria.subset_ranks, criteria.sweep_pure, criteria.product_factors
+    """Sizes of the lattice's kernel calls (``kernel``, made by ``criteria``)
+    and of ``factorize``'s (``factorize``: the probe and the sweeps), and the
+    calls of the sweeps and the reconstruction; ``product`` is set once a
+    lattice reconstructs a product to count entries from its blocks."""
+    calls = {"kernel": [], "factorize": [], "sweeps": 0, "product": False}
+    sweeps, product = factorize.sweep_pure, factorize.product_factors
 
-    def counting_kernel(state, subsets, tol):
-        subsets = list(subsets)
-        calls["kernel"].append(len(subsets))
-        return kernel(state, subsets, tol)
+    def counting_kernel(key, kernel):
+        def counting(state, subsets, tol):
+            subsets = list(subsets)
+            calls[key].append(len(subsets))
+            return kernel(state, subsets, tol)
+
+        return counting
 
     def counting_sweeps(psi, tol):
         calls["sweeps"] += 1
@@ -58,9 +63,12 @@ def spy(monkeypatch):
         calls["product"] = True
         return product(psi, partition, tol)
 
-    monkeypatch.setattr(criteria, "subset_ranks", counting_kernel)
-    monkeypatch.setattr(criteria, "sweep_pure", counting_sweeps)
-    monkeypatch.setattr(criteria, "product_factors", counting_product)
+    monkeypatch.setattr(criteria, "subset_ranks", counting_kernel("kernel", criteria.subset_ranks))
+    monkeypatch.setattr(
+        factorize, "subset_ranks", counting_kernel("factorize", factorize.subset_ranks)
+    )
+    monkeypatch.setattr(factorize, "sweep_pure", counting_sweeps)
+    monkeypatch.setattr(factorize, "product_factors", counting_product)
     return calls
 
 
@@ -74,8 +82,8 @@ def schmidt_block(d1, d2, spectrum, seed):
     return ((u * np.sqrt(spectrum)) @ w.T).reshape(-1)
 
 
-# A product qubit splits off in the first sweep, so the sweeps do not rank
-# every cut and the other entries are counted from the blocks' spectra.
+# A product qubit, which the probe finds, splits off in the first sweep, and
+# the entries are counted from the blocks' spectra.
 PARTS = ((0,), (1, 3, 5, 7), (2, 4, 6, 8))
 
 
@@ -96,13 +104,16 @@ def test_product_with_schmidt_tails_matches_the_direct_lattice(tol, monkeypatch)
     psi = tailed_product()
     calls = spy(monkeypatch)
     lattice = criteria.rank_lattice(psi, psi.n - 1, tol)
-    assert calls["sweeps"] == 1
+    # At a zero cutoff rounding noise gives the lone qubit rank 2 in the
+    # probe, so that lattice is one direct call.
+    assert calls["sweeps"] == (1 if tol.rtol or tol.atol else 0)
     assert lattice.entries == direct_entries(psi, lattice, tol)
     if tol == TOLERANCES[0]:
         # Tracing out the second halves of both blocks keeps 4 × 4 product
         # eigenvalues; the 1e-6 · 1e-6 one is below the cutoff.
         assert lattice.entries[(5, 6, 7, 8)] == 15
         assert calls["product"] and calls["kernel"] == [1]  # the state rank alone
+        assert calls["factorize"][0] == 9  # the probe
 
 
 def near_product(eps):
@@ -163,6 +174,15 @@ def reference_log(psi, tol):
     return log
 
 
+def late_split(n, block, seed):
+    """A Haar state of the qubits ``block`` times a Haar state of the rest."""
+    rest = tuple(i for i in range(n) if i not in block)
+    parts = sorted([block, rest], key=lambda p: p[0])
+    states = [haar_pure((2,) * len(p), seed=seed + j) for j, p in enumerate(parts)]
+    dims, amplitudes = place_parts([(s.dims, s.amplitudes) for s in states], parts)
+    return pure_state(dims, amplitudes)
+
+
 @st.composite
 def late_splits(draw):
     """A Haar block of 2 or 3 qubits at random positions, times a Haar state
@@ -170,12 +190,7 @@ def late_splits(draw):
     inherited call, and a later sweep splits the block off."""
     n = draw(st.integers(9, 10))
     block = tuple(sorted(draw(st.permutations(range(n)))[: draw(st.integers(2, 3))]))
-    rest = tuple(i for i in range(n) if i not in block)
-    seed = draw(st.integers(0, 10**6))
-    parts = sorted([block, rest], key=lambda p: p[0])
-    states = [haar_pure((2,) * len(p), seed=seed + j) for j, p in enumerate(parts)]
-    dims, amplitudes = place_parts([(s.dims, s.amplitudes) for s in states], parts)
-    return pure_state(dims, amplitudes)
+    return late_split(n, block, draw(st.integers(0, 10**6)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
@@ -185,7 +200,7 @@ def test_inherited_sweeps_log_what_one_call_per_size_logs(psi):
     expected = reference_log(canonical_pure(psi.dims, psi.amplitudes), DEFAULT_TOLERANCE)
     assert [(r.step, r.remainder, r.tested, r.accepted) for r in result.trace_log] == expected
     assert len(result.partition) == 2
-    # The first sweep split nothing, so the sweeps ranked every cut.
+    # No particle has rank 1, so the lattice is one direct call.
     lattice = criteria.rank_lattice(psi, psi.n - 1)
     assert lattice.entries == direct_entries(psi, lattice, DEFAULT_TOLERANCE)
 
@@ -223,21 +238,51 @@ def test_small_lattice_makes_one_kernel_call_and_no_sweep(monkeypatch):
     psi = haar_pure((2,) * 5, seed=4)
     calls = spy(monkeypatch)
     lattice = criteria.rank_lattice(psi)
-    assert calls == {"kernel": [1 + 15], "sweeps": 0, "product": False}
+    assert calls == {"kernel": [1 + 15], "factorize": [], "sweeps": 0, "product": False}
     assert lattice.entries == direct_entries(psi, lattice, DEFAULT_TOLERANCE)
 
 
-def test_fully_entangled_lattice_reads_the_sweeps(monkeypatch):
-    """Every entry of a 9-qubit Haar lattice, at every depth from n // 2, is a
-    sweep rank; the kernel call left holds the state rank alone, and the
-    traced ``factorize_pure`` is never entered."""
+def test_fully_entangled_lattice_is_the_probe_and_one_kernel_call(monkeypatch):
+    """A 9-qubit Haar lattice at depths 4 and 8 spans more than one chunk, so
+    the probe ranks its single particles; none has rank 1, so one kernel call
+    takes the state rank and every entry, and neither the sweeps nor the
+    traced ``factorize_pure`` is entered."""
     psi = haar_pure((2,) * 9, seed=5)
     calls = spy(monkeypatch)
     monkeypatch.setattr(factorize, "factorize_pure", None)
     for depth in (4, 8):
         lattice = criteria.rank_lattice(psi, depth)
         assert lattice.entries == direct_entries(psi, lattice, DEFAULT_TOLERANCE)
-    assert calls == {"kernel": [1, 1], "sweeps": 2, "product": False}
+    assert calls == {
+        "kernel": [1 + 255, 1 + 510], "factorize": [9, 9], "sweeps": 0, "product": False
+    }
+
+
+def test_late_split_lattice_is_the_probe_and_one_kernel_call(monkeypatch):
+    """A Haar pair times a Haar state of the other eight qubits first splits
+    at size 2, so the probe finds no rank-1 particle and the lattice is one
+    direct call."""
+    psi = late_split(10, (2, 7), seed=12)
+    calls = spy(monkeypatch)
+    lattice = criteria.rank_lattice(psi, psi.n - 1)
+    assert lattice.entries == direct_entries(psi, lattice, DEFAULT_TOLERANCE)
+    assert calls == {"kernel": [1 + 1022], "factorize": [10], "sweeps": 0, "product": False}
+
+
+def test_shallow_lattice_of_a_block_product_is_counted_from_its_blocks(monkeypatch):
+    """A 12-qubit product of Haar blocks on the benchmark's block12 parts at
+    depth 2: its 78 traced sets span more than one chunk and qubit 0 has rank
+    1, so the sweeps split the product and every entry is counted from the
+    blocks; the lattice's kernel call holds the state rank alone."""
+    parts = ((0,), (1, 2), (3, 4, 5), tuple(range(6, 12)))
+    blocks = [haar_pure((2,) * len(p), seed=70 + j) for j, p in enumerate(parts)]
+    psi = pure_state(*place_parts([(b.dims, b.amplitudes) for b in blocks], parts))
+    calls = spy(monkeypatch)
+    lattice = criteria.rank_lattice(psi, 2)
+    assert lattice.entries == direct_entries(psi, lattice, DEFAULT_TOLERANCE)
+    assert len(lattice.entries) == 12 + 66
+    assert calls["kernel"] == [1] and calls["factorize"][0] == 12
+    assert calls["sweeps"] == 1 and calls["product"]
 
 
 def analyze_bytes(capsys, path, *flags):
@@ -255,9 +300,9 @@ def test_reports_match_the_direct_lattice(name, flags, tmp_path, monkeypatch, ca
     """A weakly entangled pair (eigenvalues 0.9, 0.1) times a Haar state: at
     rtol 0.3 the sweeps split the pair, the residual exceeds its threshold,
     and the lattice falls back to the direct call. A product of Haar blocks
-    at depth 1 never reads the sweeps. Either report, and that of the blocks
-    at the default depth, has the bytes of the direct lattice, which a
-    chunk too large to level gives."""
+    at depth 1 fits in one chunk and never reaches the sweeps. Either report,
+    and that of the blocks at the default depth, has the bytes of the direct
+    lattice, which a chunk too large for the product path gives."""
     if name == "weak_pair":
         pair = np.array([np.sqrt(0.9), 0, 0, np.sqrt(0.1)])
         psi = pure_state((2,) * 10, np.kron(pair, haar_pure((2,) * 8, seed=6).amplitudes))
@@ -271,6 +316,6 @@ def test_reports_match_the_direct_lattice(name, flags, tmp_path, monkeypatch, ca
     code, report = analyze_bytes(capsys, path, *flags)
     assert code == 0
     assert calls["sweeps"] == (0 if flags == ("--depth", "1") else 1)
-    monkeypatch.setattr(criteria, "CHUNK_BYTES", 1 << 40)
+    monkeypatch.setattr(factorize, "CHUNK_BYTES", 1 << 40)
     assert analyze_bytes(capsys, path, *flags) == (code, report)
     assert calls["sweeps"] == (0 if flags == ("--depth", "1") else 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entrank.catalog import bell, haar_pure, mixed_of_rank, werner
-from entrank.errors import StateFileError
+from entrank.errors import NormalizationError, StateFileError
 from entrank.statefile import (
     density_payload,
     load_state,
@@ -244,6 +244,57 @@ def test_dense_cell_error_messages(cell, message):
     with pytest.raises(StateFileError) as info:
         parse_state(_dense_payload(cells))
     assert str(info.value) == message
+
+
+HUGE = int("9" * 400)  # valid JSON, beyond the float range
+
+
+def _payload_with(field, value):
+    """A valid payload with ``value`` in one field: an amplitude's re or im,
+    a dense cell's re, or a mixture weight."""
+    if field == "cell":
+        cells = _diagonal_cells()
+        cells[2][1] = {"re": value, "im": 0.0}
+        return _dense_payload(cells)
+    entries = [{"index": [0], "re": 0.6, "im": 0.0}, {"index": [1], "re": 0.0, "im": 0.8}]
+    if field in ("re", "im"):
+        entries[1][field] = value
+        return {"format_version": "1", "kind": "pure", "dims": [2], "amplitudes": entries}
+    return {"format_version": "1", "kind": "mixture", "dims": [2],
+            "terms": [{"weight": value, "amplitudes": entries}]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("re", "state file, amplitude 1: number too large for a float"),
+        ("im", "state file, amplitude 1: number too large for a float"),
+        ("cell", "state file, row 2, column 1: number too large for a float"),
+        ("weight", "state file, term 0: number too large for a float"),
+    ],
+    ids=["re", "im", "cell", "weight"],
+)
+def test_an_integer_beyond_the_float_range_is_a_state_file_error(field, message):
+    with pytest.raises(StateFileError) as info:
+        parse_state(_payload_with(field, HUGE))
+    assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_amplitudes_whose_norm_overflows_are_a_state_file_error():
+    """Two amplitudes of 1e308 overflow the norm, which is then inf, with no
+    RuntimeWarning; a dense matrix near the float limit likewise fails its
+    trace check."""
+    payload = _payload_with("re", 1e308)
+    payload["amplitudes"][0]["re"] = 1e308
+    with pytest.raises(StateFileError) as info:
+        parse_state(payload)
+    assert str(info.value) == "state file: amplitude norm inf is not 1 within 1e-06"
+    cells = _diagonal_cells()
+    cells[0][0] = cells[1][1] = {"re": 1e308, "im": 0.0}
+    with pytest.raises(NormalizationError, match=r"^density matrix trace \(inf\+0j\) is not 1$"):
+        parse_state(_dense_payload(cells))
 
 
 def test_dense_cells_accept_ints_and_floats():

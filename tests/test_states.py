@@ -142,6 +142,17 @@ def test_mix_rejects_bad_weights():
         mix([(1.2, psi), (-0.2, psi)])
 
 
+def test_mix_rejects_a_nan_weight_and_an_infinite_sum():
+    """A NaN weight fails every comparison, so ``weight <= 0`` and
+    ``|Σ − 1| > atol`` both let it through; the checks are written to fail on
+    it, with the same messages."""
+    psi = haar_pure((2,), seed=0)
+    with pytest.raises(NormalizationError, match="^mixture weight nan is not positive$"):
+        mix([(float("nan"), psi), (0.5, psi)])
+    with pytest.raises(NormalizationError, match="^mixture weights sum to inf, expected 1$"):
+        mix([(float("inf"), psi)])
+
+
 def test_mix_rejects_mismatched_dims():
     with pytest.raises(ShapeError):
         mix([(0.5, haar_pure((2,), seed=0)), (0.5, haar_pure((3,), seed=0))])
@@ -651,7 +662,10 @@ def test_subset_ranks_takes_masks_and_subset_rank_takes_particles(monkeypatch):
 def test_subset_ranks_decomposes_each_cut_once(monkeypatch):
     """A pure state's subset and its complement are one cut, and a repeated
     subset is taken once: a 6-qubit lattice at depth 3 lists 42 subsets, of
-    which 20 form 10 complementary pairs, so 32 matrices are decomposed."""
+    which 20 form 10 complementary pairs, so there are 32 cuts. The 10
+    balanced ones are decomposed and certify the other 22. A rank-2 mixture
+    keeps all 42 cuts; its 35 of bound 8 certify the 6 five-qubit ones and
+    the state rank."""
     decomposed = []
     svd = np.linalg.svd
 
@@ -670,10 +684,12 @@ def test_subset_ranks_decomposes_each_cut_once(monkeypatch):
     expected = per_subset_ranks(psi, subsets, RankTolerance())
     del decomposed[:]
     assert subset_ranks(psi, masks(subsets)) == expected
-    assert sum(decomposed) == 32
+    assert decomposed == [10]
+    rho = mixed_of_rank((2,) * 6, seed=69, rank=2)
+    expected = per_subset_ranks(rho, subsets, RankTolerance())
     del decomposed[:]
-    subset_ranks(mixed_of_rank((2,) * 6, seed=69, rank=2), masks(subsets))
-    assert sum(decomposed) == len(kept) == 42
+    assert subset_ranks(rho, masks(subsets)) == expected
+    assert decomposed == [35]
 
 
 def depth5_kept():
@@ -986,24 +1002,35 @@ CUTOFFS = [
 def test_support_form_equals_one_svd_per_subset(name, monkeypatch):
     """Every subset, at three rtols with and without atol. A state with m
     nonzero rows of V, m² < d, is decomposed as (m·r, m) support matrices
-    only; Bell (2² = 4) stays dense."""
+    built by ``_support_fill`` only; Bell (2² = 4) stays dense, its one 2×2
+    cut of the same shape as a support matrix."""
+    from entrank import states
+
     state = sparse_state(name)
     v = state.factor
     m, r = np.count_nonzero(v.any(axis=1)), v.shape[1]
     subsets = every_subset_twice(state.n)
+    support_fill = states._support_fill
     for tol in CUTOFFS:
         expected = per_subset_ranks(state, subsets, tol)
         inputs = svd_inputs(monkeypatch)
+        forms = []
+        monkeypatch.setattr(
+            states, "_support_fill", lambda *args: forms.append("support") or support_fill(*args)
+        )
         assert subset_ranks(state, masks(subsets), tol) == expected, tol
         monkeypatch.undo()
         shapes = {shape[1:] for shape, _ in inputs}
-        assert (shapes == {(m * r, m)}) == (m * m < state.dim), shapes
+        assert bool(forms) == (m * m < state.dim), forms
+        if forms:
+            assert shapes == {(m * r, m)}, shapes
 
 
 def test_the_support_form_rule_reads_m_and_d(monkeypatch):
     """GHZ(3) has m = 2 nonzero amplitudes, 2² < 8: its three cuts and the
     state rank are one stack of 2×2 support matrices. W(3) has m = 3, 3² ≥ 8:
-    its cuts stay dense, d_S · d_rest = 8 entries each."""
+    its three cuts stay dense, d_S · d_rest = 8 entries each, in one stack,
+    and certify the state rank."""
     from entrank.catalog import w
 
     subsets = every_subset_twice(3)
@@ -1013,7 +1040,7 @@ def test_the_support_form_rule_reads_m_and_d(monkeypatch):
     assert [shape for shape, _ in inputs] == [(4, 2, 2)]
     del inputs[:]
     assert subset_ranks(w(3), masks(subsets)) == expected
-    assert all(shape[1] * shape[2] == 8 for shape, _ in inputs) and len(inputs) == 2
+    assert [shape for shape, _ in inputs] == [(3, 4, 2)]
 
 
 @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-13])
