@@ -21,9 +21,10 @@ import hashlib
 import io
 import sys
 import time
+from contextlib import contextmanager
 from itertools import combinations, groupby, islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -82,6 +83,15 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@contextmanager
+def _writing(path) -> Iterator[None]:
+    """A failed write of ``path``, or of a file in it, as an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def _tolerance(args: argparse.Namespace) -> RankTolerance:
@@ -215,12 +225,13 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
     if args.factors_out:
         out_dir = Path(args.factors_out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for idx, (part, factor) in enumerate(zip(result.partition, result.factors), start=1):
-            payload = statefile.pure_payload(
-                factor, metadata={"factor_of": str(args.file), "part": _one_based(part)}
-            )
-            statefile.write_state_file(out_dir / f"factor_{idx:02d}.json", payload)
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for idx, (part, factor) in enumerate(zip(result.partition, result.factors), start=1):
+                payload = statefile.pure_payload(
+                    factor, metadata={"factor_of": str(args.file), "part": _one_based(part)}
+                )
+                statefile.write_state_file(out_dir / f"factor_{idx:02d}.json", payload)
 
     report = {
         **_report_header("factorize", args, state, tol),
@@ -367,7 +378,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         metadata["generator"] = "philox"
 
     payload = statefile.state_payload(state, metadata)
-    statefile.write_state_file(args.out, payload)
+    with _writing(args.out):
+        statefile.write_state_file(args.out, payload)
     kind = payload["kind"]
     dims_text = "x".join(str(d) for d in state.dims)
     print(f"wrote {args.out} (kind={kind}, dims={dims_text})")
@@ -432,7 +444,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     writer.writerow(row)
     text = buffer.getvalue()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         print(text, end="")

@@ -21,15 +21,17 @@ the rank of ψ's reduced state on a subset does not depend on the remainder.
 A sweep's subsets are masks, the unions of the remainder's particle bits
 (``states.unions``), and a cut's rank is keyed by ``states.pure_cut``.
 
-``sweep_pure`` runs the sweeps and ``product_factors`` the reconstruction;
-``factorize_pure`` adds the budget check, the reading of ψ and the residual
-threshold.
+``_split`` runs the sweeps, the reconstruction and the residual threshold;
+``factorize_pure`` adds the budget check and the reading of ψ, and raises
+``_split``'s inconsistencies.
 
 The paper treats pure states apart because a pure product's reduced ranks
 are products over its blocks. ``product_ranks`` is that fact for
 ``criteria.rank_lattice``: the entries of a large lattice of a pure product,
-counted from its blocks' spectra wherever the count is certain. Every other
-entry of every lattice comes from the kernel.
+counted from its blocks' spectra wherever the count is certain. It reads an
+inconsistency of ``_split`` as "undecided", and takes each block's
+spectra from one ``states.subset_spectra`` call, so it builds no cut matrix
+of its own. Every other entry of every lattice comes from the kernel.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .states import (
     particles_of,
     pure_cut,
     subset_ranks,
+    subset_spectra,
     unions,
 )
 
@@ -138,11 +141,13 @@ def _sweep(remainder: list[int], size: int, tested: list[int], ranks: list[int])
     )
 
 
-def sweep_pure(
-    psi: PureState, tol: RankTolerance
-) -> tuple[tuple[StepRecord, ...], tuple[tuple[int, ...], ...]]:
-    """The sweeps over ψ: their trace and ψ's finest product partition (parts
-    ordered by smallest member). ψ's amplitudes are used as given."""
+def _split(psi: PureState, tol: RankTolerance) -> tuple:
+    """ψ's sweeps, its finest product partition (parts ordered by smallest
+    member), the normalized factor of each part and the residual of ψ
+    against their product: (trace, partition, factors, residual). ψ's
+    amplitudes are used as given. An acceptance that the sweeps or the
+    factors contradict, and a residual above ``RESIDUAL_THRESHOLD``, raise
+    InternalInconsistencyError."""
     full = (1 << psi.n) - 1
     log: list[StepRecord] = []
     parts: list[tuple[int, ...]] = []
@@ -166,17 +171,15 @@ def sweep_pure(
 
     if remainder:
         parts.append(particles_of(sum(remainder)))
-    parts.sort(key=lambda p: p[0])
-    return tuple(log), tuple(parts)
-
-
-def product_factors(
-    psi: PureState, partition: tuple[tuple[int, ...], ...], tol: RankTolerance
-) -> tuple[tuple[PureState, ...], float]:
-    """The normalized factor of each part of ``partition`` and the residual
-    of ψ against their product."""
+    partition = tuple(sorted(parts, key=lambda p: p[0]))
     factors = tuple(_extract_factor(psi, part, tol) for part in partition)
-    return factors, _reconstruction_residual(psi, partition, factors)
+    residual = _reconstruction_residual(psi, partition, factors)
+    if residual > RESIDUAL_THRESHOLD:
+        raise InternalInconsistencyError(
+            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_THRESHOLD:.1e};"
+            " the rank tolerance accepted a non-product cut"
+        )
+    return tuple(log), partition, factors, residual
 
 
 def factorize_pure(state: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> FactorizationResult:
@@ -202,14 +205,7 @@ def factorize_pure(state: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> Fact
             "factorization handles pure states only;"
             f" this state is a mixture of {rank} components"
         )
-    psi = canonical_pure(state.dims, vec)
-    log, partition = sweep_pure(psi, tol)
-    factors, residual = product_factors(psi, partition, tol)
-    if residual > RESIDUAL_THRESHOLD:
-        raise InternalInconsistencyError(
-            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_THRESHOLD:.1e};"
-            " the rank tolerance accepted a non-product cut"
-        )
+    log, partition, factors, residual = _split(canonical_pure(state.dims, vec), tol)
     return FactorizationResult(
         partition=partition,
         factors=factors,
@@ -227,38 +223,11 @@ def product_ranks(state: State, traced: list[int], tol: RankTolerance) -> list[O
     Only a state with a one-column factor V whose traced sets span more than
     one kernel chunk (len(traced)·‖V‖ > ``CHUNK_BYTES``) is tried, and only
     when one probe kernel call over its n single particles finds one of rank
-    1, so that ψ = V's column has split. Its sweeps then give its partition,
-    and unless they or the factors contradict an acceptance, or the residual
-    exceeds ``RESIDUAL_THRESHOLD``, its entries are counted from the blocks'
-    spectra (``_product_ranks``).
-    """
-    v = state.factored(tol).factor
-    undecided: list[Optional[int]] = [None] * len(traced)
-    if v.shape[1] != 1 or len(traced) * v.nbytes <= CHUNK_BYTES:
-        return undecided
-    psi = PureState(state.dims, v[:, 0])
-    if 1 not in subset_ranks(psi, [1 << i for i in range(psi.n)], tol):
-        return undecided
-    try:
-        _, partition = sweep_pure(psi, tol)
-        factors, residual = product_factors(psi, partition, tol)
-    except InternalInconsistencyError:  # an acceptance the sweeps or the factors contradict
-        return undecided
-    if residual > RESIDUAL_THRESHOLD:
-        return undecided
-    return _product_ranks(partition, factors, residual, traced, tol)
-
-
-def _product_ranks(
-    partition: tuple[tuple[int, ...], ...],
-    factors: tuple[PureState, ...],
-    residual: float,
-    traced: list[int],
-    tol: RankTolerance,
-) -> list[Optional[int]]:
-    """Ranks of ψ ≈ e^{iθ}·φ, φ = ⊗_b φ_b over the parts b of ``partition``
-    with ``factors`` φ_b, at the traced masks ``traced``, each counted from
-    the product of the blocks' spectra where that count is certain, else None.
+    1, so that ψ = V's column has split. ``_split`` then gives ψ ≈ e^{iθ}·φ,
+    φ = ⊗_b φ_b over the parts b of its partition, and unless it raises (an
+    acceptance the sweeps or the factors contradict, or a residual above
+    ``RESIDUAL_THRESHOLD``), each entry is counted from the product of the
+    blocks' spectra where that count is certain.
 
     Across the cut T | K (traced | kept) the singular values of φ's cut
     matrix are the products over blocks of φ_b's Schmidt coefficients across
@@ -270,12 +239,22 @@ def _product_ranks(
     block SVDs and the products together (d_T·d_K = d, and 1 + Δ ≥ ‖ψ‖
     bounds every singular value). With slack the sum of the two and s_1 the
     top product, the direct count compares each computed value with the √
-    of tol.cutoff at a top value in [s_1 − slack, s_1 + slack]. A count is taken when every product, and
-    zero, lies more than slack away from that range of thresholds: it then
-    equals the direct count, value by value.
+    of tol.cutoff at a top value in [s_1 − slack, s_1 + slack]. A count is
+    taken when every product, and zero, lies more than slack away from that
+    range of thresholds: it then equals the direct count, value by value.
     """
-    d = prod(factor.dim for factor in factors)
-    slack = residual + 4 * np.finfo(float).eps * (d + 1) * (1 + residual)
+    v = state.factored(tol).factor
+    undecided: list[Optional[int]] = [None] * len(traced)
+    if v.shape[1] != 1 or len(traced) * v.nbytes <= CHUNK_BYTES:
+        return undecided
+    psi = PureState(state.dims, v[:, 0])
+    if 1 not in subset_ranks(psi, [1 << i for i in range(psi.n)], tol):
+        return undecided
+    try:
+        _, partition, factors, residual = _split(psi, tol)
+    except InternalInconsistencyError:  # an acceptance or the residual contradicts the product
+        return undecided
+    slack = residual + 4 * np.finfo(float).eps * (psi.dim + 1) * (1 + residual)
     masks = np.array(traced, np.int64)
     # Per block, the row of each entry's b ∩ T in the block's spectra.
     rows = [sum(((masks >> i) & 1) << j for j, i in enumerate(part)) for part in partition]
@@ -299,32 +278,16 @@ def _product_ranks(
 def _block_spectra(factor: PureState) -> np.ndarray:
     """Row x: the descending Schmidt coefficients of ``factor`` across the
     subset of its particles whose bits are set in x, zero-padded; the empty
-    and the full subset give 1. Each cut is decomposed once, from its side
-    named by ``pure_cut``, transposed from the amplitude tensor in the
-    kernel's tall orientation (the larger side's axes first), and fills the
-    rows of both sides; the cuts of one shape are stacked into chunks of at
-    most ``CHUNK_BYTES``, one SVD each."""
-    k, d = factor.n, factor.dim
-    full = (1 << k) - 1
-    tensor = factor.amplitudes.reshape(factor.dims)
-    groups: dict[tuple, list] = {}
-    for x in range(1, full, 2):  # every cut, by its side that holds particle 0
-        subset, rest = particles_of(x), particles_of(full ^ x)
-        d_x = prod(factor.dims[i] for i in subset)
-        axes, rows = (rest + subset, d // d_x) if d_x * d_x < d else (subset + rest, d_x)
-        groups.setdefault((rows, tuple(factor.dims[i] for i in axes)), []).append((x, axes))
-    table = np.zeros((full + 1, max([d // rows for rows, _ in groups] + [1])))
+    and the full subset give 1. One ``subset_spectra`` call decomposes each
+    cut once, from its side that holds particle 0, whose row fills the rows
+    of both sides."""
+    full = (1 << factor.n) - 1
+    odd = range(1, full, 2)  # every cut, by its side that holds particle 0
+    spectra = subset_spectra(factor, odd)
+    table = np.zeros((full + 1, max(map(len, spectra), default=1)))
     table[[0, full], 0] = 1.0
-    step = max(1, CHUNK_BYTES // factor.amplitudes.nbytes)
-    for (rows, shape), members in groups.items():
-        for lo in range(0, len(members), step):
-            chunk = members[lo : lo + step]
-            stack = np.empty((len(chunk),) + shape, tensor.dtype)
-            for j, (_, axes) in enumerate(chunk):
-                stack[j] = tensor.transpose(axes)
-            values = np.linalg.svd(stack.reshape(len(chunk), rows, -1), compute_uv=False)
-            xs = [x for x, _ in chunk]
-            table[xs + [full ^ x for x in xs], : values.shape[1]] = np.concatenate([values] * 2)
+    for x, values in zip(odd, spectra):
+        table[[x, full ^ x], : len(values)] = values
     return table
 
 

@@ -18,7 +18,8 @@ relative Hermiticity defect and the negative eigenvalues of a dense matrix.
 Amplitudes and dense matrices are rescaled only when they are off by more
 than 1e-12, so writing and re-reading a normalized state is bit-identical.
 A dense matrix goes through ``states.density_matrix`` alone, which keeps its
-Hermitian part at unit trace.
+Hermitian part at unit trace. Every load error names the file, those of the
+state constructors and of UTF-8 decoding too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import StateFileError
+from .errors import EntrankError, StateFileError
 from .jsonfmt import json_pieces
 from .linalg import DEFAULT_MAX_DIM
 from .states import (
@@ -196,7 +197,8 @@ def parse_state(
     max_dim: int = DEFAULT_MAX_DIM,
     context: str = "state file",
 ) -> State:
-    """Validate a decoded state-file object and build the state it describes."""
+    """Validate a decoded state-file object and build the state it describes;
+    every error names ``context``, those of the constructors it calls too."""
     if not isinstance(payload, dict):
         raise StateFileError(f"{context}: top level must be an object")
     version = _require(payload, "format_version", context)
@@ -210,35 +212,33 @@ def parse_state(
         raise StateFileError(f"{context}: dims must be a list of integers")
     try:
         dims = validate_dims(dims_raw, max_dim)
+        if kind == "pure":
+            amps = _parse_amplitudes(_require(payload, "amplitudes", context), dims, context)
+            amps = _normalized(amps, context)
+            return pure_state(dims, amps, max_dim=max_dim)
+
+        if kind == "mixture":
+            terms_raw = _require(payload, "terms", context)
+            if not isinstance(terms_raw, list) or not terms_raw:
+                raise StateFileError(f"{context}: mixture needs a nonempty terms list")
+            terms = []
+            for pos, term in enumerate(terms_raw):
+                ctx = f"{context}, term {pos}"
+                if not isinstance(term, dict):
+                    raise StateFileError(f"{ctx}: expected an object")
+                weight = _parse_float(_require(term, "weight", ctx), ctx)
+                amps = _parse_amplitudes(_require(term, "amplitudes", ctx), dims, ctx)
+                amps = _normalized(amps, ctx)
+                terms.append((weight, pure_state(dims, amps, max_dim=max_dim)))
+            return mix(terms, weight_atol=LOAD_TOL)
+
+        if kind == "dense":
+            matrix = _parse_matrix(_require(payload, "matrix", context), prod(dims), context)
+            return density_matrix(dims, matrix, max_dim=max_dim, atol=LOAD_TOL)
     except StateFileError:
         raise
-    except Exception as exc:
+    except EntrankError as exc:
         raise type(exc)(f"{context}: {exc}") from exc
-
-    if kind == "pure":
-        amps = _parse_amplitudes(_require(payload, "amplitudes", context), dims, context)
-        amps = _normalized(amps, context)
-        return pure_state(dims, amps, max_dim=max_dim)
-
-    if kind == "mixture":
-        terms_raw = _require(payload, "terms", context)
-        if not isinstance(terms_raw, list) or not terms_raw:
-            raise StateFileError(f"{context}: mixture needs a nonempty terms list")
-        terms = []
-        for pos, term in enumerate(terms_raw):
-            ctx = f"{context}, term {pos}"
-            if not isinstance(term, dict):
-                raise StateFileError(f"{ctx}: expected an object")
-            weight = _parse_float(_require(term, "weight", ctx), ctx)
-            amps = _parse_amplitudes(_require(term, "amplitudes", ctx), dims, ctx)
-            amps = _normalized(amps, ctx)
-            terms.append((weight, pure_state(dims, amps, max_dim=max_dim)))
-        return mix(terms, weight_atol=LOAD_TOL)
-
-    if kind == "dense":
-        matrix = _parse_matrix(_require(payload, "matrix", context), prod(dims), context)
-        return density_matrix(dims, matrix, max_dim=max_dim, atol=LOAD_TOL)
-
     raise StateFileError(f"{context}: unknown kind {kind!r}")
 
 
@@ -252,6 +252,8 @@ def load_state(
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"{path}: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

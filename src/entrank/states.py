@@ -34,7 +34,10 @@ shares its chunks out among one thread per core the process's CPU
 affinity allows (``taskset`` limits them; there is no setting), started and
 joined within the level; other work runs in the calling thread. The proofs
 that the support form and the inherited ranks change no rank are in
-``subset_ranks``.
+``subset_ranks``. Its spectra form, ``subset_spectra``, runs the same plan
+with every cut decomposed and returns each cut's singular values, from
+which ``rank_from_values`` counts the same ranks; a pure product's block
+spectra come from it.
 
 The partial-transpose baseline ``ppt_minimum`` transposes the smaller side of
 the cut (ρ^{T_A} = (ρ^{T_rest})^T has the same spectrum) and uses an exact
@@ -57,6 +60,7 @@ import os
 import string
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations
 from math import comb, prod, sqrt
 from operator import index
@@ -473,11 +477,11 @@ def subset_ranks(
     pure state's subset and its complement: they are the same cut, keyed and
     built by ``pure_cut``, the side that holds particle 0, whichever side is
     listed, so a cut's rank does not depend on the call it comes from. Each
-    cut then gets its plan: the matrix that stands for it, its level and the
-    small sides it can certify. One loop takes the levels in decreasing
-    order: it gives full rank to each cut certified by a side found so far,
-    decomposes the others in stacked SVDs (``_decompose``), and records the
-    sides of those that certify.
+    cut then gets its plan (``_kernel``, which ``subset_spectra`` shares): the
+    matrix that stands for it, its level and the small sides it can certify.
+    One loop takes the levels in decreasing order: it gives full rank to each
+    cut certified by a side found so far, decomposes the others in stacked
+    SVDs (``_decompose``), and records the sides of those that certify.
 
     Support form. Let m be the number of nonzero rows of V. When m² < d,
     every cut is built from those rows alone: the dense (d_S, d_rest·r)
@@ -511,7 +515,23 @@ def subset_ranks(
     larger (every dimension is at least 2), so the levels are the bounds,
     each certified from the levels before it.
     """
-    state = state.factored(tol)
+    return _kernel(state.factored(tol), masks, partial(_counts, tol))
+
+
+def subset_spectra(state: State, masks: Iterable[int]) -> list[np.ndarray]:
+    """The descending singular values of each cut of ``masks``, in input
+    order, from ``subset_ranks``'s plan and stacked SVDs with every cut
+    decomposed: ``rank_from_values(s * s, tol)`` of a row is its rank at
+    ``tol``. ``state`` must carry its factor. A row is the spectrum of the
+    plan's matrix (min(d_S, d_rest·r) values, or m in the support form): the
+    cut's nonzero singular values, then zeros to rounding."""
+    return _kernel(state, masks, lambda s: [(row, False) for row in s])
+
+
+def _kernel(state: State, masks: Iterable[int], reduce) -> list:
+    """``reduce``'s results (see ``_decompose``) for the cuts of ``masks``, in
+    input order, by the plan and level loop of ``subset_ranks``; a certified
+    cut's result is its bound. ``state`` must carry its factor."""
     n, v = state.n, state.factor
     d, r = v.shape
     full = (1 << n) - 1
@@ -552,7 +572,7 @@ def subset_ranks(
             sides = (mask,) if d_s < d_y else (other,) if d_y < d_s else (mask, other)
             plan.append((rows, shape, axes, min(d_s, d_y), sides))
 
-    ranks = [0] * len(plan)
+    out: list = [None] * len(plan)
     step = min(len(plan), max(1, CHUNK_BYTES // (size * v.itemsize)))
     buffers = [np.empty(step * size, v.dtype)]
     levels: dict[int, list[int]] = {}
@@ -566,17 +586,17 @@ def subset_ranks(
             inside = _contained(np.array([side for _, side in cut_sides], np.uint64), definite)
             certified = {k for (k, _), hit in zip(cut_sides, inside) if hit}
             for k in certified:
-                ranks[k] = bound
+                out[k] = bound
             todo = [k for k in todo if k not in certified]
         found = []
-        results = _decompose([plan[k][:3] for k in todo], fill, step, buffers, tol)
-        for k, (count, certifies) in zip(todo, results):
-            ranks[k] = count
+        results = _decompose([plan[k][:3] for k in todo], fill, step, buffers, reduce)
+        for k, (result, certifies) in zip(todo, results):
+            out[k] = result
             if certifies:
                 found += plan[k][4]
         if found:
             definite = np.concatenate([definite, np.array(found, np.uint64)])
-    return [ranks[slot[key]] for key in keys]
+    return [out[slot[key]] for key in keys]
 
 
 def _support_fill(state: State, support: np.ndarray):
@@ -634,21 +654,21 @@ def _contained(masks: np.ndarray, supersets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decompose(
-    batch: list, fill, step: int, buffers: list, tol: RankTolerance
-) -> list[tuple[int, bool]]:
-    """(rank, certifies) of each (rows, shape, item) cut of ``batch``, in order.
+def _decompose(batch: list, fill, step: int, buffers: list, reduce) -> list:
+    """The result of each (rows, shape, item) cut of ``batch``, in order.
 
     The cuts are grouped by (rows, shape) and stacked into chunks of at most
     ``step`` matrices with one SVD each; ``fill(stack, items)`` writes a
-    chunk's matrices into a stack of that shape. Work beyond one chunk is
-    split into interleaved shares, one thread per core the process may use,
-    while this thread waits (with it taking a share, two threads ran the
-    stacked SVDs no faster than one). Each share reuses a stack buffer of
-    ``step`` matrices from ``buffers``, which the caller seeds with one,
-    keeps for all its batches, and which grows to one per thread: memory a
-    worker thread allocated would stay in its own heap, which nothing else
-    reuses, and add to the process's peak.
+    chunk's matrices into a stack of that shape, and ``reduce`` turns the
+    chunk's singular values, one descending row per matrix, into a (result,
+    certifies) pair per matrix: ``_counts`` for ranks, the rows for spectra.
+    Work beyond one chunk is split into interleaved shares, one thread per
+    core the process may use, while this thread waits (with it taking a
+    share, two threads ran the stacked SVDs no faster than one). Each share
+    reuses a stack buffer of ``step`` matrices from ``buffers``, which the
+    caller seeds with one, keeps for all its batches, and which grows to one
+    per thread: memory a worker thread allocated would stay in its own heap,
+    which nothing else reuses, and add to the process's peak.
     """
     groups: dict[tuple, list] = {}
     for j, (rows, shape, item) in enumerate(batch):
@@ -665,7 +685,7 @@ def _decompose(
 
     def share(k: int) -> None:
         try:
-            shares[k] = [_chunk_ranks(c, fill, buffers[k], tol) for c in chunks[k::workers]]
+            shares[k] = [_decompose_chunk(c, fill, buffers[k], reduce) for c in chunks[k::workers]]
         except Exception as exc:  # raised below, after every thread has ended
             shares[k] = exc
 
@@ -687,18 +707,19 @@ def _decompose(
     return out
 
 
-def _chunk_ranks(
-    chunk: tuple, fill, buffer: np.ndarray, tol: RankTolerance
-) -> list[tuple[int, bool]]:
-    """(rank, certifies) of each matrix of one chunk: its cuts written by
-    ``fill`` into ``buffer`` as one stack of (rows, rest) matrices, one SVD,
-    and per matrix the count of squared singular values above tol.cutoff of
-    its largest, and whether it is at full rank with its smallest s² at
-    least ``CERTIFY_MARGIN`` times a positive cutoff."""
+def _decompose_chunk(chunk: tuple, fill, buffer: np.ndarray, reduce) -> list:
+    """``reduce`` of one chunk's singular values: its cuts written by ``fill``
+    into ``buffer`` as one stack of (rows, rest) matrices, and one SVD."""
     rows, shape, members = chunk
     stack = buffer[: len(members) * prod(shape)].reshape((len(members),) + shape)
     fill(stack, [item for _, item in members])
-    s = np.linalg.svd(stack.reshape(len(members), rows, -1), compute_uv=False)
+    return reduce(np.linalg.svd(stack.reshape(len(members), rows, -1), compute_uv=False))
+
+
+def _counts(tol: RankTolerance, s: np.ndarray) -> list[tuple[int, bool]]:
+    """(rank, certifies) of each row of singular values ``s``: the count of
+    s² above tol.cutoff of the largest, and whether the row is at full rank
+    with its smallest s² at least ``CERTIFY_MARGIN`` times a positive cutoff."""
     s2 = s * s
     cutoff = tol.cutoff(s2[:, 0])
     counts = (s2 > cutoff[:, None]).sum(axis=1)

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import re
 
 import numpy as np
@@ -489,7 +491,7 @@ def test_a_nan_mixture_weight_is_an_input_error(capsys, tmp_path, command):
     path = tmp_path / "nan_weight.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     code, out, err = run(capsys, command[0], path, *command[1:])
-    assert (code, out, err) == (2, "", "error: mixture weight nan is not positive\n")
+    assert (code, out, err) == (2, "", f"error: {path}: mixture weight nan is not positive\n")
 
 
 def test_a_number_beyond_the_float_range_is_an_input_error(capsys, tmp_path):
@@ -742,6 +744,76 @@ def test_dense_input_with_negative_eigenvalue_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "negative eigenvalue -2.000e-06" in err
+
+
+def _dense_file(tmp_path, rows):
+    """A one-qubit dense file with the real matrix ``rows``, unchecked."""
+    matrix = [[{"re": x, "im": 0.0} for x in row] for row in rows]
+    payload = {"format_version": "1", "kind": "dense", "dims": [2], "matrix": matrix}
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def _nan_amplitude_file(tmp_path):
+    payload = pure_payload(ghz(3, 2))
+    payload["amplitudes"][0]["re"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def _light_mixture_file(tmp_path):
+    payload = mixture_payload(qutrit_mixture_terms())
+    payload["terms"][0]["weight"] = 0.25
+    path = tmp_path / "light.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def _latin1_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "pure", "note": "\xe9"}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda p: _dense_file(p, [[0.5, 0.1], [0.0, 0.5]]),
+         "density matrix is not Hermitian within tolerance"),
+        (lambda p: _dense_file(p, [[0.5, 0.0], [0.0, 0.4]]),
+         "density matrix trace (0.9+0j) is not 1"),
+        (lambda p: _dense_file(p, [[1.5, 0.0], [0.0, -0.5]]),
+         "density matrix has negative eigenvalue -5.000e-01"),
+        (_light_mixture_file, "mixture weights sum to 0.75, expected 1"),
+        (_nan_amplitude_file, "amplitudes contain NaN or Inf"),
+        (_latin1_file,
+         "'utf-8' codec can't decode byte 0xe9 in position 26: invalid continuation byte"),
+    ],
+    ids=["not-hermitian", "trace", "negative", "weights", "nan-amplitude", "not-utf8"],
+)
+def test_a_load_error_names_the_file(make, message, capsys, tmp_path):
+    path = make(tmp_path)
+    assert run(capsys, "analyze", path) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, target, errno_code",
+    [
+        (["gen", "ghz", "--out", "{missing}"], "{missing}", errno.ENOENT),
+        (["bench", "--kind", "werner", "--count", "3", "--out", "{missing}"], "{missing}",
+         errno.ENOENT),
+        (["factorize", "{ghz3}", "--factors-out", "{ghz3}"], "{ghz3}", errno.EEXIST),
+    ],
+    ids=["gen", "bench", "factorize"],
+)
+def test_an_unwritable_output_is_an_input_error(argv, target, errno_code, capsys, tmp_path,
+                                                ghz3_file):
+    names = {"missing": tmp_path / "missing" / "dir" / "out", "ghz3": ghz3_file}
+    code, out, err = run(capsys, *[arg.format(**names) for arg in argv])
+    reason = os.strerror(errno_code)
+    assert (code, out, err) == (2, "", f"error: cannot write {target.format(**names)}: {reason}\n")
 
 
 def test_json_reports_build_no_human_text(capsys, monkeypatch, ghz3_file):

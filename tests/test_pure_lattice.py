@@ -1,5 +1,6 @@
-"""A pure product's lattice counted from its blocks, and factorize's one
-inherited kernel call.
+"""A pure product's lattice counted from its blocks, the kernel's spectra
+form that gives the blocks' spectra, and factorize's one inherited kernel
+call.
 
 ``criteria.rank_lattice`` takes the entries of a large lattice over the
 particles of a state with a one-column factor from
@@ -18,11 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrank import cli, criteria, factorize
-from entrank.catalog import haar_pure, w
+from entrank.catalog import ghz, haar_pure, mixed_of_rank, w
 from entrank.factorize import factorize_pure
-from entrank.linalg import DEFAULT_TOLERANCE, RankTolerance
+from entrank.linalg import DEFAULT_TOLERANCE, RankTolerance, rank_from_values
 from entrank.statefile import pure_payload, write_state_file
-from entrank.states import canonical_pure, pure_state, subset_ranks
+from entrank.states import (
+    bipartition_matrix,
+    canonical_pure,
+    particles_of,
+    pure_state,
+    subset_ranks,
+    subset_spectra,
+)
 from oracles import masks, place_parts, random_unitary
 
 TOLERANCES = [
@@ -41,11 +49,12 @@ def direct_entries(state, lattice, tol):
 
 def spy(monkeypatch):
     """Sizes of the lattice's kernel calls (``kernel``, made by ``criteria``)
-    and of ``factorize``'s (``factorize``: the probe and the sweeps), and the
-    calls of the sweeps and the reconstruction; ``product`` is set once a
-    lattice reconstructs a product to count entries from its blocks."""
+    and of ``factorize``'s (``factorize``: the probe and the sweeps), the
+    calls of the sweeps and the reconstruction (``factorize._split``);
+    ``product`` is set once a lattice takes a block's spectra to count
+    entries from."""
     calls = {"kernel": [], "factorize": [], "sweeps": 0, "product": False}
-    sweeps, product = factorize.sweep_pure, factorize.product_factors
+    split, product = factorize._split, factorize._block_spectra
 
     def counting_kernel(key, kernel):
         def counting(state, subsets, tol):
@@ -57,18 +66,18 @@ def spy(monkeypatch):
 
     def counting_sweeps(psi, tol):
         calls["sweeps"] += 1
-        return sweeps(psi, tol)
+        return split(psi, tol)
 
-    def counting_product(psi, partition, tol):
+    def counting_product(*args):
         calls["product"] = True
-        return product(psi, partition, tol)
+        return product(*args)
 
     monkeypatch.setattr(criteria, "subset_ranks", counting_kernel("kernel", criteria.subset_ranks))
     monkeypatch.setattr(
         factorize, "subset_ranks", counting_kernel("factorize", factorize.subset_ranks)
     )
-    monkeypatch.setattr(factorize, "sweep_pure", counting_sweeps)
-    monkeypatch.setattr(factorize, "product_factors", counting_product)
+    monkeypatch.setattr(factorize, "_split", counting_sweeps)
+    monkeypatch.setattr(factorize, "_block_spectra", counting_product)
     return calls
 
 
@@ -114,6 +123,56 @@ def test_product_with_schmidt_tails_matches_the_direct_lattice(tol, monkeypatch)
         assert lattice.entries[(5, 6, 7, 8)] == 15
         assert calls["product"] and calls["kernel"] == [1]  # the state rank alone
         assert calls["factorize"][0] == 9  # the probe
+
+
+SPECTRA_STATES = {
+    "haar": haar_pure((2,) * 8, seed=90),
+    "ghz": ghz(8, 2),
+    "w": w(8),
+    "qudit": haar_pure((3, 2, 3, 2, 2), seed=91),
+    "mix": mixed_of_rank((2,) * 6, seed=92, rank=2),
+    "tailed": tailed_product(),
+}
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=lambda t: f"rtol{t.rtol}-atol{t.atol}")
+@pytest.mark.parametrize("name", SPECTRA_STATES)
+def test_ranks_counted_from_the_spectra_are_the_kernel_ranks(name, tol):
+    """Cut for cut, over every subset and repeats, including those whose
+    rank the kernel infers without an SVD."""
+    state = SPECTRA_STATES[name].factored(tol)
+    full = (1 << state.n) - 1
+    subsets = list(range(1, full + 1)) + list(range(full, 0, -5))
+    counted = [rank_from_values(s * s, tol) for s in subset_spectra(state, subsets)]
+    assert counted == subset_ranks(state, subsets, tol)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        haar_pure((2,) * 6, seed=93),
+        haar_pure((3, 2, 2), seed=94),
+        ghz(5, 2),
+        haar_pure((2,), seed=95),
+    ],
+    ids=["haar", "qudit", "ghz", "one-qubit"],
+)
+def test_block_spectra_rows_are_both_sides_schmidt_coefficients(factor):
+    """Row x and row full ^ x: one SVD of the cut's amplitude matrix, then
+    zeros; rows 0 and full: 1. A dense factor's padding is exact zeros; GHZ's
+    support-form rows are two long, and the SVD's zeros beyond them."""
+    table = factorize._block_spectra(factor)
+    full = (1 << factor.n) - 1
+    assert table.shape[0] == full + 1
+    assert table[0].tolist() == table[full].tolist() == [1.0] + [0.0] * (table.shape[1] - 1)
+    dense = np.count_nonzero(factor.amplitudes) ** 2 >= factor.dim
+    for x in range(1, full):
+        want = np.linalg.svd(bipartition_matrix(factor, particles_of(x)), compute_uv=False)
+        assert np.array_equal(table[x], table[full ^ x])
+        width = max(len(want), table.shape[1])
+        row, want = (np.pad(a, (0, width - len(a))) for a in (table[x], want))
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+        assert not dense or not row[np.count_nonzero(want) :].any()
 
 
 def near_product(eps):

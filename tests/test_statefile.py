@@ -293,7 +293,9 @@ def test_amplitudes_whose_norm_overflows_are_a_state_file_error():
     assert str(info.value) == "state file: amplitude norm inf is not 1 within 1e-06"
     cells = _diagonal_cells()
     cells[0][0] = cells[1][1] = {"re": 1e308, "im": 0.0}
-    with pytest.raises(NormalizationError, match=r"^density matrix trace \(inf\+0j\) is not 1$"):
+    with pytest.raises(
+        NormalizationError, match=r"^state file: density matrix trace \(inf\+0j\) is not 1$"
+    ):
         parse_state(_dense_payload(cells))
 
 

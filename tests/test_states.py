@@ -10,6 +10,7 @@ from entrank.catalog import (
     mixed_of_rank,
     product_pure,
     separable_mixture,
+    w,
 )
 from entrank.cli import PPT_NEG_TOL
 from entrank.errors import (
@@ -33,6 +34,7 @@ from entrank.states import (
     pure_state,
     subset_rank,
     subset_ranks,
+    subset_spectra,
 )
 from oracles import (
     apply_local_unitaries,
@@ -711,14 +713,14 @@ def test_subset_ranks_threaded_and_inline_paths_agree(workers, monkeypatch):
     from entrank import states
 
     ran_on = set()
-    chunk_ranks = states._chunk_ranks
+    decompose_chunk = states._decompose_chunk
 
     def recording(*args):
         ran_on.add(threading.current_thread())
-        return chunk_ranks(*args)
+        return decompose_chunk(*args)
 
     monkeypatch.setattr(states, "_workers", lambda: workers)
-    monkeypatch.setattr(states, "_chunk_ranks", recording)
+    monkeypatch.setattr(states, "_decompose_chunk", recording)
     psi = haar_pure((2,) * 10, seed=67)
     kept = depth5_kept()
     assert len(kept) == 637
@@ -739,7 +741,7 @@ def test_subset_ranks_raises_a_worker_error_after_joining(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(states, "_workers", lambda: 2)
-    monkeypatch.setattr(states, "_chunk_ranks", failing)
+    monkeypatch.setattr(states, "_decompose_chunk", failing)
     before = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError):
         subset_ranks(haar_pure((2,) * 10, seed=67), masks(depth5_kept()))
@@ -775,6 +777,76 @@ def test_subset_ranks_from_more_caller_threads_than_cores(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert results == {k: expected[k % 3] for k in range(6)}
+
+
+def spectra_oracle(state, subsets):
+    """One SVD of ``bipartition_matrix`` per subset."""
+    return [np.linalg.svd(bipartition_matrix(state, s), compute_uv=False) for s in subsets]
+
+
+def assert_same_spectra(rows, expected):
+    """Each row descending and equal to its reference to rounding, the
+    shorter of the two zero-padded."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert np.all(np.diff(row) <= 0)
+        width = max(len(row), len(want))
+        np.testing.assert_allclose(
+            np.pad(row, (0, width - len(row))), np.pad(want, (0, width - len(want))),
+            rtol=0, atol=1e-12,
+        )
+
+
+SPECTRA_CASES = {
+    "haar": haar_pure((2,) * 6, seed=81),
+    "ghz": ghz(6, 2),  # support form, m = 2
+    "w": w(6),  # support form, m = 6
+    "qudit": haar_pure((3, 2, 3, 2), seed=82),
+    "mix": mixed_of_rank((2,) * 5, seed=83, rank=3),
+    "mix-support": mix([(0.5, ghz(7, 2)), (0.5, w(7))]),  # support form, m = 9, r = 2
+}
+
+
+@pytest.mark.parametrize("name", SPECTRA_CASES)
+def test_subset_spectra_are_the_spectra_of_the_cuts(name):
+    """Every subset, a second copy of a third of them (repeats) and so every
+    subset with its complement, against one SVD per cut."""
+    state = SPECTRA_CASES[name].factored()
+    subsets = every_subset_twice(state.n)
+    rows = subset_spectra(state, masks(subsets))
+    assert_same_spectra(rows, spectra_oracle(state, subsets))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_subset_spectra_threaded_and_inline_paths_agree(workers, monkeypatch):
+    """Haar 2^10 at depth 5, as for the ranks: with one allowed core every
+    chunk runs in the calling thread, with two the levels of more than one
+    chunk run on worker threads, and either gives the spectra of the other
+    bit for bit."""
+    import threading
+
+    from entrank import states
+
+    psi = haar_pure((2,) * 10, seed=67)
+    kept = depth5_kept()
+    ran_on = set()
+    decompose_chunk = states._decompose_chunk
+
+    def recording(*args):
+        ran_on.add(threading.current_thread())
+        return decompose_chunk(*args)
+
+    monkeypatch.setattr(states, "_decompose_chunk", recording)
+    spectra = {}
+    for count in (workers, 3 - workers):
+        monkeypatch.setattr(states, "_workers", lambda: count)
+        ran_on.clear()
+        spectra[count] = subset_spectra(psi, masks(kept))
+        if count == workers:
+            off_caller = ran_on - {threading.current_thread()}
+            assert not off_caller if workers == 1 else off_caller
+    assert all(np.array_equal(a, b) for a, b in zip(spectra[1], spectra[2]))
+    assert_same_spectra(spectra[workers], spectra_oracle(psi, kept))
 
 
 def _run_python(code):
