@@ -5,6 +5,7 @@ and fully specified, keyed as Philox(key=[seed, stream]). Stream splitting:
 haar_pure draws from stream 0; product_pure draws particle i from stream i;
 mixed_of_rank_r draws weights from stream 0 and component j from stream j
 (1-based). The same seed therefore reproduces the same state bit for bit.
+Product states are laid out by ``states.tensor_product``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .states import (
     PureState,
     State,
     mix,
+    tensor_product,
     validate_dims,
 )
 
@@ -144,9 +146,7 @@ def haar_pure(dims: Sequence[int], seed: int, max_dim: int = DEFAULT_MAX_DIM) ->
 def product_pure(dims: Sequence[int], seed: int, max_dim: int = DEFAULT_MAX_DIM) -> PureState:
     """Tensor product of per-particle Haar states; particle i uses stream i."""
     dims = validate_dims(dims, max_dim)
-    amps = np.array([1.0 + 0.0j])
-    for i, d in enumerate(dims):
-        amps = np.kron(amps, _haar_vector(d, generator(seed, i)))
+    amps = tensor_product([_haar_vector(d, generator(seed, i)) for i, d in enumerate(dims)])
     return PureState(dims=dims, amplitudes=amps)
 
 
@@ -199,8 +199,6 @@ def separable_mixture(
     n = len(dims)
     terms = []
     for j in range(1, n_terms + 1):
-        amps = np.array([1.0 + 0.0j])
-        for i, d in enumerate(dims):
-            amps = np.kron(amps, _haar_vector(d, generator(seed, j * n + i)))
-        terms.append((float(weights[j - 1]), PureState(dims=dims, amplitudes=amps)))
+        amps = [_haar_vector(d, generator(seed, j * n + i)) for i, d in enumerate(dims)]
+        terms.append((float(weights[j - 1]), PureState(dims=dims, amplitudes=tensor_product(amps))))
     return mix(terms)

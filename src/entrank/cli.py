@@ -430,7 +430,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n = state.n
         verdict = criteria.entanglement_verdict(state, args.depth, tol)
         rank_detected = verdict.tag == criteria.ENTANGLED
-        ppt_detected = any(ppt_minimum(state, (i,)) < -PPT_NEG_TOL for i in range(n))
+        ppt_detected = any(_ppt_row(state, (i,))["flag"] == PPT_ENTANGLED for i in range(n))
         rank_hits += rank_detected
         ppt_hits += ppt_detected
         both += rank_detected and ppt_detected

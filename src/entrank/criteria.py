@@ -22,9 +22,9 @@ particle tuples built from the masks.
 
 Every entry of a lattice comes from one ``states.subset_ranks`` call, which
 also takes the state rank, except those that ``factorize.product_ranks``
-counts from a pure product's blocks: the entries of a large lattice over the
-particles of a state with a one-column factor that has split.
-The depth and subset budget of every lattice is ``states.lattice_depth``.
+counts from a pure product's blocks, over particles or parts alike: the
+entries of a large lattice of a state with a one-column factor that has
+split. The depth and subset budget of every lattice is ``lattice_depth``.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ def rank_lattice(
     ``lattice_depth`` sets and checks max_depth: 1..k − 1 for k parts,
     while a one-particle state has the depth-0 lattice, its state rank alone.
 
-    The state is factored once. Over particles, ``factorize.product_ranks``
-    counts the entries that a pure product's blocks decide; the state rank
-    and every other entry come from one ``subset_ranks`` call.
+    The state is factored once. ``factorize.product_ranks`` counts the
+    entries that a pure product's blocks decide, over particles or parts;
+    the state rank and every other entry come from one ``subset_ranks`` call.
     """
     n = state.n
     full = (1 << n) - 1
@@ -134,7 +134,7 @@ def rank_lattice(
     max_depth = lattice_depth(len(units), max_depth)
     traced = unions([mask_of(unit) for unit in units], max_depth)
     state = state.factored(tol)
-    ranks = product_ranks(state, traced, tol) if parts is None else [None] * len(traced)
+    ranks = product_ranks(state, traced, tol)
     todo = [k for k, rank in enumerate(ranks) if rank is None]
     state_rank, *direct = subset_ranks(state, [full] + [full ^ traced[k] for k in todo], tol)
     for k, rank in zip(todo, direct):

@@ -27,11 +27,12 @@ A sweep's subsets are masks, the unions of the remainder's particle bits
 
 The paper treats pure states apart because a pure product's reduced ranks
 are products over its blocks. ``product_ranks`` is that fact for
-``criteria.rank_lattice``: the entries of a large lattice of a pure product,
-counted from its blocks' spectra wherever the count is certain. It reads an
-inconsistency of ``_split`` as "undecided", and takes each block's
+``criteria.rank_lattice``: a large lattice's entries, over particles or
+parts, counted from a pure product's blocks wherever the count is certain.
+It reads an inconsistency of ``_split`` as "undecided", takes each block's
 spectra from one ``states.subset_spectra`` call, so it builds no cut matrix
-of its own. Every other entry of every lattice comes from the kernel.
+of its own, and multiplies them by ``states.tensor_product``. Every other
+entry comes from the kernel.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .states import (
     pure_cut,
     subset_ranks,
     subset_spectra,
+    tensor_product,
     unions,
 )
 
@@ -216,8 +218,8 @@ def factorize_pure(state: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> Fact
 
 
 def product_ranks(state: State, traced: list[int], tol: RankTolerance) -> list[Optional[int]]:
-    """The entries, at the traced masks ``traced``, of a lattice over the
-    particles of ``state`` that a pure product's blocks decide; None for the
+    """The entries, at the traced masks ``traced`` of a lattice over
+    particles or parts, that a pure product's blocks decide; None for the
     others, which the lattice takes from the kernel.
 
     Only a state with a one-column factor V whose traced sets span more than
@@ -262,10 +264,7 @@ def product_ranks(state: State, traced: list[int], tol: RankTolerance) -> list[O
     step = max(1, CHUNK_BYTES // (8 * prod(table.shape[1] for table in tables)))
     ranks: list[Optional[int]] = []
     for lo in range(0, len(masks), step):
-        values = np.ones((len(masks[lo : lo + step]), 1))
-        for table, row in zip(tables, rows):
-            block = table[row[lo : lo + step]]
-            values = (values[:, :, None] * block[:, None, :]).reshape(len(values), -1)
+        values = tensor_product([table[row[lo : lo + step]] for table, row in zip(tables, rows)])
         top = values[:, :1]
         low = np.sqrt(tol.cutoff(np.maximum(top - slack, 0.0) ** 2))
         high = np.sqrt(tol.cutoff((top + slack) ** 2))
@@ -300,10 +299,7 @@ def _reconstruction_residual(
     if sorted(flat) != list(range(psi.n)) or len(factors) != len(partition):
         raise PartitionError("partition does not cover the state's particles exactly")
 
-    rebuilt = np.array([1.0 + 0.0j])
-    for factor in factors:
-        rebuilt = np.kron(rebuilt, factor.amplitudes)
-
+    rebuilt = tensor_product([factor.amplitudes for factor in factors])
     perm_dims = tuple(psi.dims[i] for i in flat)
     inverse = np.argsort(flat)
     rebuilt = rebuilt.reshape(perm_dims).transpose(inverse).reshape(-1)

@@ -251,7 +251,7 @@ def load_state(
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise StateFileError(f"cannot read {path}: {exc}") from exc
+        raise StateFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise StateFileError(f"{path}: {exc}") from exc
     try:

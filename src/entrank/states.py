@@ -6,6 +6,7 @@ Particles are indexed 0-based internally (the CLI layer translates to the
 1-based labels used in files and reports). The joint basis index of the
 multi-index (i_1, ..., i_N) is sum_k i_k * prod_{l>k} d_l, so particle 0 is
 the most significant digit and a ket string like |011⟩ reads left to right.
+``tensor_product`` lays out every product of vectors in the package so.
 
 Every state is held as a factor V (d × r) with ρ = V V†: a PureState is the
 case r = 1 (V is its amplitude column), a mixture keeps the columns
@@ -268,6 +269,17 @@ def canonical_pure(dims: Sequence[int], vec: np.ndarray) -> PureState:
     return PureState(dims=tuple(dims), amplitudes=vec / np.linalg.norm(vec))
 
 
+def tensor_product(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The tensor product of ``factors`` over their last axis, the first
+    factor most significant; leading axes are a batch. It multiplies out
+    from a seed of ones of the factors' dtype and batch shape, so each entry
+    has the bits of the chain ((1 ⊗ a) ⊗ b) ⊗ … from [1], signed zeros too."""
+    out = np.ones(factors[0].shape[:-1] + (1,), np.result_type(*factors))
+    for factor in factors:
+        out = (out[..., :, None] * factor[..., None, :]).reshape(*out.shape[:-1], -1)
+    return out
+
+
 def density_matrix(
     dims: Sequence[int],
     matrix: np.ndarray,
@@ -304,11 +316,6 @@ def density_matrix(
     if low < -atol:
         raise NormalizationError(f"density matrix has negative eigenvalue {low:.3e}")
     return DensityMatrix(dims=dims, matrix=mat, _eigh=[(values, vectors)])
-
-
-def density_from_pure(psi: PureState) -> DensityMatrix:
-    """Projector |psi><psi| as a DensityMatrix (rank 1 by construction)."""
-    return DensityMatrix(dims=psi.dims, matrix=psi.matrix, factor=psi.factor)
 
 
 def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> DensityMatrix:

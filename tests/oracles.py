@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths under test: explicit
 index loops instead of einsum or reshape tricks, characteristic polynomials
 instead of eigh, exact rational elimination instead of SVD thresholds. The
 instruments that build test inputs live here too: ``masks``,
-``place_parts``, ``tensor_pure``, ``random_unitary`` and
-``apply_local_unitaries``.
+``place_parts``, ``tensor_pure``, ``density_from_pure``, ``random_unitary``
+and ``apply_local_unitaries``. ``kron_chain`` is the reference layout of a
+product, chained ``np.kron``, against which ``states.tensor_product`` and the
+catalog's product states are checked bit for bit.
 """
 
 from fractions import Fraction
@@ -14,8 +16,9 @@ from math import prod
 
 import numpy as np
 
+from entrank.catalog import _haar_vector, generator
 from entrank.criteria import Violation
-from entrank.states import PureState
+from entrank.states import DensityMatrix, PureState, mix
 
 
 def charpoly_roots(a):
@@ -161,6 +164,41 @@ def place_parts(part_states, parts):
     axes = np.argsort(order)
     dims = tuple(order_dims[a] for a in axes)
     return dims, np.transpose(joint.reshape(order_dims), axes).reshape(-1)
+
+
+def kron_chain(vectors, one=1.0 + 0.0j):
+    """np.kron(...np.kron(np.kron([one], v_1), v_2)..., v_k)."""
+    out = np.array([one])
+    for vector in vectors:
+        out = np.kron(out, vector)
+    return out
+
+
+def product_pure_by_kron(dims, seed):
+    """``catalog.product_pure``'s amplitudes: particle i's Haar vector from
+    stream i, chained by ``kron_chain``."""
+    return kron_chain([_haar_vector(d, generator(seed, i)) for i, d in enumerate(dims)])
+
+
+def separable_mixture_by_kron(dims, seed, max_terms=4):
+    """``catalog.separable_mixture`` with each term chained by
+    ``kron_chain``: the term count and weights from stream 0, particle i of
+    term j from stream j·n + i."""
+    head = generator(seed, 0)
+    n_terms = int(head.integers(1, max_terms + 1))
+    weights = 1.0 - head.random(n_terms)
+    weights = weights / weights.sum()
+    n = len(dims)
+    terms = []
+    for j in range(1, n_terms + 1):
+        vectors = [_haar_vector(d, generator(seed, j * n + i)) for i, d in enumerate(dims)]
+        terms.append((float(weights[j - 1]), PureState(tuple(dims), kron_chain(vectors))))
+    return mix(terms)
+
+
+def density_from_pure(psi):
+    """Projector |psi><psi| as a DensityMatrix (rank 1 by construction)."""
+    return DensityMatrix(dims=psi.dims, matrix=psi.matrix, factor=psi.factor)
 
 
 def tensor_pure(a, b):

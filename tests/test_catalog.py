@@ -19,7 +19,8 @@ from entrank.criteria import check_rank_monotonicity, rank_lattice
 from entrank.errors import InputError, SizeLimitError
 from entrank.factorize import factorize_pure
 from entrank.linalg import numerical_rank
-from entrank.states import density_from_pure, partial_trace, subset_rank
+from entrank.states import partial_trace, subset_rank
+from oracles import density_from_pure, product_pure_by_kron, separable_mixture_by_kron
 
 
 def test_ghz_2_2_is_bell():
@@ -171,6 +172,20 @@ def test_separable_mixture_is_separable_for_the_criteria():
     for seed in range(5):
         rho = separable_mixture((2, 3), seed=seed)
         assert check_rank_monotonicity(rank_lattice(rho, 1)) == []
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3, 2), (2, 2, 2, 2), (4, 2, 3)])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_product_states_are_their_kron_chain_bit_for_bit(dims, seed):
+    """product_pure and every term of separable_mixture lay their particles
+    out as chained np.kron from [1 + 0j] does, to the last bit; the mixture's
+    factor and matrix follow."""
+    psi = product_pure(dims, seed)
+    assert psi.amplitudes.tobytes() == product_pure_by_kron(dims, seed).tobytes()
+    rho, want = separable_mixture(dims, seed), separable_mixture_by_kron(dims, seed)
+    assert rho.factor.shape == want.factor.shape
+    assert rho.factor.tobytes() == want.factor.tobytes()
+    assert rho.matrix.tobytes() == want.matrix.tobytes()
 
 
 def test_haar_pure_seed_changes_state():

@@ -16,7 +16,7 @@ from entrank.statefile import (
     write_state_file,
 )
 from entrank.states import density_matrix, pure_state
-from oracles import tensor_pure
+from oracles import density_from_pure, tensor_pure
 
 
 def run(capsys, *argv):
@@ -197,8 +197,6 @@ def test_factorize_single_qubit(capsys, tmp_path):
 
 
 def test_factorize_accepts_rank1_density(capsys, tmp_path):
-    from entrank.states import density_from_pure
-
     path = tmp_path / "dense_pure.json"
     write_state_file(path, density_payload(density_from_pure(bell())))
     code, out, _ = run(capsys, "factorize", path)
@@ -209,8 +207,6 @@ def test_factorize_accepts_rank1_density(capsys, tmp_path):
 def test_factorize_accepts_rank1_mixture(capsys, tmp_path):
     """A mixture file whose terms are one state up to phase has rank 1 and
     factorizes as the same state given densely does."""
-    from entrank.states import density_from_pure
-
     psi = tensor_pure(bell(), pure_state((2,), np.array([1.0, 1.0]) / np.sqrt(2)))
     turned = pure_state(psi.dims, np.exp(0.7j) * psi.amplitudes)
     mixture, dense = tmp_path / "mixture.json", tmp_path / "dense.json"
@@ -637,6 +633,22 @@ def test_bench_haar_pure_detected_by_both(capsys):
     assert row[5] == "10"
 
 
+def test_bench_reads_the_ppt_flag_of_the_reports(capsys, monkeypatch):
+    """bench counts a member as PPT-detected by the flag that the reports'
+    ``_ppt_row`` gives, not by a comparison of its own: with that flag
+    forced to NOT-DETECTED, no Werner state above p = 1/3 is counted."""
+    import entrank.cli as cli
+
+    ppt_row = cli._ppt_row
+    monkeypatch.setattr(
+        cli, "_ppt_row", lambda state, part: {**ppt_row(state, part), "flag": cli.PPT_NOT_DETECTED}
+    )
+    code, out, _ = run(
+        capsys, "bench", "--kind", "werner", "--count", 6, "--p-start", 0.4, "--p-stop", 0.9,
+    )
+    assert (code, out.splitlines()[1]) == (0, "werner,2x2,0,0,0,0,6")
+
+
 def test_bench_rejects_bad_spec(capsys):
     code, _, _ = run(capsys, "bench", "--kind", "product_mixture", "--count", 3)
     assert code == 2  # missing dims
@@ -814,6 +826,18 @@ def test_an_unwritable_output_is_an_input_error(argv, target, errno_code, capsys
     code, out, err = run(capsys, *[arg.format(**names) for arg in argv])
     reason = os.strerror(errno_code)
     assert (code, out, err) == (2, "", f"error: cannot write {target.format(**names)}: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "name, errno_code", [("missing.json", errno.ENOENT), ("", errno.EISDIR)],
+    ids=["missing", "directory"],
+)
+def test_an_unreadable_input_names_its_path_once(name, errno_code, capsys, tmp_path):
+    """The message is ``cannot read <path>: <reason>`` with the OS reason
+    alone, as ``cannot write`` reads; an empty name is the directory."""
+    path = tmp_path / name
+    reason = os.strerror(errno_code)
+    assert run(capsys, "analyze", path) == (2, "", f"error: cannot read {path}: {reason}\n")
 
 
 def test_json_reports_build_no_human_text(capsys, monkeypatch, ghz3_file):

@@ -30,12 +30,11 @@ from entrank.factorize import factorize_pure
 from entrank.states import (
     DensityMatrix,
     PureState,
-    density_from_pure,
     density_matrix,
     mix,
     pure_state,
 )
-from oracles import partition_lattice_oracle, place_parts, tensor_pure
+from oracles import density_from_pure, partition_lattice_oracle, place_parts, tensor_pure
 
 
 def pure_entangled(psi):

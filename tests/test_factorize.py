@@ -16,7 +16,6 @@ from entrank.factorize import FactorizationResult, _reconstruction_residual, fac
 from entrank.linalg import numerical_rank
 from entrank.states import (
     PureState,
-    density_from_pure,
     partial_trace,
     pure_state,
     subset_rank,
@@ -24,6 +23,7 @@ from entrank.states import (
 )
 from oracles import (
     apply_local_unitaries,
+    density_from_pure,
     frobenius_sum,
     masks,
     place_parts,

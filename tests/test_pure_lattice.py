@@ -2,13 +2,14 @@
 form that gives the blocks' spectra, and factorize's one inherited kernel
 call.
 
-``criteria.rank_lattice`` takes the entries of a large lattice over the
-particles of a state with a one-column factor from
-``factorize.product_ranks`` when a probe over the single particles finds one
-of rank 1: the product's entries are counted from its blocks' spectra where
-that count is certain. Every other entry, and every entry of any other
-lattice, comes from one kernel call. Each test compares the lattice with one
-direct ``subset_ranks`` call over every kept set.
+``criteria.rank_lattice`` takes the entries of a large lattice, over
+particles or over the parts of a partition, of a state with a one-column
+factor from ``factorize.product_ranks`` when a probe over the single
+particles finds one of rank 1: the product's entries are counted from its
+blocks' spectra where that count is certain. Every other entry, and every
+entry of any other lattice, comes from one kernel call. Each test compares
+the lattice with one direct ``subset_ranks`` call over every kept set, or
+with the lattice that the kernel alone gives.
 """
 
 from itertools import combinations
@@ -24,6 +25,7 @@ from entrank.factorize import factorize_pure
 from entrank.linalg import DEFAULT_TOLERANCE, RankTolerance, rank_from_values
 from entrank.statefile import pure_payload, write_state_file
 from entrank.states import (
+    CHUNK_BYTES,
     bipartition_matrix,
     canonical_pure,
     particles_of,
@@ -342,6 +344,47 @@ def test_shallow_lattice_of_a_block_product_is_counted_from_its_blocks(monkeypat
     assert len(lattice.entries) == 12 + 66
     assert calls["kernel"] == [1] and calls["factorize"][0] == 12
     assert calls["sweeps"] == 1 and calls["product"]
+
+
+def block_product(dims, parts, seed):
+    """A product of Haar blocks on ``parts``, block j drawn with seed + j."""
+    blocks = [haar_pure(tuple(dims[i] for i in p), seed=seed + j) for j, p in enumerate(parts)]
+    return pure_state(*place_parts([(b.dims, b.amplitudes) for b in blocks], parts))
+
+
+BLOCK12 = block_product((2,) * 12, ((0,), (1, 2), (3, 4, 5), tuple(range(6, 12))), seed=70)
+QUDIT_BLOCKS = block_product((3, 2, 3, 2, 3, 2, 2, 2), ((0,), (1, 3, 5), (2, 4, 6, 7)), seed=60)
+
+# (state, partition, whether its traced sets span more than one chunk)
+PARTITIONS = {
+    "singletons": (BLOCK12, [(i,) for i in range(12)], True),
+    "pairs": (BLOCK12, [(2 * k, 2 * k + 1) for k in range(6)], True),
+    "mixed": (BLOCK12, [(0,), (1, 2, 3), (4, 5), tuple(range(6, 12))], False),
+    "qudit": (QUDIT_BLOCKS, [(i,) for i in range(8)], True),
+    "qudit-mixed": (QUDIT_BLOCKS, [(0, 1), (2, 3, 4), (5, 6, 7)], False),
+}
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=lambda t: f"rtol{t.rtol}-atol{t.atol}")
+@pytest.mark.parametrize("name", PARTITIONS)
+def test_partition_lattice_of_a_block_product_is_the_kernel_lattice(name, tol, monkeypatch):
+    """A lattice over parts reads a pure product's blocks as one over
+    particles does, since a union of parts is a traced mask like any other.
+    Above the chunk guard, at a positive cutoff, every entry comes from the
+    blocks and the lattice's kernel call holds the state rank alone; below
+    it, or at a zero cutoff, where rounding noise leaves no particle at rank
+    1, the kernel takes them. Either way the lattice is the one the kernel
+    alone gives."""
+    psi, parts, above = PARTITIONS[name]
+    depth = len(parts) - 1
+    calls = spy(monkeypatch)
+    lattice = criteria.rank_lattice(psi, depth, tol, parts=parts)
+    assert (len(lattice.entries) * psi.amplitudes.nbytes > CHUNK_BYTES) == above
+    from_blocks = above and bool(tol.rtol or tol.atol)
+    assert calls["product"] == from_blocks
+    assert calls["kernel"] == [1 if from_blocks else 1 + len(lattice.entries)]
+    monkeypatch.setattr(factorize, "CHUNK_BYTES", 1 << 40)
+    assert criteria.rank_lattice(psi, depth, tol, parts=parts) == lattice
 
 
 def analyze_bytes(capsys, path, *flags):

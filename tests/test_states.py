@@ -25,7 +25,6 @@ from entrank.states import (
     PureState,
     bipartition_matrix,
     bipartition_spectrum,
-    density_from_pure,
     density_matrix,
     mix,
     partial_trace,
@@ -35,9 +34,12 @@ from entrank.states import (
     subset_rank,
     subset_ranks,
     subset_spectra,
+    tensor_product,
 )
 from oracles import (
     apply_local_unitaries,
+    density_from_pure,
+    kron_chain,
     masks,
     ptrace_loop,
     random_unitary,
@@ -167,6 +169,42 @@ def test_tensor_product_bell_with_qubit_has_rank_one():
     out = kron_state(density_from_pure(bell()), density_matrix((2,), np.diag([1.0, 0.0])))
     assert out.matrix.shape == (8, 8)
     assert numerical_rank(out.matrix) == subset_rank(out, range(3)) == 1
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# (1 + 0j)·(0.6 − 0j) has imaginary part +0, so a product that skipped the
+# seed of ones would keep the −0 that the chain from [1] drops.
+SIGNED_ZEROS = [
+    np.array([complex(0.6, -0.0), complex(-0.0, 0.8)]),
+    np.array([complex(-1.0, -0.0), 0.5j, complex(0.0, -0.0)]),
+]
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [haar_pure((3,), seed=1).amplitudes],
+        [haar_pure((d,), seed=d).amplitudes for d in (2, 3, 4, 2)],
+        SIGNED_ZEROS,
+    ],
+    ids=["one-factor", "mixed-dims", "signed-zeros"],
+)
+def test_tensor_product_is_chained_kron_bit_for_bit(vectors):
+    assert same_bits(tensor_product(vectors), kron_chain(vectors))
+
+
+def test_tensor_product_of_batched_rows_is_kron_row_by_row():
+    """Rows of the kind a pure product's lattice multiplies: each block's
+    descending spectra, zero-padded, one row per entry."""
+    rng = np.random.default_rng(4)
+    tables = [-np.sort(-rng.random((9, k)), axis=1) for k in (1, 2, 4, 3)]
+    for table in tables:
+        table[::3, 1:] = 0.0
+    want = np.array([kron_chain([table[b] for table in tables], one=1.0) for b in range(9)])
+    assert same_bits(tensor_product(tables), want)
 
 
 # ------------------------------------------------------------ partial trace
