@@ -5,14 +5,16 @@ and fully specified, keyed as Philox(key=[seed, stream]). Stream splitting:
 haar_pure draws from stream 0; product_pure draws particle i from stream i;
 mixed_of_rank_r draws weights from stream 0 and component j from stream j
 (1-based). The same seed therefore reproduces the same state bit for bit.
-Product states are laid out by ``states.tensor_product``.
+``generator`` is where every seed becomes a Philox key, so it is the one
+check of a seed's range, 0..2^64 − 1. Each constructor checks its own
+parameters: ``werner`` its weight, ``mixed_of_rank`` its rank. Product
+states are laid out by ``states.tensor_product``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod, sqrt
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -21,17 +23,17 @@ from .linalg import DEFAULT_MAX_DIM
 from .states import (
     DensityMatrix,
     PureState,
-    State,
     mix,
     tensor_product,
     validate_dims,
 )
 
-RANDOM_KINDS = ("haar_pure", "product_pure", "mixed_of_rank_r")
-
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for the given (seed, stream) pair."""
+    """Philox generator for the given (seed, stream) pair; the seed must lie
+    in 0..2^64 − 1, the range of a key word."""
+    if not 0 <= seed < 2**64:
+        raise InputError(f"seed must lie in 0..{2**64 - 1}, got {seed}")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -65,34 +67,20 @@ def bell() -> PureState:
     return ghz(2, 2)
 
 
-@dataclass(frozen=True)
-class WernerSpec:
-    """Mixing weight p of the maximally entangled component; F = (3p + 1) / 4."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise InputError(f"werner weight p must lie in [0, 1], got {self.p!r}")
-
-    @property
-    def fidelity(self) -> float:
-        return (3.0 * self.p + 1.0) / 4.0
-
-
-def werner(spec: Union[WernerSpec, float]) -> DensityMatrix:
-    """Two-qubit mixture p |Phi+><Phi+| + (1 - p) I/4.
+def werner(p: float) -> DensityMatrix:
+    """Two-qubit mixture p |Phi+><Phi+| + (1 - p) I/4, p in [0, 1]; its
+    fidelity with |Phi+> is (3p + 1) / 4.
 
     The entangled component is fixed to (|00> + |11>) / sqrt(2); any other
     maximally entangled choice is locally equivalent and yields the same
     rank and partial-transpose behaviour. PPT goes negative exactly for
     p > 1/3 (fidelity above 1/2) while every rank inequality stays satisfied.
     """
-    if not isinstance(spec, WernerSpec):
-        spec = WernerSpec(float(spec))
+    if not 0.0 <= p <= 1.0:
+        raise InputError(f"werner weight p must lie in [0, 1], got {p!r}")
     phi = bell()
     proj = np.outer(phi.amplitudes, phi.amplitudes.conj())
-    matrix = spec.p * proj + (1.0 - spec.p) * np.eye(4, dtype=np.complex128) / 4.0
+    matrix = p * proj + (1.0 - p) * np.eye(4, dtype=np.complex128) / 4.0
     return DensityMatrix(dims=(2, 2), matrix=matrix)
 
 
@@ -107,29 +95,6 @@ def six_qubit_benchmark() -> PureState:
     for ket in ("000000", "000111", "011000", "011111"):
         amps[int(ket, 2)] = 0.5
     return PureState(dims=dims, amplitudes=amps)
-
-
-@dataclass(frozen=True)
-class RandomSpec:
-    """Seeded random-state request.
-
-    kind is one of haar_pure, product_pure, mixed_of_rank_r; rank is the
-    number of pure components for the mixed kind.
-    """
-
-    dims: tuple[int, ...]
-    seed: int
-    kind: str = "haar_pure"
-    rank: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in RANDOM_KINDS:
-            raise InputError(f"unknown random kind {self.kind!r}; choose from {RANDOM_KINDS}")
-        if self.kind == "mixed_of_rank_r":
-            if self.rank < 1 or self.rank > prod(self.dims):
-                raise InputError(
-                    f"rank must lie in 1..{prod(self.dims)}, got {self.rank}"
-                )
 
 
 def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,15 +134,6 @@ def mixed_of_rank(
         for j in range(1, rank + 1)
     ]
     return mix(terms)
-
-
-def random_state(spec: RandomSpec, max_dim: int = DEFAULT_MAX_DIM) -> State:
-    """Dispatch on spec.kind; deterministic for a fixed spec."""
-    if spec.kind == "haar_pure":
-        return haar_pure(spec.dims, spec.seed, max_dim)
-    if spec.kind == "product_pure":
-        return product_pure(spec.dims, spec.seed, max_dim)
-    return mixed_of_rank(spec.dims, spec.seed, spec.rank, max_dim)
 
 
 def separable_mixture(

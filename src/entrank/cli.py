@@ -22,7 +22,7 @@ import io
 import sys
 import time
 from contextlib import contextmanager
-from itertools import combinations, groupby, islice
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -37,11 +37,11 @@ from .states import State, normalize_subset, ppt_minimum, validate_dims
 PPT_NEG_TOL = 1e-9
 PPT_ENTANGLED = "ENTANGLED"
 PPT_NOT_DETECTED = "NOT-DETECTED"
-JSON_BATCH = 256  # pieces (whole rows) joined per write of a --json report
 
 BENCH_CSV_HEADER = ["kind", "dims", "seed", "rank_detect", "ppt_detect", "both", "neither"]
 BENCH_KINDS = ("product_mixture", "werner", "haar_pure")
 GEN_NAMES = ("ghz", "w", "bell", "werner", "paper6", "random")
+RANDOM_KINDS = ("haar_pure", "product_pure", "mixed_of_rank_r")
 
 
 def _fmt_subset(subset: Sequence[int]) -> str:
@@ -155,11 +155,8 @@ def _violation_lines(verdict: criteria.Verdict) -> list[str]:
 
 def _print_json(report: dict) -> int:
     """Write the report as ``json.dumps(report, indent=2, sort_keys=True)``
-    and a newline would, in batches of ``JSON_BATCH`` pieces of
-    ``json_pieces``."""
-    pieces = json_pieces(report)
-    for batch in iter(lambda: "".join(islice(pieces, JSON_BATCH)), ""):
-        sys.stdout.write(batch)
+    and a newline would."""
+    sys.stdout.writelines(json_pieces(report))
     sys.stdout.write("\n")
     return 0
 
@@ -362,17 +359,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif name == "werner":
         if args.p is None:
             raise InputError("werner needs --p (mixing weight in [0, 1])")
-        spec = catalog.WernerSpec(args.p)
-        state = catalog.werner(spec)
-        metadata["params"] = {"p": args.p, "fidelity": spec.fidelity}
+        state = catalog.werner(args.p)
+        metadata["params"] = {"p": args.p, "fidelity": (3.0 * args.p + 1.0) / 4.0}
     elif name == "paper6":
         state = catalog.six_qubit_benchmark()
     else:  # random
         if args.dims is None:
             raise InputError("random needs --dims, e.g. --dims 2,2,2")
         dims = _parse_dims(args.dims)
-        spec = catalog.RandomSpec(dims=dims, seed=args.seed, kind=args.kind, rank=args.rank)
-        state = catalog.random_state(spec, max_dim=args.max_dim)
+        if args.kind == "haar_pure":
+            state = catalog.haar_pure(dims, args.seed, args.max_dim)
+        elif args.kind == "product_pure":
+            state = catalog.product_pure(dims, args.seed, args.max_dim)
+        else:  # mixed_of_rank_r
+            state = catalog.mixed_of_rank(dims, args.seed, args.rank, args.max_dim)
         metadata["params"] = {"dims": list(dims), "kind": args.kind, "rank": args.rank}
         metadata["seed"] = args.seed
         metadata["generator"] = "philox"
@@ -428,7 +428,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     both = 0
     for state in members:
         n = state.n
-        verdict = criteria.entanglement_verdict(state, args.depth, tol)
+        verdict = criteria.verdict(criteria.rank_lattice(state, args.depth, tol))
         rank_detected = verdict.tag == criteria.ENTANGLED
         ppt_detected = any(_ppt_row(state, (i,))["flag"] == PPT_ENTANGLED for i in range(n))
         rank_hits += rank_detected
@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2, help="local dimension (ghz)")
     p.add_argument("--p", type=float, default=None, help="werner mixing weight")
     p.add_argument("--dims", default=None, help="local dimensions, e.g. 2,2,3 (random)")
-    p.add_argument("--kind", default="haar_pure", choices=catalog.RANDOM_KINDS,
+    p.add_argument("--kind", default="haar_pure", choices=RANDOM_KINDS,
                    help="random state kind")
     p.add_argument("--rank", type=int, default=1, help="component count for mixed_of_rank_r")
     p.set_defaults(func=cmd_gen)

@@ -9,7 +9,8 @@ no witness is INCONCLUSIVE, never "separable".
 
 The same holds for a state separable across a partition P_1|...|P_k once
 each part is taken as one particle: the lattice over unions of parts is the
-partition criterion, and ``verdict`` is the one rule that reads a lattice.
+partition criterion, and ``verdict`` is the one rule that reads a lattice:
+a state's verdict over particles or parts is ``verdict(rank_lattice(...))``.
 
 For pure states rank arguments are exact: a pure state is entangled iff some
 reduced matrix has rank above 1, and fully entangled iff they all do. Both
@@ -185,10 +186,3 @@ def verdict(lattice: RankLattice) -> Verdict:
     if lattice.state_rank == 1:
         return Verdict(tag=SEPARABLE_PURE_PRODUCT)
     return Verdict(tag=INCONCLUSIVE)
-
-
-def entanglement_verdict(
-    state: State, max_depth: Optional[int] = None, tol: RankTolerance = DEFAULT_TOLERANCE
-) -> Verdict:
-    """``verdict`` of the state's rank lattice over single particles."""
-    return verdict(rank_lattice(state, max_depth, tol))

@@ -26,6 +26,9 @@ class RankTolerance:
     A singular value s is significant when s > max(atol, rtol * s_max).
     States are built from order-1 amplitudes, so the relative threshold
     dominates in practice; atol is a floor for genuinely zero matrices.
+    Both lie in [0, 1): every eigenvalue of a unit-trace state is at most 1,
+    and a pure reduced state's one eigenvalue is 1, so a cutoff of 1 or more
+    counts no rank that means anything.
     """
 
     rtol: float = DEFAULT_RTOL
@@ -33,8 +36,8 @@ class RankTolerance:
 
     def __post_init__(self) -> None:
         for name, value in (("rtol", self.rtol), ("atol", self.atol)):
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
 
     def cutoff(self, largest: float | np.ndarray) -> float | np.ndarray:
         """max(atol, rtol * largest), elementwise for an array of largest values."""

@@ -17,11 +17,11 @@ from entrank.catalog import (
     six_qubit_benchmark,
     werner,
 )
+from entrank import criteria
 from entrank.criteria import (
     ENTANGLED,
     INCONCLUSIVE,
     check_rank_monotonicity,
-    entanglement_verdict,
     rank_lattice,
 )
 from entrank.factorize import factorize_pure
@@ -76,7 +76,7 @@ def test_criterion_2_werner_insufficiency():
     for p in (0.4, 0.5, 0.6, 0.8):
         rho = werner(p)
         ok &= check_rank_monotonicity(rank_lattice(rho, 1)) == []  # only depth for N=2
-        ok &= entanglement_verdict(rho, 1).tag == INCONCLUSIVE
+        ok &= criteria.verdict(rank_lattice(rho, 1)).tag == INCONCLUSIVE
         low = hermitian_eigenvalues(partial_transpose(rho, (0,)))[-1]
         ok &= low < -1e-9
         expected = (1 - 3 * p) / 4
@@ -188,7 +188,7 @@ def test_criterion_5_two_qutrit_detection():
         b[k * 3 + k] = omega**k / np.sqrt(3)
     rho = mix([(0.5, pure_state((3, 3), a)), (0.5, pure_state((3, 3), b))])
 
-    verdict = entanglement_verdict(rho, 1)
+    verdict = criteria.verdict(rank_lattice(rho, 1))
     ok = verdict.tag == ENTANGLED
     ok &= any(v.child_rank == 3 and v.parent_rank == 2 for v in verdict.witnesses)
 

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from entrank.catalog import (
-    RandomSpec,
-    WernerSpec,
     bell,
+    generator,
     ghz,
     haar_pure,
     mixed_of_rank,
     product_pure,
-    random_state,
     separable_mixture,
     six_qubit_benchmark,
     w,
@@ -109,10 +107,9 @@ def test_werner_rank_criteria_pass_but_ppt_fails():
     assert low < -1e-9
 
 
-def test_werner_spec_fidelity():
-    assert WernerSpec(0.6).fidelity == pytest.approx(0.7)
-    with pytest.raises(InputError):
-        WernerSpec(1.1)
+def test_werner_checks_its_weight():
+    with pytest.raises(InputError, match=r"^werner weight p must lie in \[0, 1\], got 1\.1$"):
+        werner(1.1)
 
 
 # ------------------------------------------------------- six-qubit benchmark
@@ -139,11 +136,13 @@ def test_six_qubit_benchmark_reported_ranks():
 # ------------------------------------------------------------ random states
 
 
-def test_random_state_deterministic():
-    for kind, rank in (("haar_pure", 1), ("product_pure", 1), ("mixed_of_rank_r", 2)):
-        spec = RandomSpec(dims=(2, 2), seed=99, kind=kind, rank=rank)
-        a = random_state(spec)
-        b = random_state(spec)
+def test_random_states_are_deterministic():
+    for make in (
+        lambda: haar_pure((2, 2), seed=99),
+        lambda: product_pure((2, 2), seed=99),
+        lambda: mixed_of_rank((2, 2), seed=99, rank=2),
+    ):
+        a, b = make(), make()
         payload_a = a.amplitudes if hasattr(a, "amplitudes") else a.matrix
         payload_b = b.amplitudes if hasattr(b, "amplitudes") else b.matrix
         assert np.array_equal(payload_a, payload_b)
@@ -161,11 +160,21 @@ def test_mixed_of_rank_two_qutrits():
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_random_spec_validation():
-    with pytest.raises(InputError):
-        RandomSpec(dims=(2, 2), seed=0, kind="nope")
-    with pytest.raises(InputError):
-        RandomSpec(dims=(2, 2), seed=0, kind="mixed_of_rank_r", rank=5)
+def test_mixed_of_rank_checks_its_rank():
+    with pytest.raises(InputError, match=r"^rank must lie in 1\.\.4, got 5$"):
+        mixed_of_rank((2, 2), 0, 5)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_the_key_range_is_an_input_error(seed):
+    with pytest.raises(InputError, match=rf"^seed must lie in 0\.\.{2**64 - 1}, got {seed}$"):
+        haar_pure((2, 2), seed=seed)
+
+
+def test_the_top_seed_is_a_key():
+    key = generator(2**64 - 1, 3).bit_generator.state["state"]["key"]
+    assert key.tolist() == [2**64 - 1, 3]
+    haar_pure((2, 2), seed=2**64 - 1)
 
 
 def test_separable_mixture_is_separable_for_the_criteria():

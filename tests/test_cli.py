@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from entrank import catalog
 from entrank.catalog import bell, ghz
 from entrank.cli import main
 from entrank.statefile import (
@@ -129,6 +130,24 @@ def test_analyze_size_limit_exit_code(capsys, ghz3_file):
 def test_analyze_bad_depth(capsys, ghz3_file):
     code, _, err = run(capsys, "analyze", ghz3_file, "--depth", "9")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("analyze", "--rtol"), ("factorize", "--rtol"), ("factorize", "--atol"),
+     ("check-partition", "--atol"), ("bench", "--rtol")],
+)
+def test_a_rank_cutoff_of_one_exits_2(command, flag, capsys, ghz3_file):
+    """No eigenvalue of a unit-trace state exceeds 1, so a cutoff of 1 or
+    more reads no meaningful rank."""
+    base = {
+        "analyze": ["analyze", ghz3_file],
+        "factorize": ["factorize", ghz3_file],
+        "check-partition": ["check-partition", ghz3_file, "1|2|3"],
+        "bench": ["bench", "--kind", "werner", "--count", "2"],
+    }[command]
+    line = f"error: {flag[2:]} must lie in [0, 1), got 1.0\n"
+    assert run(capsys, *base, flag, "1") == (2, "", line)
 
 
 def test_analyze_one_particle_reports(capsys, tmp_path):
@@ -582,6 +601,72 @@ def test_gen_unknown_parameters(capsys, tmp_path):
     assert code == 2  # missing --dims
 
 
+def test_gen_random_kind_is_an_argparse_choice(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "random", "--dims", "2,2", "--kind", "nope", "--out", str(path)])
+    assert exc.value.code == 2
+    assert "argument --kind: invalid choice: 'nope'" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def _random_metadata(kind, rank=1):
+    return {"name": "random", "params": {"dims": [2, 3, 2], "kind": kind, "rank": rank},
+            "seed": 9, "generator": "philox"}
+
+
+GEN_FILES = {
+    "ghz": (["ghz", "--n", "4", "--d", "3"], lambda: ghz(4, 3),
+            {"name": "ghz", "params": {"n": 4, "d": 3}}),
+    "w": (["w", "--n", "5"], lambda: catalog.w(5), {"name": "w", "params": {"n": 5}}),
+    "bell": (["bell"], bell, {"name": "bell"}),
+    "werner": (["werner", "--p", "0.6"], lambda: catalog.werner(0.6),
+               {"name": "werner", "params": {"p": 0.6, "fidelity": 0.7}}),
+    "paper6": (["paper6"], catalog.six_qubit_benchmark, {"name": "paper6"}),
+    "haar_pure": (["random", "--dims", "2,3,2", "--seed", "9"],
+                  lambda: catalog.haar_pure((2, 3, 2), 9), _random_metadata("haar_pure")),
+    "product_pure": (["random", "--dims", "2,3,2", "--kind", "product_pure", "--seed", "9"],
+                     lambda: catalog.product_pure((2, 3, 2), 9),
+                     _random_metadata("product_pure")),
+    "mixed_of_rank_r": (["random", "--dims", "2,3,2", "--kind", "mixed_of_rank_r",
+                         "--rank", "3", "--seed", "9"],
+                        lambda: catalog.mixed_of_rank((2, 3, 2), 9, 3),
+                        _random_metadata("mixed_of_rank_r", 3)),
+}
+
+
+@pytest.mark.parametrize("name", GEN_FILES)
+def test_gen_writes_the_payload_of_its_constructor(name, capsys, tmp_path):
+    """Every name and random kind: the file is that of the library
+    constructor's state with the metadata written out here."""
+    from entrank.statefile import state_payload
+
+    argv, make, metadata = GEN_FILES[name]
+    path, want = tmp_path / "gen.json", tmp_path / "want.json"
+    code, out, err = run(capsys, "gen", *argv, "--out", path)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"wrote {path} (kind=")
+    write_state_file(want, state_payload(make(), metadata))
+    assert path.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,seed",
+    [
+        (["--kind", "mixed_of_rank_r", "--rank", "4", "--seed", "-1"], -1),
+        (["--seed", str(2**64)], 2**64),
+        (["--kind", "product_pure", "--seed", str(2**64)], 2**64),
+    ],
+    ids=["mixed_negative", "haar_above", "product_above"],
+)
+def test_gen_rejects_a_seed_outside_the_key_range(argv, seed, capsys, tmp_path):
+    path = tmp_path / "n.json"
+    code, out, err = run(capsys, "gen", "random", "--dims", "2,2", *argv, "--out", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must lie in 0..{2**64 - 1}, got {seed}\n"
+    assert not path.exists()
+
+
 # ------------------------------------------------------------------- bench
 
 
@@ -647,6 +732,28 @@ def test_bench_reads_the_ppt_flag_of_the_reports(capsys, monkeypatch):
         capsys, "bench", "--kind", "werner", "--count", 6, "--p-start", 0.4, "--p-stop", 0.9,
     )
     assert (code, out.splitlines()[1]) == (0, "werner,2x2,0,0,0,0,6")
+
+
+@pytest.mark.parametrize(
+    "kind,seed,count,bad",
+    [
+        ("haar_pure", -3, 2, -3),
+        ("product_mixture", 2**64, 1, 2**64),
+        ("haar_pure", 2**64 - 1, 2, 2**64),  # the second member's key is out of range
+    ],
+    ids=["negative", "above", "top_member"],
+)
+def test_bench_rejects_a_seed_outside_the_key_range(kind, seed, count, bad, capsys):
+    code, out, err = run(capsys, "bench", "--kind", kind, "--dims", "2,2",
+                         "--count", count, "--seed", seed)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must lie in 0..{2**64 - 1}, got {bad}\n"
+
+
+def test_bench_takes_the_top_seed(capsys):
+    code, out, _ = run(capsys, "bench", "--kind", "haar_pure", "--dims", "2,2",
+                       "--count", 1, "--seed", 2**64 - 1)
+    assert (code, out.splitlines()[1]) == (0, f"haar_pure,2x2,{2**64 - 1},1,1,1,0")
 
 
 def test_bench_rejects_bad_spec(capsys):
@@ -854,11 +961,9 @@ def test_json_reports_build_no_human_text(capsys, monkeypatch, ghz3_file):
 
 
 def test_json_report_bytes_are_those_of_json_dumps(capsys, tmp_path):
-    """The batched --json writer prints what json.dumps(report, indent=2,
-    sort_keys=True) and a newline would, here over more than one batch."""
+    """The --json writer prints what json.dumps(report, indent=2,
+    sort_keys=True) and a newline would, here on a 12-qubit report."""
     from entrank.catalog import haar_pure
-    from entrank.cli import JSON_BATCH
-    from entrank.jsonfmt import json_pieces
 
     path = tmp_path / "haar12.json"
     write_state_file(path, pure_payload(haar_pure((2,) * 12, seed=70)))
@@ -866,9 +971,6 @@ def test_json_report_bytes_are_those_of_json_dumps(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-    assert sum(1 for _ in chunks) > 2 * JSON_BATCH
-    assert sum(1 for _ in json_pieces(report)) > JSON_BATCH
 
 
 def test_json_report_bytes_of_every_command(capsys, tmp_path):

@@ -20,7 +20,6 @@ from entrank.criteria import (
     Verdict,
     Violation,
     check_rank_monotonicity,
-    entanglement_verdict,
     rank_lattice,
     verdict,
 )
@@ -139,22 +138,22 @@ def test_check_rank_monotonicity_werner_empty():
     assert check_rank_monotonicity(rank_lattice(werner(0.6), 1)) == []
 
 
-# ----------------------------------------------------- entanglement_verdict
+# ---------------------------------------------------------------- verdict
 
 
 def test_verdict_qutrit_mixture_entangled():
-    verdict = entanglement_verdict(qutrit_rank2_mixture(), 1)
-    assert verdict.tag == ENTANGLED
-    assert any(v.child_rank == 3 and v.parent_rank == 2 for v in verdict.witnesses)
+    result = verdict(rank_lattice(qutrit_rank2_mixture(), 1))
+    assert result.tag == ENTANGLED
+    assert any(v.child_rank == 3 and v.parent_rank == 2 for v in result.witnesses)
 
 
 def test_verdict_werner_inconclusive():
-    assert entanglement_verdict(werner(0.6), 1).tag == INCONCLUSIVE
+    assert verdict(rank_lattice(werner(0.6), 1)).tag == INCONCLUSIVE
 
 
 def test_verdict_maximally_mixed_inconclusive():
     rho = density_matrix((2, 2), np.eye(4) / 4)
-    assert entanglement_verdict(rho, 1).tag == INCONCLUSIVE
+    assert verdict(rank_lattice(rho, 1)).tag == INCONCLUSIVE
 
 
 # --------------------------------------------------------- partition checks
@@ -395,7 +394,7 @@ def test_fully_entangled_implies_entangled():
     """A fully entangled pure state gets witnesses from the rank lattice."""
     for psi in (ghz(3, 2), w(4), haar_pure((2, 2, 2), seed=13)):
         assert pure_fully_entangled(psi)
-        assert entanglement_verdict(psi).tag == ENTANGLED
+        assert verdict(rank_lattice(psi)).tag == ENTANGLED
 
 
 def test_verdict_matches_pure_predicate():
@@ -407,7 +406,7 @@ def test_verdict_matches_pure_predicate():
         six_qubit_benchmark(),
     ]
     for psi in states:
-        result = entanglement_verdict(density_from_pure(psi))
+        result = verdict(rank_lattice(density_from_pure(psi)))
         assert (result.tag == ENTANGLED) == pure_entangled(psi)
 
 

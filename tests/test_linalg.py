@@ -90,6 +90,10 @@ def test_rank_tolerance_validation():
         RankTolerance(rtol=-1e-3)
     with pytest.raises(ValueError):
         RankTolerance(atol=float("nan"))
+    with pytest.raises(ValueError, match=r"^rtol must lie in \[0, 1\), got 1\.0$"):
+        RankTolerance(rtol=1.0)
+    with pytest.raises(ValueError, match=r"^atol must lie in \[0, 1\), got 1\.0$"):
+        RankTolerance(atol=1.0)
 
 
 def test_rank_tolerance_cutoff_override():
