@@ -9,12 +9,18 @@ mixed_of_rank_r draws weights from stream 0 and component j from stream j
 check of a seed's range, 0..2^64 − 1. Each constructor checks its own
 parameters: ``werner`` its weight, ``mixed_of_rank`` its rank. Product
 states are laid out by ``states.tensor_product``.
+
+A constructor call builds one Philox and rekeys it for every (seed, stream)
+it draws from; the draws are those of a new generator per key. The ensemble
+constructors ``haar_ensemble`` and ``separable_ensemble`` build a member
+per seed from that one generator, and ``haar_pure`` and
+``separable_mixture`` are their one-member case.
 """
 
 from __future__ import annotations
 
 from math import prod, sqrt
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,13 +35,30 @@ from .states import (
 )
 
 
-def generator(seed: int, stream: int = 0) -> np.random.Generator:
+def generator(
+    seed: int, stream: int = 0, rng: Optional[np.random.Generator] = None
+) -> np.random.Generator:
     """Philox generator for the given (seed, stream) pair; the seed must lie
-    in 0..2^64 − 1, the range of a key word."""
+    in 0..2^64 − 1, the range of a key word. Given ``rng``, a generator an
+    earlier call returned, it rekeys that one in place through the
+    documented ``BitGenerator.state`` setter and returns it: the draws are
+    those of a new generator, without the entropy-seeded construction of
+    one (~12 µs) per key."""
     if not 0 <= seed < 2**64:
         raise InputError(f"seed must lie in 0..{2**64 - 1}, got {seed}")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    start = np.zeros(4, np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": start, "key": key},
+        "buffer": start,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def ghz(n: int, d: int = 2, max_dim: int = DEFAULT_MAX_DIM) -> PureState:
@@ -97,22 +120,48 @@ def six_qubit_benchmark() -> PureState:
     return PureState(dims=dims, amplitudes=amps)
 
 
-def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+def _haar_vectors(draws: Sequence[np.ndarray]) -> np.ndarray:
+    """One Haar-random unit vector per draw x of 2·d standard normals (one
+    draw of 2·d is two draws of d in a row): z / ‖z‖ for z = x[:d] + i·x[d:].
+    Each row has the bits of a vector built alone; its norm is its own
+    ``np.linalg.norm`` call."""
+    x = np.array(draws)
+    d = x.shape[1] // 2
+    z = x[:, :d] + 1j * x[:, d:]
+    return z / np.array([np.linalg.norm(row) for row in z])[:, None]
 
 
 def haar_pure(dims: Sequence[int], seed: int, max_dim: int = DEFAULT_MAX_DIM) -> PureState:
     """Haar-random pure state on the joint space (stream 0)."""
+    return haar_ensemble(dims, [seed], max_dim)[0]
+
+
+def haar_ensemble(
+    dims: Sequence[int], seeds: Iterable[int], max_dim: int = DEFAULT_MAX_DIM
+) -> list[PureState]:
+    """``haar_pure`` of each of ``seeds``, in order, from one Philox; a seed
+    out of range raises when its member is reached."""
     dims = validate_dims(dims, max_dim)
-    return PureState(dims=dims, amplitudes=_haar_vector(prod(dims), generator(seed, 0)))
+    d = prod(dims)
+    rng = None
+    draws = []
+    for seed in seeds:
+        rng = generator(seed, 0, rng)
+        draws.append(rng.standard_normal(2 * d))
+    if not draws:
+        return []
+    return [PureState(dims=dims, amplitudes=row) for row in _haar_vectors(draws)]
 
 
 def product_pure(dims: Sequence[int], seed: int, max_dim: int = DEFAULT_MAX_DIM) -> PureState:
     """Tensor product of per-particle Haar states; particle i uses stream i."""
     dims = validate_dims(dims, max_dim)
-    amps = tensor_product([_haar_vector(d, generator(seed, i)) for i, d in enumerate(dims)])
-    return PureState(dims=dims, amplitudes=amps)
+    rng = None
+    vectors = []
+    for i, d in enumerate(dims):
+        rng = generator(seed, i, rng)
+        vectors.append(_haar_vectors([rng.standard_normal(2 * d)])[0])
+    return PureState(dims=dims, amplitudes=tensor_product(vectors))
 
 
 def mixed_of_rank(
@@ -127,13 +176,14 @@ def mixed_of_rank(
     d = prod(dims)
     if rank < 1 or rank > d:
         raise InputError(f"rank must lie in 1..{d}, got {rank}")
-    weights = 1.0 - generator(seed, 0).random(rank)
+    rng = generator(seed, 0)
+    weights = 1.0 - rng.random(rank)
     weights = weights / weights.sum()
-    terms = [
-        (float(weights[j - 1]), PureState(dims=dims, amplitudes=_haar_vector(d, generator(seed, j))))
-        for j in range(1, rank + 1)
-    ]
-    return mix(terms)
+    draws = [generator(seed, j, rng).standard_normal(2 * d) for j in range(1, rank + 1)]
+    return mix([
+        (float(weight), PureState(dims=dims, amplitudes=row))
+        for weight, row in zip(weights, _haar_vectors(draws))
+    ])
 
 
 def separable_mixture(
@@ -145,16 +195,36 @@ def separable_mixture(
     as the soundness workload for the criteria checks. Term j draws its
     particles from streams (j * n + i) of the given seed.
     """
+    return separable_ensemble(dims, [seed], max_terms, max_dim)[0]
+
+
+def separable_ensemble(
+    dims: Sequence[int], seeds: Iterable[int], max_terms: int = 4, max_dim: int = DEFAULT_MAX_DIM
+) -> list[DensityMatrix]:
+    """``separable_mixture`` of each of ``seeds``, in order, from one Philox;
+    a seed out of range raises when its member is reached. Each particle's
+    vectors in every term of every member are normalized together, and the
+    product vectors are one ``tensor_product`` call; every row has the bits
+    of a term built alone."""
     dims = validate_dims(dims, max_dim)
     if max_terms < 1:
         raise InputError(f"max_terms must be >= 1, got {max_terms}")
-    head = generator(seed, 0)
-    n_terms = int(head.integers(1, max_terms + 1))
-    weights = 1.0 - head.random(n_terms)
-    weights = weights / weights.sum()
     n = len(dims)
-    terms = []
-    for j in range(1, n_terms + 1):
-        amps = [_haar_vector(d, generator(seed, j * n + i)) for i, d in enumerate(dims)]
-        terms.append((float(weights[j - 1]), PureState(dims=dims, amplitudes=tensor_product(amps))))
-    return mix(terms)
+    rng = None
+    weights = []  # per member, the weights of its terms
+    draws: list[list[np.ndarray]] = [[] for _ in dims]  # per particle, its draw in every term
+    for seed in seeds:
+        rng = generator(seed, 0, rng)
+        n_terms = int(rng.integers(1, max_terms + 1))
+        drawn = 1.0 - rng.random(n_terms)
+        weights.append(drawn / drawn.sum())
+        for j in range(1, n_terms + 1):
+            for i, d in enumerate(dims):
+                draws[i].append(generator(seed, j * n + i, rng).standard_normal(2 * d))
+    if not weights:
+        return []
+    products = iter(tensor_product([_haar_vectors(particle) for particle in draws]))
+    return [
+        mix([(float(w), PureState(dims=dims, amplitudes=next(products))) for w in member])
+        for member in weights
+    ]

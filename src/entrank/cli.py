@@ -23,6 +23,7 @@ import sys
 import time
 from contextlib import contextmanager
 from itertools import combinations, groupby
+from math import prod
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -32,7 +33,14 @@ from . import catalog, criteria, factorize as factorize_mod, statefile
 from .errors import EntrankError, InputError, PartitionError
 from .jsonfmt import json_pieces
 from .linalg import DEFAULT_ATOL, DEFAULT_MAX_DIM, DEFAULT_RTOL, RankTolerance
-from .states import State, normalize_subset, ppt_minimum, validate_dims
+from .states import (
+    CHUNK_BYTES,
+    State,
+    ensemble_ppt,
+    normalize_subset,
+    ppt_minimum,
+    validate_dims,
+)
 
 PPT_NEG_TOL = 1e-9
 PPT_ENTANGLED = "ENTANGLED"
@@ -133,12 +141,17 @@ def _lattice_report(lattice: criteria.RankLattice, verdict: criteria.Verdict) ->
     }
 
 
+def _ppt_flag(value: float) -> str:
+    """The one PPT flag rule, of the reports and ``bench``: ENTANGLED below
+    −``PPT_NEG_TOL``."""
+    return PPT_ENTANGLED if value < -PPT_NEG_TOL else PPT_NOT_DETECTED
+
+
 def _ppt_row(state: State, part: tuple[int, ...]) -> dict:
     """The PPT fields of a report for ``part``: its 1-based particles, the
     minimum eigenvalue of the partial transpose and the flag."""
     value = ppt_minimum(state, part)
-    flag = PPT_ENTANGLED if value < -PPT_NEG_TOL else PPT_NOT_DETECTED
-    return {"part": _one_based(part), "min_eigenvalue": value, "flag": flag}
+    return {"part": _one_based(part), "min_eigenvalue": value, "flag": _ppt_flag(value)}
 
 
 def _violation_lines(verdict: criteria.Verdict) -> list[str]:
@@ -389,12 +402,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- bench
 
 
-def _bench_member(kind: str, dims: tuple[int, ...], seed: int, index: int, args) -> State:
-    if kind == "product_mixture":
-        return catalog.separable_mixture(
-            dims, seed=seed + index, max_terms=args.max_terms, max_dim=args.max_dim
-        )
-    return catalog.haar_pure(dims, seed=seed + index, max_dim=args.max_dim)
+def _bench_members(
+    args, dims: tuple[int, ...], block: range, weights: Optional[np.ndarray]
+) -> list[State]:
+    """The members of the indices ``block``: the Werner states at those
+    ``weights``, or the ensemble of the seeds seed + index."""
+    if args.kind == "werner":
+        return [catalog.werner(float(p)) for p in weights[block.start : block.stop]]
+    seeds = range(args.seed + block.start, args.seed + block.stop)
+    if args.kind == "product_mixture":
+        return catalog.separable_ensemble(dims, seeds, args.max_terms, args.max_dim)
+    return catalog.haar_ensemble(dims, seeds, args.max_dim)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -413,27 +431,33 @@ def cmd_bench(args: argparse.Namespace) -> int:
     dims = validate_dims(dims, args.max_dim)
     # Every member's lattice has this depth and budget: check them before building any.
     criteria.lattice_depth(len(dims), args.depth)
-    if args.kind == "werner":
-        members: list[State] = [
-            catalog.werner(float(p)) for p in np.linspace(args.p_start, args.p_stop, args.count)
-        ]
-    else:
-        members = [
-            _bench_member(args.kind, dims, args.seed, index, args)
-            for index in range(args.count)
-        ]
+    weights = np.linspace(args.p_start, args.p_stop, args.count) if args.kind == "werner" else None
+    # Members are built and evaluated in blocks of at most CHUNK_BYTES of
+    # matrices, so memory does not grow with the count: a pure member holds
+    # d amplitudes, a mixture a d × d matrix and a factor of at most
+    # max_terms columns (d for a Werner state).
+    d = prod(dims)
+    columns = {"haar_pure": 1, "product_mixture": d + args.max_terms, "werner": 2 * d}[args.kind]
+    size = max(1, CHUNK_BYTES // (16 * d * columns))
 
     rank_hits = 0
     ppt_hits = 0
     both = 0
-    for state in members:
-        n = state.n
-        verdict = criteria.verdict(criteria.rank_lattice(state, args.depth, tol))
-        rank_detected = verdict.tag == criteria.ENTANGLED
-        ppt_detected = any(_ppt_row(state, (i,))["flag"] == PPT_ENTANGLED for i in range(n))
-        rank_hits += rank_detected
-        ppt_hits += ppt_detected
-        both += rank_detected and ppt_detected
+    for lo in range(0, args.count, size):
+        members = _bench_members(args, dims, range(lo, min(lo + size, args.count)), weights)
+        rank_detected = [
+            criteria.verdict(lattice).tag == criteria.ENTANGLED
+            for lattice in criteria.ensemble_lattices(members, args.depth, tol)
+        ]
+        # Each part is taken only for the members no earlier part has flagged.
+        ppt_detected = [False] * len(members)
+        for i in range(len(dims)):
+            todo = [b for b, hit in enumerate(ppt_detected) if not hit]
+            for b, value in zip(todo, ensemble_ppt([members[b] for b in todo], (i,))):
+                ppt_detected[b] = _ppt_flag(value) == PPT_ENTANGLED
+        rank_hits += sum(rank_detected)
+        ppt_hits += sum(ppt_detected)
+        both += sum(r and p for r, p in zip(rank_detected, ppt_detected))
 
     neither = args.count - rank_hits - ppt_hits + both
     counts = (args.seed, rank_hits, ppt_hits, both, neither)

@@ -26,6 +26,10 @@ also takes the state rank, except those that ``factorize.product_ranks``
 counts from a pure product's blocks, over particles or parts alike: the
 entries of a large lattice of a state with a one-column factor that has
 split. The depth and subset budget of every lattice is ``lattice_depth``.
+``ensemble_lattices`` takes the lattices of many states at once: one
+``states.ensemble_ranks`` call, which stacks the members by (dims, r), for
+the members whose entries all come from the kernel; ``rank_lattice`` is its
+one-member case.
 """
 
 from __future__ import annotations
@@ -33,16 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import PartitionError
+from .errors import PartitionError, ShapeError
 from .factorize import product_ranks
 from .linalg import DEFAULT_TOLERANCE, RankTolerance
 from .states import (
     State,
+    ensemble_ranks,
     lattice_depth,
     mask_of,
     normalize_subset,
     particles_of,
-    subset_ranks,
     unions,
 )
 
@@ -127,25 +131,56 @@ def rank_lattice(
 
     The state is factored once. ``factorize.product_ranks`` counts the
     entries that a pure product's blocks decide, over particles or parts;
-    the state rank and every other entry come from one ``subset_ranks`` call.
+    the state rank and every other entry come from one ``subset_ranks``
+    call. It is the one-member case of ``ensemble_lattices``.
     """
-    n = state.n
+    return ensemble_lattices([state], max_depth, tol, parts)[0]
+
+
+def ensemble_lattices(
+    states: Sequence[State],
+    max_depth: Optional[int] = None,
+    tol: RankTolerance = DEFAULT_TOLERANCE,
+    parts: Optional[Sequence[Sequence[int]]] = None,
+) -> list[RankLattice]:
+    """``rank_lattice`` of each of ``states``, which share their number of
+    particles, in order. The depth and budget are checked once, before any
+    member is factored. The members whose entries all come from the kernel
+    (every member but a large pure product's) share one ``ensemble_ranks``
+    call, which stacks them by (dims, r)."""
+    if not states:
+        return []
+    n = states[0].n
+    if any(state.n != n for state in states):
+        raise ShapeError("the members of an ensemble must have the same number of particles")
     full = (1 << n) - 1
     units = [(i,) for i in range(n)] if parts is None else _partition(parts, n)
     max_depth = lattice_depth(len(units), max_depth)
     traced = unions([mask_of(unit) for unit in units], max_depth)
-    state = state.factored(tol)
-    ranks = product_ranks(state, traced, tol)
-    todo = [k for k, rank in enumerate(ranks) if rank is None]
-    state_rank, *direct = subset_ranks(state, [full] + [full ^ traced[k] for k in todo], tol)
-    for k, rank in zip(todo, direct):
-        ranks[k] = rank
-    return RankLattice(
-        state_rank=state_rank,
-        entries=dict(zip(map(particles_of, traced), ranks)),
-        max_depth=max_depth,
-        parts=tuple(units),
-    )
+    states = [state.factored(tol) for state in states]
+    ranks = [product_ranks(state, traced, tol) for state in states]
+    state_ranks = [0] * len(states)
+    groups: dict[tuple, list[int]] = {}
+    for b, row in enumerate(ranks):
+        groups.setdefault(tuple(k for k, rank in enumerate(row) if rank is None), []).append(b)
+    for todo, members in groups.items():
+        kept = [full] + [full ^ traced[k] for k in todo]
+        for b, (state_rank, *direct) in zip(
+            members, ensemble_ranks([states[b] for b in members], kept, tol)
+        ):
+            state_ranks[b] = state_rank
+            for k, rank in zip(todo, direct):
+                ranks[b][k] = rank
+    keys = list(map(particles_of, traced))
+    return [
+        RankLattice(
+            state_rank=state_rank,
+            entries=dict(zip(keys, row)),
+            max_depth=max_depth,
+            parts=tuple(units),
+        )
+        for state_rank, row in zip(state_ranks, ranks)
+    ]
 
 
 def check_rank_monotonicity(lattice: RankLattice) -> list[Violation]:

@@ -21,24 +21,34 @@ itself. The kernel factors the state once and, for a pure state (r = 1),
 computes a subset and its complement once, since they are the same cut,
 named by ``pure_cut``.
 
-``subset_ranks`` plans each call once and runs every plan through one level
+The kernel takes an ensemble: ``ensemble_ranks`` gives the ranks of many
+states at the same masks, and ``subset_ranks`` is its one-member case. The
+members that share their dims and rank r are one stack of factors (B, d,
+r), and a dense plan depends only on (dims, r, masks), so the stack takes
+one plan and one level loop, with the member index as one more axis of the
+matrices a level writes. Each member keeps its own certified sides. A
+member in the support form (below) is a stack of its own.
+
+The kernel plans each stack once and runs every plan through one level
 loop. The plan decides each cut's form: the support form, built from the m
 nonzero rows of V alone, when m² < d (GHZ and W states have m = 2 and m = n),
 else V reshaped in its tall orientation (rows ≥ columns), the faster LAPACK
 path. It decides the levels: a dense call takes its cuts in decreasing
 order of their bound min(d_S, d_rest·r), and a cut decomposed at full rank
-with margin certifies the cuts below it whose small side lies inside its
-own; a support-form call is one level that certifies nothing. Each level's
-undecided cuts of one shape are stacked into chunks of at most
-``CHUNK_BYTES`` with one SVD each. A level that spans more than one chunk
-shares its chunks out among one thread per core the process's CPU
-affinity allows (``taskset`` limits them; there is no setting), started and
-joined within the level; other work runs in the calling thread. The proofs
-that the support form and the inherited ranks change no rank are in
-``subset_ranks``. Its spectra form, ``subset_spectra``, runs the same plan
-with every cut decomposed and returns each cut's singular values, from
-which ``rank_from_values`` counts the same ranks; a pure product's block
-spectra come from it.
+with margin certifies the cuts below it, in its own member, whose small
+side lies inside its own; a support-form call is one level that certifies
+nothing. Each level's undecided cuts of one shape, over every member, are
+stacked into chunks of at most ``CHUNK_BYTES`` with one SVD each. A level
+that spans more than one chunk shares its chunks out among one thread per
+core the process's CPU affinity allows (``taskset`` limits them; there is
+no setting), started and joined within the level; other work runs in the
+calling thread. The proofs that the support form and the inherited ranks
+change no rank are in ``subset_ranks``. A stacked LAPACK call gives each
+matrix the bits of its own call, so a member's ranks do not depend on the
+stack it runs in. The spectra form, ``ensemble_spectra`` (one member:
+``subset_spectra``), runs the same plan with every cut decomposed and
+returns each cut's singular values, from which ``rank_from_values`` counts
+the same ranks; a pure product's block spectra come from it.
 
 The partial-transpose baseline ``ppt_minimum`` transposes the smaller side of
 the cut (ρ^{T_A} = (ρ^{T_rest})^T has the same spectrum) and uses an exact
@@ -48,9 +58,11 @@ d_A·r < d_rest for the transposed part A of a mixture, it compresses the rest
 to ρ's support and solves a d_A²·r eigenproblem. A bare matrix, and a factor
 too wide to shrink, take the full d × d transpose of ``matrix``; the
 truncated factor ``factored`` gives a bare matrix is not exact and is not what
-the CLI passes. A dense matrix from outside enters through ``density_matrix``
-alone, which validates it once; the eigh of its PSD check is the one
-``factored`` then takes.
+the CLI passes. ``ensemble_ppt`` takes an ensemble, one stacked
+computation per part for the members that share their dims and path, and
+``ppt_minimum`` is its one-member case. A dense matrix from outside enters
+through ``density_matrix`` alone, which validates it once; the eigh of its
+PSD check is the one ``factored`` then takes.
 
 All operations are pure functions and safe for concurrent use.
 """
@@ -380,19 +392,24 @@ def _transposed_part(part: SubsetLike, n: int) -> tuple[int, ...]:
 
 def partial_transpose(rho: State, part: SubsetLike) -> np.ndarray:
     """ρ with the indices of ``part`` transposed; Hermitian but not necessarily PSD."""
-    n = rho.n
-    part = _transposed_part(part, n)
-    tensor = rho.matrix.reshape(rho.dims + rho.dims)
+    part = _transposed_part(part, rho.n)
+    return _transposed(rho.dims, rho.matrix[None], part)[0]
+
+
+def _transposed(dims: tuple[int, ...], matrices: np.ndarray, part: tuple[int, ...]) -> np.ndarray:
+    """The stack ``matrices`` (B, d, d) over ``dims``, each transposed on ``part``."""
+    n, d = len(dims), prod(dims)
     perm = list(range(2 * n))
     for i in part:
         perm[i], perm[n + i] = perm[n + i], perm[i]
-    d = rho.dim
-    return tensor.transpose(perm).reshape(d, d)
+    stacked = matrices.reshape((len(matrices),) + dims + dims)
+    return stacked.transpose([0] + [axis + 1 for axis in perm]).reshape(-1, d, d)
 
 
 def ppt_minimum(state: State, part: SubsetLike) -> float:
     """Smallest eigenvalue of ρ transposed on ``part`` = A; negative proves
-    entanglement across A | rest (the PPT baseline).
+    entanglement across A | rest (the PPT baseline). It is the one-member
+    case of ``ensemble_ppt``.
 
     When d_A > d_rest the rest is transposed instead: ρ^{T_A} = (ρ^{T_rest})^T
     has the same spectrum, and the smaller side is the one that compresses.
@@ -423,26 +440,61 @@ def ppt_minimum(state: State, part: SubsetLike) -> float:
     bare matrix drops an eigen-tail set by a rank tolerance, so it is not
     exact: pass the matrix as loaded, not its ``factored`` form.
     """
-    part = _transposed_part(part, state.n)
-    d_a = prod(state.dims[i] for i in part)
-    if d_a * d_a > state.dim:
-        part = _complement(part, state.n)
-        d_a = state.dim // d_a
-    v = state.factor
-    if v is not None and v.shape[1] == 1:
-        s = np.linalg.svd(bipartition_matrix(state, part), compute_uv=False)
-        return 0.0 - float(s[0] * s[1])
-    if v is not None and d_a * v.shape[1] < state.dim // d_a:
-        r = v.shape[1]
-        w = bipartition_matrix(state, _complement(part, state.n))
-        core = np.linalg.qr(w, mode="r").reshape(-1, d_a, r).transpose(1, 0, 2).reshape(-1, r)
-        compressed = DensityMatrix(dims=(d_a, d_a * r), matrix=core @ core.conj().T)
-        return min(_min_eigenvalue(partial_transpose(compressed, (0,))), 0.0)
-    return _min_eigenvalue(partial_transpose(state, part))
+    return ensemble_ppt([state], part)[0]
 
 
-def _min_eigenvalue(pt: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+def ensemble_ppt(states: Sequence[State], part: SubsetLike) -> list[float]:
+    """``ppt_minimum`` of each of ``states`` on ``part``, in order. Members
+    that share their dims, their transposed side and their path (and r on a
+    factor path) are one stacked computation: one SVD for r = 1, one ``qr``
+    and one eigvalsh for a compressed mixture, one eigvalsh for the dense
+    transpose. A stacked decomposition gives each matrix the bits of its own,
+    so every value is the member's own ``ppt_minimum``."""
+    part = tuple(part)
+    groups: dict[tuple, list[int]] = {}
+    for b, state in enumerate(states):
+        side = _transposed_part(part, state.n)
+        d_a = prod(state.dims[i] for i in side)
+        if d_a * d_a > state.dim:
+            side, d_a = _complement(side, state.n), state.dim // d_a
+        r = 0 if state.factor is None else state.factor.shape[1]
+        if r > 1 and d_a * r >= state.dim // d_a:
+            r = 0  # too wide to shrink: the dense transpose
+        groups.setdefault((state.dims, side, r), []).append(b)
+    out = [0.0] * len(states)
+    for (dims, side, r), members in groups.items():
+        if r == 0:
+            values = _min_eigenvalues(dims, _stack([states[b].matrix for b in members]), side)
+        elif r == 1:
+            factors = _stack([states[b].factor for b in members])
+            s = np.linalg.svd(_cuts(dims, factors, side), compute_uv=False)
+            values = (0.0 - s[:, 0] * s[:, 1]).tolist()
+        else:
+            factors = _stack([states[b].factor for b in members])
+            d_a = prod(dims[i] for i in side)
+            w = _cuts(dims, factors, _complement(side, len(dims)))
+            core = np.linalg.qr(w, mode="r").reshape(len(members), -1, d_a, r)
+            core = core.transpose(0, 2, 1, 3).reshape(len(members), -1, r)
+            compressed = core @ core.conj().swapaxes(1, 2)
+            values = _min_eigenvalues((d_a, d_a * r), compressed, (0,))
+            values = [min(value, 0.0) for value in values]
+        for b, value in zip(members, values):
+            out[b] = value
+    return out
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``arrays`` as one stack; a single array is a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _min_eigenvalues(
+    dims: tuple[int, ...], matrices: np.ndarray, part: tuple[int, ...]
+) -> list[float]:
+    """The smallest eigenvalue of each of ``matrices`` transposed on ``part``
+    and symmetrized, from one stacked eigvalsh."""
+    pt = _transposed(dims, matrices, part)
+    return np.linalg.eigvalsh((pt + pt.conj().swapaxes(1, 2)) / 2)[:, 0].tolist()
 
 
 def bipartition_matrix(state: State, subset: SubsetLike) -> np.ndarray:
@@ -452,15 +504,20 @@ def bipartition_matrix(state: State, subset: SubsetLike) -> np.ndarray:
     state of ``subset``; for the full particle set it is V itself. ``state``
     must carry its factor: a PureState, or the result of ``factored``.
     """
-    n = state.n
-    subset = normalize_subset(subset, n)
+    subset = normalize_subset(subset, state.n)
     if not subset:
         raise PartitionError("subset must be nonempty")
-    rest = _complement(subset, n)
-    v = state.factor
-    d_s = prod(state.dims[i] for i in subset)
-    tensor = v.reshape(state.dims + (v.shape[1],))
-    return tensor.transpose(subset + rest + (n,)).reshape(d_s, -1)
+    return _cuts(state.dims, state.factor[None], subset)[0]
+
+
+def _cuts(dims: tuple[int, ...], factors: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+    """The stack ``factors`` (B, d, r) over ``dims``, each reshaped to
+    (d_subset, d_rest · r) for the cut subset | rest."""
+    n = len(dims)
+    axes = subset + _complement(subset, n) + (n,)
+    tensor = factors.reshape((len(factors),) + dims + factors.shape[-1:])
+    d_s = prod(dims[i] for i in subset)
+    return tensor.transpose((0,) + tuple(axis + 1 for axis in axes)).reshape(len(factors), d_s, -1)
 
 
 def bipartition_spectrum(state: State, subset: SubsetLike) -> np.ndarray:
@@ -488,7 +545,9 @@ def subset_ranks(
     matrix that stands for it, its level and the small sides it can certify.
     One loop takes the levels in decreasing order: it gives full rank to each
     cut certified by a side found so far, decomposes the others in stacked
-    SVDs (``_decompose``), and records the sides of those that certify.
+    SVDs (``_decompose``), and records the sides of those that certify. It is
+    the one-member case of ``ensemble_ranks``, where the sides a member finds
+    certify only that member's cuts.
 
     Support form. Let m be the number of nonzero rows of V. When m² < d,
     every cut is built from those rows alone: the dense (d_S, d_rest·r)
@@ -522,7 +581,18 @@ def subset_ranks(
     larger (every dimension is at least 2), so the levels are the bounds,
     each certified from the levels before it.
     """
-    return _kernel(state.factored(tol), masks, partial(_counts, tol))
+    return ensemble_ranks([state], masks, tol)[0]
+
+
+def ensemble_ranks(
+    states: Sequence[State], masks: Iterable[int], tol: RankTolerance = DEFAULT_TOLERANCE
+) -> list[list[int]]:
+    """``subset_ranks`` of each of ``states`` at the same ``masks``, in
+    order: each member is factored, and the members of one (dims, r) run as
+    one stack through one plan (``_ensemble``). A stacked SVD gives each
+    matrix the bits of its own, and a member's certified sides certify only
+    its own cuts, so every row is the member's own ``subset_ranks``."""
+    return _ensemble([state.factored(tol) for state in states], masks, partial(_counts, tol))
 
 
 def subset_spectra(state: State, masks: Iterable[int]) -> list[np.ndarray]:
@@ -531,18 +601,47 @@ def subset_spectra(state: State, masks: Iterable[int]) -> list[np.ndarray]:
     decomposed: ``rank_from_values(s * s, tol)`` of a row is its rank at
     ``tol``. ``state`` must carry its factor. A row is the spectrum of the
     plan's matrix (min(d_S, d_rest·r) values, or m in the support form): the
-    cut's nonzero singular values, then zeros to rounding."""
-    return _kernel(state, masks, lambda s: [(row, False) for row in s])
+    cut's nonzero singular values, then zeros to rounding. It is the
+    one-member case of ``ensemble_spectra``."""
+    return ensemble_spectra([state], masks)[0]
 
 
-def _kernel(state: State, masks: Iterable[int], reduce) -> list:
-    """``reduce``'s results (see ``_decompose``) for the cuts of ``masks``, in
-    input order, by the plan and level loop of ``subset_ranks``; a certified
-    cut's result is its bound. ``state`` must carry its factor."""
-    n, v = state.n, state.factor
-    d, r = v.shape
-    full = (1 << n) - 1
+def ensemble_spectra(states: Sequence[State], masks: Iterable[int]) -> list[list[np.ndarray]]:
+    """``subset_spectra`` of each of ``states``, which must carry their
+    factors, at the same ``masks``, in order, grouped as ``ensemble_ranks``
+    groups them."""
+    return _ensemble(states, masks, lambda s: [(row, False) for row in s])
+
+
+def _ensemble(states: Sequence[State], masks: Iterable[int], reduce) -> list[list]:
+    """``_kernel``'s results for each of ``states`` (each carrying its
+    factor), in order. The members in the dense form that share their dims
+    and rank r are one stack of factors (B, d, r) and one ``_kernel`` call; a
+    member in the support form (m² < d) is a call of its own."""
     masks = list(map(index, masks))
+    groups: dict[tuple, list[int]] = {}
+    for b, state in enumerate(states):
+        d, r = state.factor.shape
+        m = np.count_nonzero(state.factor.any(axis=1))
+        groups.setdefault((state.dims, r) if m * m >= d else (state.dims, r, b), []).append(b)
+    out: list = [None] * len(states)
+    for members in groups.values():
+        factors = _stack([states[b].factor for b in members])
+        for b, row in zip(members, _kernel(states[members[0]].dims, factors, masks, reduce)):
+            out[b] = row
+    return out
+
+
+def _kernel(dims: tuple[int, ...], factors: np.ndarray, masks: list[int], reduce) -> list[list]:
+    """``reduce``'s results (see ``_decompose``) for the cuts of ``masks`` in
+    each member of the stack ``factors`` (B, d, r) over ``dims``, in input
+    order, by the plan and level loop of ``subset_ranks``; a certified cut's
+    result is its bound. One plan serves the stack: the member index is one
+    more axis of ``fill``, and a side certified in one member certifies only
+    that member's cuts. One member alone may take the support form."""
+    n = len(dims)
+    count, d, r = factors.shape
+    full = (1 << n) - 1
     for mask in masks:
         if not 0 < mask <= full:
             raise PartitionError(f"subset mask {mask} lies outside 1..{full}")
@@ -550,85 +649,98 @@ def _kernel(state: State, masks: Iterable[int], reduce) -> list:
     cuts = list(dict.fromkeys(keys))  # the mask of the side each cut is built from
     slot = dict(zip(cuts, range(len(cuts))))
 
-    # The plan: per cut (rows, shape, fill item, level, small sides it certifies),
-    # with sides as bit masks over the n particles and the ancilla (bit n).
-    support = np.flatnonzero(v.any(axis=1))
+    # The plan: per cut ((rows, shape), fill item, level, small sides it
+    # certifies), with sides as bit masks over the n particles and the
+    # ancilla (bit n).
+    support = np.flatnonzero(factors[0].any(axis=1))
     m = len(support)
-    if m * m < d:
-        fill, size = _support_fill(state, support), m * m * r
-        plan = [(m * r, (m * r, m), mask, 0, ()) for mask in cuts]
+    if count == 1 and m * m < d:
+        fill, size = _support_fill(dims, factors[0], support), m * m * r
+        plan = [((m * r, (m * r, m)), mask, 0, ()) for mask in cuts]
     else:
         # The ancilla axis n, which a pure state's tensor leaves out, so that
-        # both sides of its cut give the same shape.
+        # both sides of its cut give the same shape; axis 0 is the member.
         anc = (n,) if r > 1 else ()
-        tensor = v.reshape(state.dims + (r,) * len(anc))
+        tensor = factors.reshape((count,) + dims + (r,) * len(anc))
 
-        def fill(stack: np.ndarray, orders: list) -> None:
-            for j, axes in enumerate(orders):
-                stack[j] = tensor.transpose(axes)
+        def fill(stack: np.ndarray, items: list) -> None:
+            for j, (axes, b) in enumerate(items):
+                stack[j] = tensor[b].transpose(axes)
 
-        size, plan = v.size, []
+        size, plan = d * r, []
         ancilla = (1 << n) if r > 1 else 0
         for mask in cuts:
             subset, rest = particles_of(mask), particles_of(full ^ mask)
-            d_s = prod(map(state.dims.__getitem__, subset))
+            d_s = prod(map(dims.__getitem__, subset))
             d_y = d // d_s * r
             axes, rows = (rest + anc + subset, d_y) if d_s < d_y else (subset + rest + anc, d_s)
-            shape = tuple(map(tensor.shape.__getitem__, axes))
+            shape = tuple(tensor.shape[axis + 1] for axis in axes)
             other = (full ^ mask) | ancilla
             sides = (mask,) if d_s < d_y else (other,) if d_y < d_s else (mask, other)
-            plan.append((rows, shape, axes, min(d_s, d_y), sides))
+            plan.append(((rows, shape), axes, min(d_s, d_y), sides))
 
-    out: list = [None] * len(plan)
-    step = min(len(plan), max(1, CHUNK_BYTES // (size * v.itemsize)))
-    buffers = [np.empty(step * size, v.dtype)]
+    out = [[None] * len(plan) for _ in range(count)]
+    step = min(len(plan) * count, max(1, CHUNK_BYTES // (size * factors.itemsize)))
+    buffers = [np.empty(step * size, factors.dtype)]
     levels: dict[int, list[int]] = {}
     for k, entry in enumerate(plan):
-        levels.setdefault(entry[3], []).append(k)
-    definite = np.zeros(0, np.uint64)  # small sides found positive definite with margin
+        levels.setdefault(entry[2], []).append(k)
+    # Per member, the small sides it has found positive definite with margin.
+    definite: list[list[int]] = [[] for _ in range(count)]
     for bound in sorted(levels, reverse=True):
         todo = levels[bound]
-        if definite.size:
-            cut_sides = [(k, side) for k in todo for side in plan[k][4]]
-            inside = _contained(np.array([side for _, side in cut_sides], np.uint64), definite)
-            certified = {k for (k, _), hit in zip(cut_sides, inside) if hit}
-            for k in certified:
-                out[k] = bound
-            todo = [k for k in todo if k not in certified]
-        found = []
-        results = _decompose([plan[k][:3] for k in todo], fill, step, buffers, reduce)
-        for k, (result, certifies) in zip(todo, results):
-            out[k] = result
+        # The members that have found the same sides share one containment test.
+        alike: dict[tuple, list[int]] = {}
+        for b, found in enumerate(definite):
+            alike.setdefault(tuple(found), []).append(b)
+        cut_sides = [(k, side) for k in todo for side in plan[k][3]] if any(definite) else []
+        sides = np.array([side for _, side in cut_sides], np.uint64)
+        batch = []
+        for found, members in alike.items():
+            certified = set()
+            if found:
+                inside = _contained(sides, np.array(found, np.uint64))
+                certified = {k for (k, _), hit in zip(cut_sides, inside) if hit}
+            for k in todo:
+                if k in certified:
+                    for b in members:
+                        out[b][k] = bound
+                else:
+                    batch += [(k, b) for b in members]
+        items = [(plan[k][0], (plan[k][1], b)) for k, b in batch]
+        results = _decompose(items, fill, step, buffers, reduce)
+        for (k, b), (result, certifies) in zip(batch, results):
+            out[b][k] = result
             if certifies:
-                found += plan[k][4]
-        if found:
-            definite = np.concatenate([definite, np.array(found, np.uint64)])
-    return [out[slot[key]] for key in keys]
+                definite[b] += plan[k][3]
+    return [[row[slot[key]] for key in keys] for row in out]
 
 
-def _support_fill(state: State, support: np.ndarray):
+def _support_fill(dims: tuple[int, ...], v: np.ndarray, support: np.ndarray):
     """The support form's ``fill``: from the m nonzero rows ``support`` of
-    the factor V, it writes the cut S | rest of each subset mask as an (m·r,
+    the factor V over ``dims``, it writes the cut S | rest of each item's
+    subset mask (with member 0, the one member) as an (m·r,
     m) matrix. Column a holds the support rows with the a-th smallest
     distinct S-digit pattern, rows b·r .. b·r + r − 1 those with the b-th
     smallest distinct rest-digit pattern, and the rest is zero: the
     transpose of the dense (d_S, d_rest·r) cut with its all-zero rows and
     columns dropped and zeros padded on after the others.
     """
-    v = state.factor[support]
+    v = v[support]
     m, r = v.shape
-    n, d = state.n, state.dim
+    n, d = len(dims), prod(dims)
     # place[i, k]: particle i's digit in support row k times its place value
     # in the joint index, so row k's S-pattern key is the sum over i in S and
     # its rest-pattern key the joint index minus that.
-    place = np.array(np.unravel_index(support, state.dims)) * np.array(
-        [d // prod(state.dims[: i + 1]) for i in range(n)]
+    place = np.array(np.unravel_index(support, dims)) * np.array(
+        [d // prod(dims[: i + 1]) for i in range(n)]
     )[:, None]
     shifts = np.arange(n)
     ancilla = np.arange(r)
 
-    def fill(stack: np.ndarray, masks: list) -> None:
-        keys = ((np.array(masks)[:, None] >> shifts) & 1) @ place
+    def fill(stack: np.ndarray, items: list) -> None:
+        masks = np.array([mask for mask, _ in items])
+        keys = ((masks[:, None] >> shifts) & 1) @ place
         cols = _ordinals(keys, d)
         rows = _ordinals(support - keys, d) * r
         stack.fill(0)
@@ -662,7 +774,7 @@ def _contained(masks: np.ndarray, supersets: np.ndarray) -> np.ndarray:
 
 
 def _decompose(batch: list, fill, step: int, buffers: list, reduce) -> list:
-    """The result of each (rows, shape, item) cut of ``batch``, in order.
+    """The result of each ((rows, shape), item) cut of ``batch``, in order.
 
     The cuts are grouped by (rows, shape) and stacked into chunks of at most
     ``step`` matrices with one SVD each; ``fill(stack, items)`` writes a
@@ -678,11 +790,11 @@ def _decompose(batch: list, fill, step: int, buffers: list, reduce) -> list:
     which nothing else reuses, and add to the process's peak.
     """
     groups: dict[tuple, list] = {}
-    for j, (rows, shape, item) in enumerate(batch):
-        groups.setdefault((rows, shape), []).append((j, item))
+    for j, (key, item) in enumerate(batch):
+        groups.setdefault(key, []).append((j, item))
     chunks = [
-        (rows, shape, members[lo : lo + step])
-        for (rows, shape), members in groups.items()
+        (key, members[lo : lo + step])
+        for key, members in groups.items()
         for lo in range(0, len(members), step)
     ]
     workers = min(len(chunks), _workers()) if len(batch) > step else 1
@@ -708,7 +820,7 @@ def _decompose(batch: list, fill, step: int, buffers: list, reduce) -> list:
     for k, results in enumerate(shares):
         if isinstance(results, Exception):
             raise results
-        for (_, _, members), chunk_results in zip(chunks[k::workers], results):
+        for (_, members), chunk_results in zip(chunks[k::workers], results):
             for (j, _), result in zip(members, chunk_results):
                 out[j] = result
     return out
@@ -717,7 +829,7 @@ def _decompose(batch: list, fill, step: int, buffers: list, reduce) -> list:
 def _decompose_chunk(chunk: tuple, fill, buffer: np.ndarray, reduce) -> list:
     """``reduce`` of one chunk's singular values: its cuts written by ``fill``
     into ``buffer`` as one stack of (rows, rest) matrices, and one SVD."""
-    rows, shape, members = chunk
+    (rows, shape), members = chunk
     stack = buffer[: len(members) * prod(shape)].reshape((len(members),) + shape)
     fill(stack, [item for _, item in members])
     return reduce(np.linalg.svd(stack.reshape(len(members), rows, -1), compute_uv=False))

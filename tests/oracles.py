@@ -7,7 +7,9 @@ instruments that build test inputs live here too: ``masks``,
 ``place_parts``, ``tensor_pure``, ``density_from_pure``, ``random_unitary``
 and ``apply_local_unitaries``. ``kron_chain`` is the reference layout of a
 product, chained ``np.kron``, against which ``states.tensor_product`` and the
-catalog's product states are checked bit for bit.
+catalog's product states are checked bit for bit; ``haar_vector`` draws one
+Haar vector at a time from a fresh generator, the reference for the
+catalog's batched draws.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from entrank.catalog import _haar_vector, generator
+from entrank.catalog import generator
 from entrank.criteria import Violation
 from entrank.states import DensityMatrix, PureState, mix
 
@@ -174,10 +176,17 @@ def kron_chain(vectors, one=1.0 + 0.0j):
     return out
 
 
+def haar_vector(d, rng):
+    """A Haar-random unit vector of C^d drawn alone: d normals for the real
+    parts, then d for the imaginary parts, divided by their norm."""
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
 def product_pure_by_kron(dims, seed):
     """``catalog.product_pure``'s amplitudes: particle i's Haar vector from
     stream i, chained by ``kron_chain``."""
-    return kron_chain([_haar_vector(d, generator(seed, i)) for i, d in enumerate(dims)])
+    return kron_chain([haar_vector(d, generator(seed, i)) for i, d in enumerate(dims)])
 
 
 def separable_mixture_by_kron(dims, seed, max_terms=4):
@@ -191,7 +200,7 @@ def separable_mixture_by_kron(dims, seed, max_terms=4):
     n = len(dims)
     terms = []
     for j in range(1, n_terms + 1):
-        vectors = [_haar_vector(d, generator(seed, j * n + i)) for i, d in enumerate(dims)]
+        vectors = [haar_vector(d, generator(seed, j * n + i)) for i, d in enumerate(dims)]
         terms.append((float(weights[j - 1]), PureState(tuple(dims), kron_chain(vectors))))
     return mix(terms)
 

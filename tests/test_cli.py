@@ -338,13 +338,13 @@ def test_check_partition_takes_each_rank_once(capsys, monkeypatch, ghz3_file):
     from entrank import cli, criteria
 
     calls = []
-    original = criteria.subset_ranks
+    original = criteria.ensemble_ranks
 
-    def counting(state, subsets, *args, **kwargs):
+    def counting(states, subsets, *args, **kwargs):
         calls.append(list(subsets))
-        return original(state, calls[-1], *args, **kwargs)
+        return original(states, calls[-1], *args, **kwargs)
 
-    monkeypatch.setattr(criteria, "subset_ranks", counting)
+    monkeypatch.setattr(criteria, "ensemble_ranks", counting)
     code, out, _ = run(capsys, "check-partition", ghz3_file, "1|2|3", "--json")
     assert code == 0
     assert len(json.loads(out)["pairs"]) == 3
@@ -404,7 +404,7 @@ def test_check_partition_subset_cap_before_the_kernel(capsys, monkeypatch, tmp_p
     def refuse(*args, **kwargs):
         raise AssertionError("the rank kernel ran past the subset cap")
 
-    monkeypatch.setattr(criteria, "subset_ranks", refuse)
+    monkeypatch.setattr(criteria, "ensemble_ranks", refuse)
     partition = "|".join(map(str, range(1, 18)))
     code, out, err = run(capsys, "check-partition", path, partition, "--max-dim", 131072)
     assert code == 3
@@ -719,15 +719,12 @@ def test_bench_haar_pure_detected_by_both(capsys):
 
 
 def test_bench_reads_the_ppt_flag_of_the_reports(capsys, monkeypatch):
-    """bench counts a member as PPT-detected by the flag that the reports'
-    ``_ppt_row`` gives, not by a comparison of its own: with that flag
-    forced to NOT-DETECTED, no Werner state above p = 1/3 is counted."""
+    """bench counts a member as PPT-detected by the flag rule of the reports'
+    ``_ppt_row``, ``_ppt_flag``, not by a comparison of its own: with that
+    rule forced to NOT-DETECTED, no Werner state above p = 1/3 is counted."""
     import entrank.cli as cli
 
-    ppt_row = cli._ppt_row
-    monkeypatch.setattr(
-        cli, "_ppt_row", lambda state, part: {**ppt_row(state, part), "flag": cli.PPT_NOT_DETECTED}
-    )
+    monkeypatch.setattr(cli, "_ppt_flag", lambda value: cli.PPT_NOT_DETECTED)
     code, out, _ = run(
         capsys, "bench", "--kind", "werner", "--count", 6, "--p-start", 0.4, "--p-stop", 0.9,
     )
@@ -769,7 +766,7 @@ def test_bench_needs_two_particles(kind, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a bench member was built")
 
-    monkeypatch.setattr(cli, "_bench_member", refuse)
+    monkeypatch.setattr(cli, "_bench_members", refuse)
     code, out, err = run(capsys, "bench", "--kind", kind, "--dims", "2", "--count", 2)
     assert (code, out) == (2, "")
     assert err == "error: bench needs at least two particles, got dims '2'\n"
@@ -797,9 +794,66 @@ def test_bench_checks_its_lattice_budget_before_any_member(argv, code, message, 
     def refuse(*args, **kwargs):
         raise AssertionError("a bench member was built")
 
-    monkeypatch.setattr(cli, "_bench_member", refuse)
+    monkeypatch.setattr(cli, "_bench_members", refuse)
     monkeypatch.setattr(catalog, "werner", refuse)
     assert run(capsys, "bench", *argv) == (code, "", f"error: {message}\n")
+
+
+# The four ensemble specs of the benchmark's ensemble workload at seeds
+# outside its ranges, and a --depth and a --max-terms variant; each row was
+# written by the one-state bench that the stacked one replaced.
+PINNED_BENCH_ROWS = [
+    (["--kind", kind, *dims, "--count", count, "--seed", seed, *extra], row)
+    for seed in ("42", "6000017", "9223372036854775813")
+    for kind, dims, count, extra, row in [
+        ("product_mixture", ["--dims", "2,3,2"], "100", [],
+         f"product_mixture,2x3x2,{seed},0,0,0,100"),
+        ("product_mixture", ["--dims", "2,2,2,2"], "100", [],
+         f"product_mixture,2x2x2x2,{seed},0,0,0,100"),
+        ("haar_pure", ["--dims", "2,2,2,2,2"], "100", [],
+         f"haar_pure,2x2x2x2x2,{seed},100,100,100,0"),
+        ("werner", [], "31", ["--p-start", "0", "--p-stop", "1"], f"werner,2x2,{seed},1,20,1,11"),
+    ]
+] + [
+    (["--kind", "product_mixture", "--dims", "2,2,2,2", "--count", "100", "--seed", "42",
+      "--depth", "3"], "product_mixture,2x2x2x2,42,0,0,0,100"),
+    (["--kind", "product_mixture", "--dims", "2,3,2", "--count", "100", "--seed", "42",
+      "--max-terms", "7"], "product_mixture,2x3x2,42,0,0,0,100"),
+]
+
+
+@pytest.mark.parametrize("argv,row", PINNED_BENCH_ROWS)
+def test_bench_rows_are_pinned(argv, row, capsys):
+    header = "kind,dims,seed,rank_detect,ppt_detect,both,neither"
+    assert run(capsys, "bench", *argv) == (0, f"{header}\n{row}\n", "")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in PINNED_BENCH_ROWS[:4]])
+def test_bench_rows_do_not_depend_on_its_blocks(argv, capsys, monkeypatch):
+    """With blocks of one member, as with one block of all, the same row."""
+    from entrank import cli
+
+    whole = run(capsys, "bench", *argv)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+    assert run(capsys, "bench", *argv) == whole
+
+
+def test_bench_memory_does_not_grow_with_its_count(capsys):
+    """Members are built and evaluated in blocks, so ten times the members
+    peak at about the memory of one block (240 members here)."""
+    import tracemalloc
+
+    peaks = []
+    for count in (400, 4000):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "bench", "--kind", "product_mixture", "--dims", "2,2,2,2",
+                               "--max-terms", 1, "--count", count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (code, out.splitlines()[1]) == (0, f"product_mixture,2x2x2x2,0,0,0,0,{count}")
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 REMOVED_FLAGS = [

@@ -74,7 +74,9 @@ def spy(monkeypatch):
         calls["product"] = True
         return product(*args)
 
-    monkeypatch.setattr(criteria, "subset_ranks", counting_kernel("kernel", criteria.subset_ranks))
+    monkeypatch.setattr(
+        criteria, "ensemble_ranks", counting_kernel("kernel", criteria.ensemble_ranks)
+    )
     monkeypatch.setattr(
         factorize, "subset_ranks", counting_kernel("factorize", factorize.subset_ranks)
     )

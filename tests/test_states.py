@@ -315,7 +315,7 @@ def _eigvalsh_sizes(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
-        sizes.append(a.shape[0])
+        sizes.append(a.shape[-1])
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
