@@ -662,10 +662,11 @@ def _kernel(dims: tuple[int, ...], factors: np.ndarray, masks: list[int], reduce
         # both sides of its cut give the same shape; axis 0 is the member.
         anc = (n,) if r > 1 else ()
         tensor = factors.reshape((count,) + dims + (r,) * len(anc))
+        tensors = list(tensor)  # one per member
 
-        def fill(stack: np.ndarray, items: list) -> None:
-            for j, (axes, b) in enumerate(items):
-                stack[j] = tensor[b].transpose(axes)
+        def fill(stack: np.ndarray, batch: list) -> None:
+            for j, (_, axes, b, _) in enumerate(batch):
+                stack[j] = tensors[b].transpose(axes)
 
         size, plan = d * r, []
         ancilla = (1 << n) if r > 1 else 0
@@ -674,7 +675,7 @@ def _kernel(dims: tuple[int, ...], factors: np.ndarray, masks: list[int], reduce
             d_s = prod(map(dims.__getitem__, subset))
             d_y = d // d_s * r
             axes, rows = (rest + anc + subset, d_y) if d_s < d_y else (subset + rest + anc, d_s)
-            shape = tuple(tensor.shape[axis + 1] for axis in axes)
+            shape = tuple(map(tensors[0].shape.__getitem__, axes))
             other = (full ^ mask) | ancilla
             sides = (mask,) if d_s < d_y else (other,) if d_y < d_s else (mask, other)
             plan.append(((rows, shape), axes, min(d_s, d_y), sides))
@@ -693,23 +694,22 @@ def _kernel(dims: tuple[int, ...], factors: np.ndarray, masks: list[int], reduce
         alike: dict[tuple, list[int]] = {}
         for b, found in enumerate(definite):
             alike.setdefault(tuple(found), []).append(b)
-        cut_sides = [(k, side) for k in todo for side in plan[k][3]] if any(definite) else []
-        sides = np.array([side for _, side in cut_sides], np.uint64)
-        batch = []
+        batch = []  # ((rows, shape), fill item, member, cut) of each cut left to decompose
         for found, members in alike.items():
-            certified = set()
+            left = todo
             if found:
+                cut_sides = [(k, side) for k in todo for side in plan[k][3]]
+                sides = np.array([side for _, side in cut_sides], np.uint64)
                 inside = _contained(sides, np.array(found, np.uint64))
                 certified = {k for (k, _), hit in zip(cut_sides, inside) if hit}
-            for k in todo:
-                if k in certified:
-                    for b in members:
+                left = [k for k in todo if k not in certified]
+                for b in members:
+                    for k in certified:
                         out[b][k] = bound
-                else:
-                    batch += [(k, b) for b in members]
-        items = [(plan[k][0], (plan[k][1], b)) for k, b in batch]
-        results = _decompose(items, fill, step, buffers, reduce)
-        for (k, b), (result, certifies) in zip(batch, results):
+            for b in members:
+                batch += [(plan[k][0], plan[k][1], b, k) for k in left]
+        results = _decompose(batch, fill, step, buffers, reduce)
+        for (_, _, b, k), (result, certifies) in zip(batch, results):
             out[b][k] = result
             if certifies:
                 definite[b] += plan[k][3]
@@ -718,9 +718,8 @@ def _kernel(dims: tuple[int, ...], factors: np.ndarray, masks: list[int], reduce
 
 def _support_fill(dims: tuple[int, ...], v: np.ndarray, support: np.ndarray):
     """The support form's ``fill``: from the m nonzero rows ``support`` of
-    the factor V over ``dims``, it writes the cut S | rest of each item's
-    subset mask (with member 0, the one member) as an (m·r,
-    m) matrix. Column a holds the support rows with the a-th smallest
+    the factor V over ``dims``, it writes the cut S | rest of each batch
+    entry's subset mask (of the one member) as an (m·r, m) matrix. Column a holds the support rows with the a-th smallest
     distinct S-digit pattern, rows b·r .. b·r + r − 1 those with the b-th
     smallest distinct rest-digit pattern, and the rest is zero: the
     transpose of the dense (d_S, d_rest·r) cut with its all-zero rows and
@@ -738,8 +737,8 @@ def _support_fill(dims: tuple[int, ...], v: np.ndarray, support: np.ndarray):
     shifts = np.arange(n)
     ancilla = np.arange(r)
 
-    def fill(stack: np.ndarray, items: list) -> None:
-        masks = np.array([mask for mask, _ in items])
+    def fill(stack: np.ndarray, batch: list) -> None:
+        masks = np.array([entry[1] for entry in batch])
         keys = ((masks[:, None] >> shifts) & 1) @ place
         cols = _ordinals(keys, d)
         rows = _ordinals(support - keys, d) * r
@@ -774,10 +773,11 @@ def _contained(masks: np.ndarray, supersets: np.ndarray) -> np.ndarray:
 
 
 def _decompose(batch: list, fill, step: int, buffers: list, reduce) -> list:
-    """The result of each ((rows, shape), item) cut of ``batch``, in order.
+    """The result of each cut of ``batch``, in order: entries whose first
+    item is the cut's (rows, shape), the rest what ``fill`` reads.
 
     The cuts are grouped by (rows, shape) and stacked into chunks of at most
-    ``step`` matrices with one SVD each; ``fill(stack, items)`` writes a
+    ``step`` matrices with one SVD each; ``fill(stack, entries)`` writes a
     chunk's matrices into a stack of that shape, and ``reduce`` turns the
     chunk's singular values, one descending row per matrix, into a (result,
     certifies) pair per matrix: ``_counts`` for ranks, the rows for spectra.
@@ -790,8 +790,8 @@ def _decompose(batch: list, fill, step: int, buffers: list, reduce) -> list:
     which nothing else reuses, and add to the process's peak.
     """
     groups: dict[tuple, list] = {}
-    for j, (key, item) in enumerate(batch):
-        groups.setdefault(key, []).append((j, item))
+    for j, entry in enumerate(batch):
+        groups.setdefault(entry[0], []).append((j, entry))
     chunks = [
         (key, members[lo : lo + step])
         for key, members in groups.items()
@@ -831,7 +831,7 @@ def _decompose_chunk(chunk: tuple, fill, buffer: np.ndarray, reduce) -> list:
     into ``buffer`` as one stack of (rows, rest) matrices, and one SVD."""
     (rows, shape), members = chunk
     stack = buffer[: len(members) * prod(shape)].reshape((len(members),) + shape)
-    fill(stack, [item for _, item in members])
+    fill(stack, [entry for _, entry in members])
     return reduce(np.linalg.svd(stack.reshape(len(members), rows, -1), compute_uv=False))
 
 
