@@ -17,7 +17,6 @@ import pytest
 
 from entrank.catalog import (
     generator,
-    ghz,
     haar_ensemble,
     haar_pure,
     mixed_of_rank,
