@@ -191,16 +191,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ppt_rows = [_ppt_row(state, (i,)) for i in range(n)] if args.ppt and n >= 2 else []
     elapsed = time.perf_counter() - started
 
-    report = {
-        **_report_header("analyze", args, state, tol),
-        "depth": depth,
-        **_lattice_report(lattice, verdict),
-        "verdict": verdict.tag,
-        "timing_seconds": elapsed,
-    }
-    if args.ppt:
-        report["ppt"] = ppt_rows
     if args.json:
+        report = {
+            **_report_header("analyze", args, state, tol),
+            "depth": depth,
+            **_lattice_report(lattice, verdict),
+            "verdict": verdict.tag,
+            "timing_seconds": elapsed,
+        }
+        if args.ppt:
+            report["ppt"] = ppt_rows
         return _print_json(report)
 
     lines = [
@@ -243,26 +243,25 @@ def cmd_factorize(args: argparse.Namespace) -> int:
                 )
                 statefile.write_state_file(out_dir / f"factor_{idx:02d}.json", payload)
 
-    report = {
-        **_report_header("factorize", args, state, tol),
-        "partition": [_one_based(p) for p in result.partition],
-        "fully_entangled_parts": [_one_based(p) for p in result.fully_entangled_parts],
-        "residual": result.residual,
-        "trace_log": [
-            {
-                "step": rec.step,
-                "remainder": _one_based(rec.remainder),
-                "tested": [
-                    {"subset": _one_based(subset), "rank": rank} for subset, rank in rec.tested
-                ],
-                "accepted": [_one_based(subset) for subset in rec.accepted],
-            }
-            for rec in result.trace_log
-        ],
-        "timing_seconds": elapsed,
-    }
     if args.json:
-        return _print_json(report)
+        return _print_json({
+            **_report_header("factorize", args, state, tol),
+            "partition": [_one_based(p) for p in result.partition],
+            "fully_entangled_parts": [_one_based(p) for p in result.fully_entangled_parts],
+            "residual": result.residual,
+            "trace_log": [
+                {
+                    "step": rec.step,
+                    "remainder": _one_based(rec.remainder),
+                    "tested": [
+                        {"subset": _one_based(subset), "rank": rank} for subset, rank in rec.tested
+                    ],
+                    "accepted": [_one_based(subset) for subset in rec.accepted],
+                }
+                for rec in result.trace_log
+            ],
+            "timing_seconds": elapsed,
+        })
 
     partition_text = " | ".join(_fmt_subset(p) for p in result.partition)
     lines = [
@@ -315,15 +314,14 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
             }
         )
 
-    report = {
-        **_report_header("check-partition", args, state, tol),
-        "partition": [_one_based(p) for p in parts],
-        "pairs": pair_rows,
-        **_lattice_report(lattice, verdict),
-        "overall": verdict.tag,
-    }
     if args.json:
-        return _print_json(report)
+        return _print_json({
+            **_report_header("check-partition", args, state, tol),
+            "partition": [_one_based(p) for p in parts],
+            "pairs": pair_rows,
+            **_lattice_report(lattice, verdict),
+            "overall": verdict.tag,
+        })
 
     lines = [f"input: {args.file}", "pair checks (rank_u, rank_v vs rank of the pair together):"]
     for (u, v), row in zip(pairs, pair_rows):

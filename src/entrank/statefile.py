@@ -260,6 +260,8 @@ def load_state(
         raise StateFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise StateFileError(f"{path}: invalid JSON: nested too deeply") from None
     del text  # several MB for a dense file; freed before its matrix is checked
     return parse_state(payload, max_dim=max_dim, context=str(path))
 

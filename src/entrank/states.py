@@ -45,10 +45,10 @@ no setting), started and joined within the level; other work runs in the
 calling thread. The proofs that the support form and the inherited ranks
 change no rank are in ``subset_ranks``. A stacked LAPACK call gives each
 matrix the bits of its own call, so a member's ranks do not depend on the
-stack it runs in. The spectra form, ``ensemble_spectra`` (one member:
-``subset_spectra``), runs the same plan with every cut decomposed and
-returns each cut's singular values, from which ``rank_from_values`` counts
-the same ranks; a pure product's block spectra come from it.
+stack it runs in. The spectra form, ``subset_spectra``, runs the same
+plan with every cut decomposed and returns each cut's singular values, from
+which ``rank_from_values`` counts the same ranks; a pure product's block
+spectra come from it.
 
 The partial-transpose baseline ``ppt_minimum`` transposes the smaller side of
 the cut (ρ^{T_A} = (ρ^{T_rest})^T has the same spectrum) and uses an exact
@@ -70,7 +70,6 @@ All operations are pure functions and safe for concurrent use.
 from __future__ import annotations
 
 import os
-import string
 import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -195,11 +194,6 @@ class PureState:
     def factor(self) -> np.ndarray:
         """V = the amplitude column (d × 1)."""
         return self.amplitudes[:, None]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """ρ = ψψ† (d × d), built on each access and never stored."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def factored(self, tol: RankTolerance = DEFAULT_TOLERANCE) -> PureState:
         """A pure state carries its factor already."""
@@ -365,20 +359,13 @@ def partial_trace(rho: DensityMatrix, traced: SubsetLike) -> DensityMatrix:
     if len(traced) == n:
         raise PartitionError("tracing out every particle leaves no state")
     keep = _complement(traced, n)
-
-    letters = string.ascii_letters
-    row = list(letters[:n])
-    col = [letters[i] if i in set(traced) else letters[n + i] for i in range(n)]
-    out_sub = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    subscripts = "".join(row) + "".join(col) + "->" + out_sub
-
-    tensor = rho.matrix.reshape(rho.dims + rho.dims)
-    reduced = np.einsum(subscripts, tensor)
     d_keep = prod(rho.dims[i] for i in keep)
-    return DensityMatrix(
-        dims=tuple(rho.dims[i] for i in keep),
-        matrix=reduced.reshape(d_keep, d_keep),
-    )
+    # Row and column axes each ordered kept | traced, then the traced pair summed.
+    axes = keep + traced + tuple(n + i for i in keep + traced)
+    tensor = rho.matrix.reshape(rho.dims + rho.dims).transpose(axes)
+    tensor = tensor.reshape(d_keep, rho.dim // d_keep, d_keep, -1)
+    reduced = np.trace(tensor, axis1=1, axis2=3)
+    return DensityMatrix(dims=tuple(rho.dims[i] for i in keep), matrix=reduced)
 
 
 def _transposed_part(part: SubsetLike, n: int) -> tuple[int, ...]:
@@ -388,12 +375,6 @@ def _transposed_part(part: SubsetLike, n: int) -> tuple[int, ...]:
     if len(part) == n:
         raise PartitionError("partial transpose needs a proper subset of particles")
     return part
-
-
-def partial_transpose(rho: State, part: SubsetLike) -> np.ndarray:
-    """ρ with the indices of ``part`` transposed; Hermitian but not necessarily PSD."""
-    part = _transposed_part(part, rho.n)
-    return _transposed(rho.dims, rho.matrix[None], part)[0]
 
 
 def _transposed(dims: tuple[int, ...], matrices: np.ndarray, part: tuple[int, ...]) -> np.ndarray:
@@ -433,12 +414,12 @@ def ppt_minimum(state: State, part: SubsetLike) -> float:
 
     A bare matrix (a dense file, ``werner``) and a factor
     too wide to shrink take one eigvalsh of the full d × d transpose, which
-    equals ``hermitian_eigenvalues(partial_transpose(...))[-1]`` exactly:
-    ρ^{T_A} − (ρ^{T_A})† = (ρ − ρ†)^{T_A}, so the Hermiticity defect is ρ's,
-    already bounded by validation or construction, and the transpose is only
-    symmetrized. The truncated factor that ``DensityMatrix.factored`` gives a
-    bare matrix drops an eigen-tail set by a rank tolerance, so it is not
-    exact: pass the matrix as loaded, not its ``factored`` form.
+    equals ``hermitian_eigenvalues`` of ρ^{T_A} exactly: ρ^{T_A} − (ρ^{T_A})†
+    = (ρ − ρ†)^{T_A}, so the Hermiticity defect is ρ's, already bounded by
+    validation or construction, and the transpose is only symmetrized. The
+    truncated factor that ``DensityMatrix.factored`` gives a bare matrix
+    drops an eigen-tail set by a rank tolerance, so it is not exact: pass
+    the matrix as loaded, not its ``factored`` form.
     """
     return ensemble_ppt([state], part)[0]
 
@@ -601,16 +582,8 @@ def subset_spectra(state: State, masks: Iterable[int]) -> list[np.ndarray]:
     decomposed: ``rank_from_values(s * s, tol)`` of a row is its rank at
     ``tol``. ``state`` must carry its factor. A row is the spectrum of the
     plan's matrix (min(d_S, d_rest·r) values, or m in the support form): the
-    cut's nonzero singular values, then zeros to rounding. It is the
-    one-member case of ``ensemble_spectra``."""
-    return ensemble_spectra([state], masks)[0]
-
-
-def ensemble_spectra(states: Sequence[State], masks: Iterable[int]) -> list[list[np.ndarray]]:
-    """``subset_spectra`` of each of ``states``, which must carry their
-    factors, at the same ``masks``, in order, grouped as ``ensemble_ranks``
-    groups them."""
-    return _ensemble(states, masks, lambda s: [(row, False) for row in s])
+    cut's nonzero singular values, then zeros to rounding."""
+    return _ensemble([state], masks, lambda s: [(row, False) for row in s])[0]
 
 
 def _ensemble(states: Sequence[State], masks: Iterable[int], reduce) -> list[list]:

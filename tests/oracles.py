@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths under test: explicit
 index loops instead of einsum or reshape tricks, characteristic polynomials
 instead of eigh, exact rational elimination instead of SVD thresholds. The
 instruments that build test inputs live here too: ``masks``,
-``place_parts``, ``tensor_pure``, ``density_from_pure``, ``random_unitary``
-and ``apply_local_unitaries``. ``kron_chain`` is the reference layout of a
+``place_parts``, ``tensor_pure``, ``density_from_pure``, ``dense_matrix``,
+``random_unitary`` and ``apply_local_unitaries``. ``partial_transpose`` is
+the reference of the PPT paths, one index permutation written apart from
+the package's transposes. ``kron_chain`` is the reference layout of a
 product, chained ``np.kron``, against which ``states.tensor_product`` and the
 catalog's product states are checked bit for bit; ``haar_vector`` draws one
 Haar vector at a time from a fresh generator, the reference for the
@@ -207,7 +209,28 @@ def separable_mixture_by_kron(dims, seed, max_terms=4):
 
 def density_from_pure(psi):
     """Projector |psi><psi| as a DensityMatrix (rank 1 by construction)."""
-    return DensityMatrix(dims=psi.dims, matrix=psi.matrix, factor=psi.factor)
+    matrix = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    return DensityMatrix(dims=psi.dims, matrix=matrix, factor=psi.factor)
+
+
+def dense_matrix(state):
+    """ρ of ``state`` as a d × d matrix: a PureState's from ``density_from_pure``."""
+    return density_from_pure(state).matrix if isinstance(state, PureState) else state.matrix
+
+
+def partial_transpose(state, part):
+    """ρ with the digits of the particles ``part`` exchanged between its row
+    and column index, as one explicit index permutation: entry (i, j) is
+    ρ[i', j'], where i' is i with j's digits on ``part`` and j' is j with
+    i's."""
+    matrix = dense_matrix(state)
+    dims = state.dims
+    index = np.arange(prod(dims))
+    digits = np.array(np.unravel_index(index, dims))  # digits[k, i]: particle k's digit of i
+    place = np.array([prod(dims[k + 1 :]) for k in range(len(dims))])
+    on_part = (digits * (place * np.isin(range(len(dims)), part))[:, None]).sum(axis=0)
+    rest = index - on_part
+    return matrix[rest[:, None] + on_part[None, :], rest[None, :] + on_part[:, None]]
 
 
 def tensor_pure(a, b):

@@ -29,12 +29,12 @@ from entrank.linalg import hermitian_eigenvalues
 from entrank.states import (
     PureState,
     mix,
-    partial_transpose,
     pure_state,
     subset_rank,
 )
 from oracles import (
     apply_local_unitaries,
+    partial_transpose,
     place_parts,
     random_unitary,
     rank_by_eigvalsh,

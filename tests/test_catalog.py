@@ -98,7 +98,7 @@ def test_werner_rank_criteria_pass_but_ppt_fails():
     """The rank inequalities hold at p = 0.6 even though the partial
     transpose is negative, so the rank checks alone cannot decide."""
     from entrank.linalg import hermitian_eigenvalues
-    from entrank.states import partial_transpose
+    from oracles import partial_transpose
 
     rho = werner(0.6)
     assert check_rank_monotonicity(rank_lattice(rho, 1)) == []

@@ -456,7 +456,7 @@ def test_analyze_ppt_of_dense_file_ignores_rank_tolerance(capsys, tmp_path):
     from entrank.states import DensityMatrix, ppt_minimum
 
     psi = haar_pure((2, 2, 2), seed=5)
-    noisy = (1 - 1e-4) * psi.matrix + 1e-4 * np.eye(8) / 8
+    noisy = (1 - 1e-4) * density_from_pure(psi).matrix + 1e-4 * np.eye(8) / 8
     path = tmp_path / "noisy.json"
     write_state_file(path, density_payload(DensityMatrix(dims=(2, 2, 2), matrix=noisy)))
     code, out, _ = run(capsys, "analyze", path, "--json", "--ppt", "--rtol", "1e-3")
@@ -950,6 +950,13 @@ def _latin1_file(tmp_path):
     return path
 
 
+def _nested_file(tmp_path):
+    """Arrays nested past the interpreter's recursion limit."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "\n")
+    return path
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -963,8 +970,9 @@ def _latin1_file(tmp_path):
         (_nan_amplitude_file, "amplitudes contain NaN or Inf"),
         (_latin1_file,
          "'utf-8' codec can't decode byte 0xe9 in position 26: invalid continuation byte"),
+        (_nested_file, "invalid JSON: nested too deeply"),
     ],
-    ids=["not-hermitian", "trace", "negative", "weights", "nan-amplitude", "not-utf8"],
+    ids=["not-hermitian", "trace", "negative", "weights", "nan-amplitude", "not-utf8", "nested"],
 )
 def test_a_load_error_names_the_file(make, message, capsys, tmp_path):
     path = make(tmp_path)
@@ -1012,6 +1020,30 @@ def test_json_reports_build_no_human_text(capsys, monkeypatch, ghz3_file):
     assert run(capsys, "factorize", ghz3_file, "--json")[0] == 0
     assert run(capsys, "ppt", ghz3_file, "1", "--json")[0] == 0
     assert run(capsys, "check-partition", ghz3_file, "1|2|3", "--json")[0] == 0
+
+
+def test_human_output_builds_no_json_report(capsys, monkeypatch, tmp_path, ghz3_file):
+    """Without --json no report is built: with the report builders and the
+    JSON writer refused, each command prints the text it prints with them."""
+    import entrank.cli as cli
+
+    paper6 = tmp_path / "paper6.json"
+    write_state_file(paper6, pure_payload(catalog.six_qubit_benchmark()))
+    runs = [
+        ("analyze", "--ppt", ghz3_file),
+        ("factorize", paper6),
+        ("check-partition", ghz3_file, "1|2|3"),
+    ]
+    expected = [run(capsys, *argv) for argv in runs]
+
+    def refuse(*args):
+        raise AssertionError("JSON report built for human output")
+
+    for name in ("_report_header", "_lattice_report", "json_pieces"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv, want in zip(runs, expected):
+        assert want[0] == 0 and want[1], argv
+        assert run(capsys, *argv) == want, argv
 
 
 def test_json_report_bytes_are_those_of_json_dumps(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """The stacked forms against their one-state cases.
 
-``states.ensemble_ranks``, ``ensemble_spectra`` and ``ensemble_ppt``,
+``states.ensemble_ranks`` and ``ensemble_ppt``,
 ``criteria.ensemble_lattices`` and the catalog's ensemble constructors must
 give every member what it gets alone, bit for bit: a stacked LAPACK call
 gives each matrix the bits of its own call, the members of a stack keep
@@ -33,14 +33,11 @@ from entrank.states import (
     bipartition_matrix,
     ensemble_ppt,
     ensemble_ranks,
-    ensemble_spectra,
     mix,
-    partial_transpose,
     ppt_minimum,
     subset_ranks,
-    subset_spectra,
 )
-from oracles import haar_vector
+from oracles import haar_vector, partial_transpose
 
 DIMS = [(2, 3, 2), (2, 2, 2, 2), (3, 3), (2,) * 5]
 TOLERANCES = [RankTolerance(), RankTolerance(rtol=1e-6), RankTolerance(rtol=0.0, atol=0.0)]
@@ -105,15 +102,6 @@ def test_ensemble_ranks_are_each_members_own(dims, tol):
     states = members(dims)
     masks = every_mask(len(dims))
     assert ensemble_ranks(states, masks, tol) == [subset_ranks(s, masks, tol) for s in states]
-
-
-@pytest.mark.parametrize("dims", DIMS, ids=lambda dims: "x".join(map(str, dims)))
-def test_ensemble_spectra_are_each_members_own_bit_for_bit(dims):
-    states = [state.factored() for state in members(dims)]
-    masks = every_mask(len(dims))
-    for rows, state in zip(ensemble_spectra(states, masks), states):
-        alone = subset_spectra(state, masks)
-        assert [row.tobytes() for row in rows] == [row.tobytes() for row in alone]
 
 
 def werner_grid():

@@ -281,7 +281,7 @@ def test_factorize_pure_reads_any_rank1_state():
     results = [
         factorize_pure(psi),
         factorize_pure(mix([(1.0, turned)])),
-        factorize_pure(DensityMatrix(dims=psi.dims, matrix=psi.matrix)),
+        factorize_pure(DensityMatrix(dims=psi.dims, matrix=density_from_pure(psi).matrix)),
     ]
     assert results[0].partition == ((0, 1), (2, 3), (4,))
     for result in results[1:]:
@@ -308,7 +308,7 @@ def test_enumeration_limit_comes_before_any_decomposition(monkeypatch):
     from entrank.states import DensityMatrix
 
     psi = ghz(6, 2)
-    rho = DensityMatrix(dims=psi.dims, matrix=psi.matrix)
+    rho = DensityMatrix(dims=psi.dims, matrix=density_from_pure(psi).matrix)
     calls = []
     for name in ("eigh", "svd"):
         original = getattr(np.linalg, name)

@@ -14,6 +14,7 @@ from entrank.statefile import (
     write_state_file,
 )
 from entrank.states import DensityMatrix, PureState
+from oracles import dense_matrix
 
 
 def write(tmp_path, payload, name="state.json"):
@@ -444,7 +445,7 @@ def test_state_payload_picks_the_state_form(tmp_path):
         assert payload["kind"] == kind
         path = write(tmp_path, payload, "a.json")
         assert path.read_bytes() == write(tmp_path, expected, "b.json").read_bytes()
-        assert np.allclose(load_state(path).matrix, state.matrix, atol=1e-12)
+        assert np.allclose(dense_matrix(load_state(path)), dense_matrix(state), atol=1e-12)
 
 
 def test_amplitude_entries_list_every_nonzero_amplitude_in_order():

@@ -28,7 +28,6 @@ from entrank.states import (
     density_matrix,
     mix,
     partial_trace,
-    partial_transpose,
     ppt_minimum,
     pure_state,
     subset_rank,
@@ -41,6 +40,7 @@ from oracles import (
     density_from_pure,
     kron_chain,
     masks,
+    partial_transpose,
     ptrace_loop,
     random_unitary,
     rank_by_eigvalsh,
@@ -230,9 +230,18 @@ def test_partial_trace_ghz3():
     np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("traced", [(0,), (2,), (0, 2), (1, 2)])
-def test_partial_trace_matches_loop_oracle(traced):
-    rho = density_from_pure(haar_pure((2, 3, 2), seed=9))
+@pytest.mark.parametrize(
+    "rank, dims, traced",
+    [(1, (2, 3, 2), traced) for traced in [(0,), (2,), (0, 2), (1, 2)]]
+    + [(3, (3, 2, 2, 3), traced) for traced in [(1, 3), (0, 2, 3)]],
+    ids=[f"traced{k}" for k in range(4)] + [f"mixture-traced{k}" for k in range(2)],
+)
+def test_partial_trace_matches_loop_oracle(rank, dims, traced):
+    """A pure state's projector and a rank-3 mixture."""
+    if rank == 1:
+        rho = density_from_pure(haar_pure(dims, seed=9))
+    else:
+        rho = mixed_of_rank(dims, seed=9, rank=rank)
     got = partial_trace(rho, traced)
     expected = ptrace_loop(rho.matrix, rho.dims, list(traced))
     np.testing.assert_allclose(got.matrix, expected, atol=1e-12)
@@ -253,7 +262,7 @@ def test_partial_trace_rejects_everything():
         partial_trace(rho, (5,))
 
 
-# -------------------------------------------------------- partial transpose
+# ------------------------------------------------- partial transpose oracle
 
 
 def test_partial_transpose_product_state_unchanged():
@@ -396,12 +405,6 @@ def test_ppt_of_a_part_larger_than_its_complement(state, monkeypatch, tmp_path):
         if isinstance(state, PureState):
             assert sizes == [], part
     assert larger
-
-
-def test_pure_state_matrix_is_the_projector():
-    psi = haar_pure((2, 3), seed=24)
-    assert np.array_equal(psi.matrix, density_from_pure(psi).matrix)
-    assert "matrix" not in vars(psi)
 
 
 def test_density_matrix_stores_hermitian_part():
