@@ -26,6 +26,7 @@ from entrank.catalog import (
 )
 from entrank.criteria import ensemble_lattices, rank_lattice
 from entrank.errors import InputError, ShapeError
+from entrank import states as states_module
 from entrank.linalg import RankTolerance
 from entrank.states import (
     DensityMatrix,
@@ -37,7 +38,7 @@ from entrank.states import (
     ppt_minimum,
     subset_ranks,
 )
-from oracles import haar_vector, partial_transpose
+from oracles import dense_matrix, haar_vector, partial_transpose
 
 DIMS = [(2, 3, 2), (2, 2, 2, 2), (3, 3), (2,) * 5]
 TOLERANCES = [RankTolerance(), RankTolerance(rtol=1e-6), RankTolerance(rtol=0.0, atol=0.0)]
@@ -130,6 +131,20 @@ def test_werner_grid_lattices_and_ppt_are_each_members_own():
         values = ensemble_ppt(states, part)
         assert bits(values) == bits(ppt_minimum(s, part) for s in states)
         assert bits(values) == bits(ppt_alone(s, part) for s in states)
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=lambda dims: "x".join(map(str, dims)))
+def test_stacked_transpose_is_each_members_own_permutation(dims):
+    """The stacked transpose behind the dense PPT path gives every member, on
+    every proper part, exactly the entries of the oracle's index permutation."""
+    states = members(dims)
+    matrices = np.stack([dense_matrix(state) for state in states])
+    n = len(dims)
+    for k in range(1, n):
+        for part in combinations(range(n), k):
+            stacked = states_module._transposed(dims, matrices, part)
+            for got, state in zip(stacked, states):
+                assert np.array_equal(got, partial_transpose(state, part)), part
 
 
 @pytest.mark.parametrize("dims", DIMS, ids=lambda dims: "x".join(map(str, dims)))
