@@ -10,7 +10,13 @@ flags yield byte-identical output except for the timing_seconds field.
 
 A command parses its arguments, calls the library and formats the result:
 the library decides a state's form and the lattice budget, and argparse's
-``choices`` are the one check of a name.
+``choices`` are the one check of a name. A state file is read once, and a
+report's ``input.sha256`` is the digest of the bytes it was read from.
+
+Lattice reports read the lattice's arrays and the verdict's (child, parent)
+slot pairs: the text of each traced set is built once, and the lattice and
+violation rows are ``jsonfmt.Table`` rows that the writer formats as it
+reads them.
 """
 
 from __future__ import annotations
@@ -31,13 +37,15 @@ import numpy as np
 
 from . import catalog, criteria, factorize as factorize_mod, statefile
 from .errors import EntrankError, InputError, PartitionError
-from .jsonfmt import json_pieces
+from .jsonfmt import Table, json_pieces, table_field
 from .linalg import DEFAULT_ATOL, DEFAULT_MAX_DIM, DEFAULT_RTOL, RankTolerance
 from .states import (
     CHUNK_BYTES,
     State,
     ensemble_ppt,
+    mask_of,
     normalize_subset,
+    particles_of,
     ppt_minimum,
     validate_dims,
 )
@@ -89,10 +97,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 @contextmanager
 def _writing(path) -> Iterator[None]:
     """A failed write of ``path``, or of a file in it, as an input error."""
@@ -106,38 +110,51 @@ def _tolerance(args: argparse.Namespace) -> RankTolerance:
     return RankTolerance(rtol=args.rtol, atol=args.atol)
 
 
+def _load(args: argparse.Namespace) -> tuple[State, Optional[str]]:
+    """The state of ``args.file`` and, for a --json report, the sha256 of the
+    bytes it was read from."""
+    digest = hashlib.sha256() if args.json else None
+    state = statefile.load_state(args.file, max_dim=args.max_dim, digest=digest)
+    return state, digest and digest.hexdigest()
+
+
 def _report_header(
-    command: str, args: argparse.Namespace, state: State, tol: Optional[RankTolerance] = None
+    command: str,
+    args: argparse.Namespace,
+    state: State,
+    sha256: str,
+    tol: Optional[RankTolerance] = None,
 ) -> dict:
     """A report's first fields; ``tolerance`` only for a command that takes ranks."""
     tolerance = {} if tol is None else {"tolerance": {"rtol": tol.rtol, "atol": tol.atol}}
     return {
         "format_version": "1",
         "command": command,
-        "input": {"path": str(args.file), "sha256": _digest(args.file)},
+        "input": {"path": str(args.file), "sha256": sha256},
         "dims": list(state.dims),
         **tolerance,
     }
 
 
+def _traced_texts(lattice: criteria.RankLattice, render) -> list[str]:
+    """``render`` of each traced set of the lattice, in entry order."""
+    return [render(particles_of(mask)) for mask in lattice.traced[1:].tolist()]
+
+
 def _lattice_report(lattice: criteria.RankLattice, verdict: criteria.Verdict) -> dict:
     """The state rank, lattice rows and violation rows of a report, in
-    1-based particles."""
+    1-based particles. Both tables are read by slot (0 the full state, whose
+    parent text is null), and their rows are made as the writer reads them."""
+    texts = ["null", *_traced_texts(lattice, lambda subset: table_field(_one_based(subset)))]
+    ranks = lattice.ranks.tolist()
+    child, parent = verdict.pairs.T.tolist()
     return {
         "state_rank": lattice.state_rank,
-        "lattice": [
-            {"traced_out": _one_based(traced), "rank": rank}
-            for traced, rank in lattice.entries.items()
-        ],
-        "violations": [
-            {
-                "child": _one_based(v.child),
-                "parent": None if v.parent is None else _one_based(v.parent),
-                "child_rank": v.child_rank,
-                "parent_rank": v.parent_rank,
-            }
-            for v in verdict.witnesses
-        ],
+        "lattice": Table(("rank", "traced_out"), zip(ranks[1:], texts[1:])),
+        "violations": Table(
+            ("child", "child_rank", "parent", "parent_rank"),
+            ((texts[c], ranks[c], texts[p], ranks[p]) for c, p in zip(child, parent)),
+        ),
     }
 
 
@@ -154,16 +171,17 @@ def _ppt_row(state: State, part: tuple[int, ...]) -> dict:
     return {"part": _one_based(part), "min_eigenvalue": value, "flag": _ppt_flag(value)}
 
 
-def _violation_lines(verdict: criteria.Verdict) -> list[str]:
-    """The human ``violations:`` block, empty when there is no witness."""
-    lines = ["violations:"] if verdict.witnesses else []
-    for v in verdict.witnesses:
-        parent = "full state" if v.parent is None else f"traced {_fmt_subset(v.parent)}"
-        lines.append(
-            f"  traced {_fmt_subset(v.child)} has rank {v.child_rank}"
-            f" > {v.parent_rank} ({parent})"
-        )
-    return lines
+def _violation_lines(verdict: criteria.Verdict, texts: list[str]) -> list[str]:
+    """The human ``violations:`` block, empty when there is no witness;
+    ``texts`` are the lattice's traced sets as ``_fmt_subset`` writes them."""
+    if not len(verdict.pairs):
+        return []
+    names = ["full state", *(f"traced {text}" for text in texts)]
+    ranks = verdict.lattice.ranks.tolist()
+    return ["violations:"] + [
+        f"  {names[c]} has rank {ranks[c]} > {ranks[p]} ({names[p]})"
+        for c, p in verdict.pairs.tolist()
+    ]
 
 
 def _print_json(report: dict) -> int:
@@ -179,7 +197,7 @@ def _print_json(report: dict) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    state = statefile.load_state(args.file, max_dim=args.max_dim)
+    state, sha256 = _load(args)
     n = state.n
     started = time.perf_counter()
     lattice = criteria.rank_lattice(state, args.depth, tol)
@@ -193,7 +211,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.json:
         report = {
-            **_report_header("analyze", args, state, tol),
+            **_report_header("analyze", args, state, sha256, tol),
             "depth": depth,
             **_lattice_report(lattice, verdict),
             "verdict": verdict.tag,
@@ -208,12 +226,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"dims: {'x'.join(str(d) for d in state.dims)}   particles: {n}",
         f"state rank: {lattice.state_rank}",
     ]
-    if lattice.entries:
+    texts = _traced_texts(lattice, _fmt_subset)
+    if texts:
         lines.append(f"rank lattice to depth {depth} (rank after tracing out the listed set):")
         # The entries of a lattice over particles come by size.
-        for size, row in groupby(lattice.entries.items(), key=lambda entry: len(entry[0])):
-            lines.append(f"  size {size}:  " + "  ".join(f"{_fmt_subset(t)}={r}" for t, r in row))
-    lines += _violation_lines(verdict)
+        rows = zip(lattice.traced[1:].tolist(), texts, lattice.ranks[1:].tolist())
+        for size, row in groupby(rows, key=lambda entry: entry[0].bit_count()):
+            lines.append(f"  size {size}:  " + "  ".join(f"{t}={r}" for _, t, r in row))
+    lines += _violation_lines(verdict, texts)
     if ppt_rows:
         lines.append("partial transpose minimum eigenvalues:")
         for i, row in enumerate(ppt_rows):
@@ -228,7 +248,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    state = statefile.load_state(args.file, max_dim=args.max_dim)
+    state, sha256 = _load(args)
     started = time.perf_counter()
     result = factorize_mod.factorize_pure(state, tol)
     elapsed = time.perf_counter() - started
@@ -245,7 +265,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
     if args.json:
         return _print_json({
-            **_report_header("factorize", args, state, tol),
+            **_report_header("factorize", args, state, sha256, tol),
             "partition": [_one_based(p) for p in result.partition],
             "fully_entangled_parts": [_one_based(p) for p in result.fully_entangled_parts],
             "residual": result.residual,
@@ -287,14 +307,15 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 def cmd_check_partition(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    state = statefile.load_state(args.file, max_dim=args.max_dim)
+    state, sha256 = _load(args)
     parts = _parse_partition(args.partition, state.n)
     lattice = criteria.rank_lattice(state, len(parts) - 1, tol, parts=parts)
     verdict = criteria.verdict(lattice)
+    full = (1 << state.n) - 1
+    rank_at = dict(zip(lattice.traced.tolist(), lattice.ranks.tolist()))
 
     def rank_of(kept: tuple[int, ...]) -> int:
-        traced = tuple(i for i in range(state.n) if i not in kept)
-        return lattice.entries[traced] if traced else lattice.state_rank
+        return rank_at[full ^ mask_of(kept)]
 
     # Each pair check is an edge of the lattice: either part alone against
     # the two together.
@@ -316,7 +337,7 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
 
     if args.json:
         return _print_json({
-            **_report_header("check-partition", args, state, tol),
+            **_report_header("check-partition", args, state, sha256, tol),
             "partition": [_one_based(p) for p in parts],
             "pairs": pair_rows,
             **_lattice_report(lattice, verdict),
@@ -329,7 +350,7 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
             f"  {_fmt_subset(u)} vs {_fmt_subset(v)}: ranks ({row['rank_u']}, {row['rank_v']},"
             f" {row['rank_composite']}) -> {row['verdict']}"
         )
-    lines += _violation_lines(verdict)
+    lines += _violation_lines(verdict, _traced_texts(lattice, _fmt_subset))
     lines.append(f"overall: {verdict.tag}")
     print("\n".join(lines))
     return 0
@@ -339,11 +360,11 @@ def cmd_check_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_ppt(args: argparse.Namespace) -> int:
-    state = statefile.load_state(args.file, max_dim=args.max_dim)
+    state, sha256 = _load(args)
     part = _parse_indices(args.part, state.n, "part")
     row = _ppt_row(state, part)
     if args.json:
-        return _print_json({**_report_header("ppt", args, state), **row})
+        return _print_json({**_report_header("ppt", args, state, sha256), **row})
     print(
         f"input: {args.file}\n"
         f"part: {_fmt_subset(part)}\n"

@@ -17,25 +17,19 @@ reduced matrix has rank above 1, and fully entangled iff they all do. Both
 are readings of ``factorize.factorize_pure``'s partition: some part holds two
 or more particles, or the one part holds them all.
 
-A subset is an int mask (bit i = particle i) from the enumeration of part
-unions (``states.unions``) to the verdict; the entry keys and witnesses are
-particle tuples built from the masks.
-
-Every entry of a lattice comes from one ``states.subset_ranks`` call, which
-also takes the state rank, except those that ``factorize.product_ranks``
-counts from a pure product's blocks, over particles or parts alike: the
-entries of a large lattice of a state with a one-column factor that has
-split. The depth and subset budget of every lattice is ``lattice_depth``.
-``ensemble_lattices`` takes the lattices of many states at once: one
-``states.ensemble_ranks`` call, which stacks the members by (dims, r), for
-the members whose entries all come from the kernel; ``rank_lattice`` is its
-one-member case.
+A lattice is arrays from the enumeration of part unions (``states.unions``)
+to the verdict: int masks (bit i = particle i) and their ranks, with the
+failed inequalities as index pairs into them. The particle tuples of
+``entries`` and the ``Violation`` records are built only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import PartitionError, ShapeError
 from .factorize import product_ranks
@@ -55,22 +49,42 @@ INCONCLUSIVE = "INCONCLUSIVE"
 SEPARABLE_PURE_PRODUCT = "SEPARABLE_PURE_PRODUCT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankLattice:
-    """Ranks of the reduced states, keyed by the traced-out particle set.
+    """Ranks of the reduced states, held as arrays by slot.
 
-    ``parts`` are the lattice's units: disjoint sorted particle tuples that
-    cover every particle, each a single particle unless the lattice was
-    built over a partition. ``entries[T]`` is the rank of the state left
-    after tracing out the particles in T, a union of 1..max_depth parts,
-    listed by the number of parts and then by part order; ``state_rank`` is
-    the rank of the full state (nothing traced).
+    ``traced`` holds the traced-out sets as int masks (bit i = particle i)
+    and ``ranks`` the rank of the state left after tracing each out, both
+    int64 arrays. Slot 0 is the full state (mask 0, rank ``state_rank``);
+    the entries follow, unions of 1..max_depth parts listed by the number of
+    parts and then by part order. ``part_masks`` are the lattice's units in
+    part order, disjoint and covering every particle, each a single particle
+    unless the lattice was built over a partition. ``entries`` maps each
+    traced set, as a sorted particle tuple, to its rank, built when first read.
     """
 
-    state_rank: int
-    entries: Mapping[tuple[int, ...], int]
+    traced: np.ndarray
+    ranks: np.ndarray
     max_depth: int
-    parts: tuple[tuple[int, ...], ...]
+    part_masks: tuple[int, ...]
+
+    @property
+    def state_rank(self) -> int:
+        return int(self.ranks[0])
+
+    @property
+    def parts(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(particles_of, self.part_masks))
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(map(particles_of, self.traced[1:].tolist()), self.ranks[1:].tolist()))
+
+    def __eq__(self, other) -> bool:
+        fields = ("traced", "ranks", "max_depth", "part_masks")
+        return type(other) is RankLattice and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in fields
+        )
 
 
 @dataclass(frozen=True)
@@ -90,10 +104,25 @@ class Violation:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome tag plus the witnesses that justify an ENTANGLED call."""
+    """Outcome tag plus the witnesses that justify an ENTANGLED call.
+
+    ``pairs`` are the failed inequalities of ``lattice`` as (child, parent)
+    rows of its slots; ``witnesses`` are their ``Violation`` records, built
+    when first read.
+    """
 
     tag: str
-    witnesses: tuple[Violation, ...] = ()
+    lattice: Optional[RankLattice] = None
+    pairs: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
+
+    @cached_property
+    def witnesses(self) -> tuple[Violation, ...]:
+        if not len(self.pairs):
+            return ()
+        keys, ranks = [None, *self.lattice.entries], self.lattice.ranks.tolist()
+        return tuple(
+            Violation(keys[c], keys[p], ranks[c], ranks[p]) for c, p in self.pairs.tolist()
+        )
 
 
 def _partition(parts: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -130,9 +159,9 @@ def rank_lattice(
     while a one-particle state has the depth-0 lattice, its state rank alone.
 
     The state is factored once. ``factorize.product_ranks`` counts the
-    entries that a pure product's blocks decide, over particles or parts;
-    the state rank and every other entry come from one ``subset_ranks``
-    call. It is the one-member case of ``ensemble_lattices``.
+    entries that a large lattice of a pure product's blocks decides, over
+    particles or parts; the state rank and every other entry come from one
+    ``subset_ranks`` call. It is the one-member case of ``ensemble_lattices``.
     """
     return ensemble_lattices([state], max_depth, tol, parts)[0]
 
@@ -156,35 +185,26 @@ def ensemble_lattices(
     full = (1 << n) - 1
     units = [(i,) for i in range(n)] if parts is None else _partition(parts, n)
     max_depth = lattice_depth(len(units), max_depth)
-    traced = unions([mask_of(unit) for unit in units], max_depth)
+    part_masks = tuple(map(mask_of, units))
+    traced = [0, *unions(part_masks, max_depth)]
     states = [state.factored(tol) for state in states]
-    ranks = [product_ranks(state, traced, tol) for state in states]
-    state_ranks = [0] * len(states)
+    ranks = [[None, *product_ranks(state, traced[1:], tol)] for state in states]
     groups: dict[tuple, list[int]] = {}
     for b, row in enumerate(ranks):
         groups.setdefault(tuple(k for k, rank in enumerate(row) if rank is None), []).append(b)
     for todo, members in groups.items():
-        kept = [full] + [full ^ traced[k] for k in todo]
-        for b, (state_rank, *direct) in zip(
-            members, ensemble_ranks([states[b] for b in members], kept, tol)
-        ):
-            state_ranks[b] = state_rank
-            for k, rank in zip(todo, direct):
+        kept = [full ^ traced[k] for k in todo]
+        for b, row in zip(members, ensemble_ranks([states[b] for b in members], kept, tol)):
+            for k, rank in zip(todo, row):
                 ranks[b][k] = rank
-    keys = list(map(particles_of, traced))
-    return [
-        RankLattice(
-            state_rank=state_rank,
-            entries=dict(zip(keys, row)),
-            max_depth=max_depth,
-            parts=tuple(units),
-        )
-        for state_rank, row in zip(state_ranks, ranks)
-    ]
+    traced = np.array(traced, dtype=np.int64)
+    ranks = np.array(ranks, dtype=np.int64)
+    return [RankLattice(traced, row, max_depth, part_masks) for row in ranks]
 
 
-def check_rank_monotonicity(lattice: RankLattice) -> list[Violation]:
-    """All one-step rank increases in the lattice; empty means no witness.
+def check_rank_monotonicity(lattice: RankLattice) -> np.ndarray:
+    """All one-step rank increases in the lattice as (child, parent) rows of
+    its slots; no rows means no witness.
 
     Every traced-out set is compared against each set one part smaller (its
     1-level-higher states); a single traced part is compared against the
@@ -192,19 +212,13 @@ def check_rank_monotonicity(lattice: RankLattice) -> list[Violation]:
     violation. Each child is compared, as masks, with child ^ part for each
     part it holds, in entry order and then in part order.
     """
-    keys = [None, *lattice.entries]
-    ranks = [lattice.state_rank, *lattice.entries.values()]
-    masks = [0] + [mask_of(key) for key in keys[1:]]
-    slot = dict(zip(masks, range(len(masks))))
-    parts = [mask_of(part) for part in lattice.parts]
-    violations: list[Violation] = []
-    for c in range(1, len(masks)):
-        for part in parts:
-            if masks[c] & part:
-                p = slot[masks[c] ^ part]
-                if ranks[c] > ranks[p]:
-                    violations.append(Violation(keys[c], keys[p], ranks[c], ranks[p]))
-    return violations
+    masks, ranks = lattice.traced, lattice.ranks
+    parts = np.array(lattice.part_masks, dtype=np.int64)
+    order = np.argsort(masks)
+    child, part = np.nonzero(masks[:, None] & parts)
+    parent = order[np.searchsorted(masks, masks[child] ^ parts[part], sorter=order)]
+    hit = ranks[child] > ranks[parent]
+    return np.stack((child[hit], parent[hit]), axis=1)
 
 
 def verdict(lattice: RankLattice) -> Verdict:
@@ -215,9 +229,11 @@ def verdict(lattice: RankLattice) -> Verdict:
     The inequalities are necessary for separability but not sufficient, so a
     mixed state is never declared separable here.
     """
-    violations = check_rank_monotonicity(lattice)
-    if violations:
-        return Verdict(tag=ENTANGLED, witnesses=tuple(violations))
-    if lattice.state_rank == 1:
-        return Verdict(tag=SEPARABLE_PURE_PRODUCT)
-    return Verdict(tag=INCONCLUSIVE)
+    pairs = check_rank_monotonicity(lattice)
+    if len(pairs):
+        tag = ENTANGLED
+    elif lattice.state_rank == 1:
+        tag = SEPARABLE_PURE_PRODUCT
+    else:
+        tag = INCONCLUSIVE
+    return Verdict(tag, lattice, pairs)

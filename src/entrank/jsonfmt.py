@@ -5,27 +5,57 @@ module's pure-Python encoder whenever an indent is asked for. The values
 written here have a fixed shape (dicts with str keys, lists, tuples and
 scalars), so ``json_pieces`` builds the same bytes from one %-template per
 key set and indent, plain-int lists in one join, and scalars in the json
-module's own forms.
+module's own forms. A ``Table`` is a list of dicts of one key set given as
+rows of values, written one piece per row as it is read, so a long list of
+rows is neither built as dicts nor held as text.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_string  # ensure_ascii form
-from typing import Iterator
+from typing import Iterable, Iterator
 
 INF = float("inf")
 _INT_ONLY = {int}
 
 
+@dataclass(frozen=True)
+class Table:
+    """A list of dicts that share the sorted ``keys``, as rows of values in
+    key order. Each value is an int or JSON text already rendered at the
+    rows' field indent (``table_field``), such as ``"null"`` for None, so
+    every row is one %-format of the key set's template. A table is written
+    as a top-level value of a report; ``rows`` is read once."""
+
+    keys: tuple[str, ...]
+    rows: Iterable[tuple]
+
+
+def table_field(value) -> str:
+    """``value`` as JSON text at the indent of a ``Table`` row's fields."""
+    return _json_text(value, "      ")
+
+
 def json_pieces(report: dict) -> Iterator[str]:
     """The text of ``json.dumps(report, indent=2, sort_keys=True)`` in
-    pieces: one per top-level key and per element of a top-level list, each
-    formatted whole by ``_json_text``."""
+    pieces: one per top-level key and per element of a top-level list or
+    row of a ``Table``, each formatted whole by ``_json_text`` or from the
+    table's template."""
     yield "{"
     for k, (key, value) in enumerate(sorted(report.items())):
         yield ("\n  " if k == 0 else ",\n  ") + _json_string(key) + ": "
-        if isinstance(value, (list, tuple)) and value:
+        if type(value) is Table:
+            order, template = _json_template(value.keys, "    ")
+            if order != value.keys:
+                raise ValueError(f"table keys {value.keys} are not sorted")
+            lead = "[\n    "
+            for row in value.rows:
+                yield lead + template % row
+                lead = ",\n    "
+            yield "[]" if lead == "[\n    " else "\n  ]"
+        elif isinstance(value, (list, tuple)) and value:
             for j, item in enumerate(value):
                 yield ("[\n    " if j == 0 else ",\n    ") + _json_text(item, "    ")
             yield "\n  ]"

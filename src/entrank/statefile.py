@@ -245,15 +245,25 @@ def parse_state(
 def load_state(
     path: Union[str, Path],
     max_dim: int = DEFAULT_MAX_DIM,
+    digest=None,
 ) -> State:
-    """Read and validate a state file; errors carry file and position context."""
+    """Read and validate a state file; errors carry file and position context.
+
+    The file is read once, as bytes: ``digest``, a ``hashlib`` object, is
+    updated with them, and they are decoded as UTF-8 with no newline
+    translation, so the digest is that of the file as stored."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if digest is not None:
+        digest.update(data)
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StateFileError(f"{path}: {exc}") from exc
+    del data
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

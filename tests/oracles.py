@@ -5,7 +5,9 @@ index loops instead of einsum or reshape tricks, characteristic polynomials
 instead of eigh, exact rational elimination instead of SVD thresholds. The
 instruments that build test inputs live here too: ``masks``,
 ``place_parts``, ``tensor_pure``, ``density_from_pure``, ``dense_matrix``,
-``random_unitary`` and ``apply_local_unitaries``. ``partial_transpose`` is
+``random_unitary`` and ``apply_local_unitaries``. ``graph_state`` and
+``graph_rank`` are a closed form of lattice ranks: a graph state's reduced
+ranks are powers of two read from its adjacency matrix over GF(2). ``partial_transpose`` is
 the reference of the PPT paths, one index permutation written apart from
 the package's transposes. ``kron_chain`` is the reference layout of a
 product, chained ``np.kron``, against which ``states.tensor_product`` and the
@@ -136,10 +138,10 @@ def partition_lattice_oracle(matrix, dims, parts, max_depth):
 
 
 def monotonicity_oracle(lattice):
-    """The violations of ``lattice`` by brute force, in the order the verdict
-    lists them: each entry in order, then each part it holds in part order,
-    against the entry without that part's particles, or against the full
-    state when the part is all the entry holds."""
+    """The violations of ``lattice`` by brute force, as a tuple in the order
+    the verdict lists them: each entry in order, then each part it holds in
+    part order, against the entry without that part's particles, or against
+    the full state when the part is all the entry holds."""
     out = []
     for child, child_rank in lattice.entries.items():
         for part in lattice.parts:
@@ -148,7 +150,42 @@ def monotonicity_oracle(lattice):
                 parent_rank = lattice.entries[parent] if parent else lattice.state_rank
                 if child_rank > parent_rank:
                     out.append(Violation(child, parent or None, child_rank, parent_rank))
-    return out
+    return tuple(out)
+
+
+def graph_state(adjacency):
+    """The graph state of a 0/1 adjacency matrix: each qubit in |+>, then a
+    controlled-Z on every edge, so the amplitude of the basis state x is
+    2^{−n/2}·(−1)^{Σ_{i<j} A_ij x_i x_j}, with qubit 0 the leading bit."""
+    n = len(adjacency)
+    amps = np.empty(2**n, dtype=complex)
+    for index in range(2**n):
+        bits = [(index >> (n - 1 - i)) & 1 for i in range(n)]
+        sign = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                sign += adjacency[i][j] * bits[i] * bits[j]
+        amps[index] = (-1) ** (sign % 2) / np.sqrt(2**n)
+    return PureState(dims=(2,) * n, amplitudes=amps)
+
+
+def graph_rank(adjacency, traced):
+    """The rank of a graph state after tracing out ``traced``: 2 to the rank
+    over GF(2) of the adjacency block between the traced qubits and the rest
+    (Hein, Eisert & Briegel, PRA 69, 062311 (2004))."""
+    rest = [j for j in range(len(adjacency)) if j not in traced]
+    rows = [[adjacency[i][j] % 2 for j in rest] for i in traced]
+    rank = 0
+    for col in range(len(rest)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return 2**rank
 
 
 def masks(subsets):

@@ -75,7 +75,7 @@ def test_criterion_2_werner_insufficiency():
     worst = 0.0
     for p in (0.4, 0.5, 0.6, 0.8):
         rho = werner(p)
-        ok &= check_rank_monotonicity(rank_lattice(rho, 1)) == []  # only depth for N=2
+        ok &= len(check_rank_monotonicity(rank_lattice(rho, 1))) == 0  # only depth for N=2
         ok &= criteria.verdict(rank_lattice(rho, 1)).tag == INCONCLUSIVE
         low = hermitian_eigenvalues(partial_transpose(rho, (0,)))[-1]
         ok &= low < -1e-9
@@ -105,7 +105,7 @@ def test_criterion_3_necessity_property_suite():
         rho = separable_mixture(dims, seed=trial)
         for depth in range(1, n):
             violations = check_rank_monotonicity(rank_lattice(rho, depth))
-            ok &= violations == []
+            ok &= len(violations) == 0
             checked += 1
         if not ok:
             break

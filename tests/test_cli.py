@@ -1009,6 +1009,37 @@ def test_an_unreadable_input_names_its_path_once(name, errno_code, capsys, tmp_p
     assert run(capsys, "analyze", path) == (2, "", f"error: cannot read {path}: {reason}\n")
 
 
+def test_json_report_hashes_the_bytes_it_read_once(capsys, monkeypatch, tmp_path):
+    """input.sha256 is the digest of the file as stored, CRLF line ends and
+    all, and the report reads its input once."""
+    import builtins
+    import io
+
+    lf = tmp_path / "ghz3_lf.json"
+    write_state_file(lf, pure_payload(ghz(3, 2)))
+    crlf = tmp_path / "ghz3_crlf.json"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = run(capsys, "analyze", crlf, "--json")
+    monkeypatch.undo()
+    assert code == 0
+    assert opened.count(str(crlf)) == 1
+    report = json.loads(out)
+    assert report["input"]["sha256"] == hashlib.sha256(crlf.read_bytes()).hexdigest()
+    assert report["input"]["sha256"] != hashlib.sha256(lf.read_bytes()).hexdigest()
+    lf_report = json.loads(run(capsys, "analyze", lf, "--json")[1])
+    for key in ("state_rank", "lattice", "violations", "verdict"):
+        assert report[key] == lf_report[key]
+
+
 def test_json_reports_build_no_human_text(capsys, monkeypatch, ghz3_file):
     import entrank.cli as cli
 

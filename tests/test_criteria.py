@@ -1,7 +1,13 @@
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entrank import cli, criteria
 from entrank.catalog import (
     bell,
     ghz,
@@ -17,6 +23,7 @@ from entrank.criteria import (
     ENTANGLED,
     INCONCLUSIVE,
     SEPARABLE_PURE_PRODUCT,
+    RankLattice,
     Verdict,
     Violation,
     check_rank_monotonicity,
@@ -33,7 +40,15 @@ from entrank.states import (
     mix,
     pure_state,
 )
-from oracles import density_from_pure, partition_lattice_oracle, place_parts, tensor_pure
+from oracles import (
+    density_from_pure,
+    graph_rank,
+    graph_state,
+    monotonicity_oracle,
+    partition_lattice_oracle,
+    place_parts,
+    tensor_pure,
+)
 
 
 def pure_entangled(psi):
@@ -123,11 +138,11 @@ def test_lattice_pure_and_density_paths_agree():
 
 
 def test_check_rank_monotonicity_product_state_empty():
-    assert check_rank_monotonicity(rank_lattice(product_pure((2, 2, 2), seed=4), 2)) == []
+    assert len(check_rank_monotonicity(rank_lattice(product_pure((2, 2, 2), seed=4), 2))) == 0
 
 
 def test_check_rank_monotonicity_ghz3_flags_single_trace():
-    violations = check_rank_monotonicity(rank_lattice(ghz(3, 2), 2))
+    violations = verdict(rank_lattice(ghz(3, 2), 2)).witnesses
     assert any(
         v.child == (0,) and v.parent is None and v.child_rank == 2 and v.parent_rank == 1
         for v in violations
@@ -135,7 +150,81 @@ def test_check_rank_monotonicity_ghz3_flags_single_trace():
 
 
 def test_check_rank_monotonicity_werner_empty():
-    assert check_rank_monotonicity(rank_lattice(werner(0.6), 1)) == []
+    assert len(check_rank_monotonicity(rank_lattice(werner(0.6), 1))) == 0
+
+
+@st.composite
+def synthetic_lattices(draw):
+    """A lattice over a random partition of 2..7 particles into 2..n parts,
+    at depth 1..k − 1, with every rank drawn from 1..4: equal ranks across
+    an edge and full-state parents are common."""
+    n = draw(st.integers(2, 7))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=n - 1)))
+    parts = sorted(sorted(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n]))
+    part_masks = tuple(sum(1 << i for i in part) for part in parts)
+    depth = draw(st.integers(1, len(parts) - 1))
+    traced = [0, *states.unions(part_masks, depth)]
+    ranks = draw(st.lists(st.integers(1, 4), min_size=len(traced), max_size=len(traced)))
+    return RankLattice(np.array(traced), np.array(ranks), depth, part_masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(synthetic_lattices())
+def test_array_verdict_is_the_brute_force_walk(lattice):
+    """The array verdict finds the oracle's violations in its order (entry
+    order, then part order), and the tag follows the one rule."""
+    found = verdict(lattice)
+    expected = monotonicity_oracle(lattice)
+    assert found.witnesses == expected
+    assert len(check_rank_monotonicity(lattice)) == len(expected)
+    if expected:
+        assert found.tag == ENTANGLED
+    else:
+        assert found.tag == (SEPARABLE_PURE_PRODUCT if lattice.state_rank == 1 else INCONCLUSIVE)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "werner", "--count", "31"],
+        ["--kind", "haar_pure", "--dims", "2,2,2", "--count", "40", "--seed", "5"],
+        ["--kind", "product_mixture", "--dims", "2,2,2", "--count", "40", "--seed", "5"],
+    ],
+)
+def test_bench_rank_detect_count_is_the_oracle_count(argv, capsys, monkeypatch):
+    """Member by member, bench's rank verdict is the brute-force walk's, and
+    its rank_detect column counts the members the walk flags."""
+    tags = []
+
+    def recording(lattice):
+        result = verdict(lattice)
+        tags.append((result.tag, bool(monotonicity_oracle(lattice))))
+        return result
+
+    monkeypatch.setattr(criteria, "verdict", recording)
+    assert cli.main(["bench", *argv]) == 0
+    row = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))[0]
+    assert len(tags) == int(argv[argv.index("--count") + 1])
+    assert all((tag == ENTANGLED) == flagged for tag, flagged in tags)
+    assert int(row["rank_detect"]) == sum(flagged for _, flagged in tags)
+
+
+def test_graph_state_lattices_are_the_gf2_ranks():
+    """Every default-depth entry of seeded random graph states on 4..10
+    qubits is 2 to the GF(2) rank of the adjacency block between the traced
+    set and the rest, at the default tolerance."""
+    checked = 0
+    for seed in range(12):
+        rng = np.random.default_rng(900 + seed)
+        n = 4 + seed % 7
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        adjacency = (upper | upper.T).astype(int)
+        lattice = rank_lattice(graph_state(adjacency))
+        assert lattice.state_rank == 1
+        assert lattice.entries == {t: graph_rank(adjacency, t) for t in lattice.entries}
+        checked += len(lattice.entries)
+    assert checked > 1000
 
 
 # ---------------------------------------------------------------- verdict
@@ -199,7 +288,7 @@ def test_check_partition_product_singletons():
     psi = product_pure((2, 2, 2, 2), seed=6)
     lattice = rank_lattice(density_from_pure(psi), 3, parts=singletons(4))
     assert len(lattice.entries) == 14
-    assert check_rank_monotonicity(lattice) == []
+    assert len(check_rank_monotonicity(lattice)) == 0
     assert verdict(lattice).tag == SEPARABLE_PURE_PRODUCT
 
 
@@ -342,7 +431,7 @@ def test_products_across_parts_get_no_witness():
     ]
     for state, parts in cases:
         for depth in range(1, len(parts)):
-            assert check_rank_monotonicity(rank_lattice(state, depth, parts=parts)) == []
+            assert len(check_rank_monotonicity(rank_lattice(state, depth, parts=parts))) == 0
         assert verdict(rank_lattice(state, state.n - 1)).tag == ENTANGLED
         expected = SEPARABLE_PURE_PRODUCT if isinstance(state, PureState) else INCONCLUSIVE
         assert verdict(rank_lattice(state, parts=parts)).tag == expected
@@ -375,7 +464,7 @@ def test_soundness_on_random_separable_mixtures():
         dims = tuple(int(d) for d in rng.choice([2, 3], size=n))
         rho = separable_mixture(dims, seed=1000 + trial)
         for depth in range(1, n):
-            assert check_rank_monotonicity(rank_lattice(rho, depth)) == []
+            assert len(check_rank_monotonicity(rank_lattice(rho, depth))) == 0
 
 
 def test_violations_monotone_in_depth():
@@ -384,7 +473,7 @@ def test_violations_monotone_in_depth():
         found: set = set()
         for depth in range(1, 4):
             current = {
-                (v.child, v.parent) for v in check_rank_monotonicity(rank_lattice(rho, depth))
+                (v.child, v.parent) for v in verdict(rank_lattice(rho, depth)).witnesses
             }
             assert found <= current
             found = current
