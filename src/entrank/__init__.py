@@ -1,6 +1,8 @@
 """Entanglement detection and pure-state factorization from the ranks of
 reduced density matrices, with a partial-transpose baseline for comparison."""
 
+from types import ModuleType as _ModuleType
+
 from .catalog import (
     bell,
     ghz,
@@ -63,58 +65,8 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_MAX_DIM",
-    "DEFAULT_TOLERANCE",
-    "ENTANGLED",
-    "INCONCLUSIVE",
-    "SEPARABLE_PURE_PRODUCT",
-    "DensityMatrix",
-    "EntrankError",
-    "EnumerationLimitError",
-    "FactorizationResult",
-    "InputError",
-    "InternalInconsistencyError",
-    "NormalizationError",
-    "PartitionError",
-    "PureState",
-    "RankLattice",
-    "RankTolerance",
-    "ShapeError",
-    "SizeLimitError",
-    "StateFileError",
-    "StepRecord",
-    "SymmetryError",
-    "Verdict",
-    "Violation",
-    "bell",
-    "check_rank_monotonicity",
-    "density_matrix",
-    "ensemble_lattices",
-    "ensemble_ppt",
-    "ensemble_ranks",
-    "factorize_pure",
-    "ghz",
-    "haar_ensemble",
-    "haar_pure",
-    "hermitian_eigenvalues",
-    "load_state",
-    "mix",
-    "mixed_of_rank",
-    "numerical_rank",
-    "parse_state",
-    "partial_trace",
-    "ppt_minimum",
-    "product_pure",
-    "pure_state",
-    "rank_lattice",
-    "separable_ensemble",
-    "separable_mixture",
-    "six_qubit_benchmark",
-    "subset_rank",
-    "subset_ranks",
-    "verdict",
-    "w",
-    "werner",
-    "write_state_file",
-]
+# The exported names are the ones imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

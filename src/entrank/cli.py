@@ -10,13 +10,10 @@ flags yield byte-identical output except for the timing_seconds field.
 
 A command parses its arguments, calls the library and formats the result:
 the library decides a state's form and the lattice budget, and argparse's
-``choices`` are the one check of a name. A state file is read once, and a
-report's ``input.sha256`` is the digest of the bytes it was read from.
-
-Lattice reports read the lattice's arrays and the verdict's (child, parent)
-slot pairs: the text of each traced set is built once, and the lattice and
-violation rows are ``jsonfmt.Table`` rows that the writer formats as it
-reads them.
+``choices`` are the one check of a name. A state file is read once; a
+report's ``input.sha256`` is the digest of those bytes. Lattice reports read
+the lattice's arrays and the verdict's slot pairs, build each traced set's
+text once, and write their rows as ``jsonfmt.Table`` rows.
 """
 
 from __future__ import annotations
@@ -119,11 +116,7 @@ def _load(args: argparse.Namespace) -> tuple[State, Optional[str]]:
 
 
 def _report_header(
-    command: str,
-    args: argparse.Namespace,
-    state: State,
-    sha256: str,
-    tol: Optional[RankTolerance] = None,
+    command: str, args: argparse.Namespace, state: State, sha256: str, tol=None
 ) -> dict:
     """A report's first fields; ``tolerance`` only for a command that takes ranks."""
     tolerance = {} if tol is None else {"tolerance": {"rtol": tol.rtol, "atol": tol.atol}}

@@ -57,10 +57,9 @@ class RankLattice:
     and ``ranks`` the rank of the state left after tracing each out, both
     int64 arrays. Slot 0 is the full state (mask 0, rank ``state_rank``);
     the entries follow, unions of 1..max_depth parts listed by the number of
-    parts and then by part order. ``part_masks`` are the lattice's units in
-    part order, disjoint and covering every particle, each a single particle
-    unless the lattice was built over a partition. ``entries`` maps each
-    traced set, as a sorted particle tuple, to its rank, built when first read.
+    parts and then by part order. ``part_masks`` are the lattice's units,
+    single particles unless the lattice was built over a partition.
+    ``entries``, built when first read, maps each traced set to its rank.
     """
 
     traced: np.ndarray
@@ -210,13 +209,15 @@ def check_rank_monotonicity(lattice: RankLattice) -> np.ndarray:
     1-level-higher states); a single traced part is compared against the
     full state. A state separable across the parts can never produce a
     violation. Each child is compared, as masks, with child ^ part for each
-    part it holds, in entry order and then in part order.
+    part it holds, in entry order and then in part order; a table indexed by
+    mask gives each parent's slot.
     """
     masks, ranks = lattice.traced, lattice.ranks
     parts = np.array(lattice.part_masks, dtype=np.int64)
-    order = np.argsort(masks)
+    slot = np.zeros(sum(lattice.part_masks) + 1, dtype=np.int64)
+    slot[masks] = np.arange(len(masks))
     child, part = np.nonzero(masks[:, None] & parts)
-    parent = order[np.searchsorted(masks, masks[child] ^ parts[part], sorter=order)]
+    parent = slot[masks[child] ^ parts[part]]
     hit = ranks[child] > ranks[parent]
     return np.stack((child[hit], parent[hit]), axis=1)
 
@@ -231,9 +232,5 @@ def verdict(lattice: RankLattice) -> Verdict:
     """
     pairs = check_rank_monotonicity(lattice)
     if len(pairs):
-        tag = ENTANGLED
-    elif lattice.state_rank == 1:
-        tag = SEPARABLE_PURE_PRODUCT
-    else:
-        tag = INCONCLUSIVE
-    return Verdict(tag, lattice, pairs)
+        return Verdict(ENTANGLED, lattice, pairs)
+    return Verdict(SEPARABLE_PURE_PRODUCT if lattice.state_rank == 1 else INCONCLUSIVE, lattice)

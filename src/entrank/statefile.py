@@ -248,10 +248,8 @@ def load_state(
     digest=None,
 ) -> State:
     """Read and validate a state file; errors carry file and position context.
-
-    The file is read once, as bytes: ``digest``, a ``hashlib`` object, is
-    updated with them, and they are decoded as UTF-8 with no newline
-    translation, so the digest is that of the file as stored."""
+    The file is read once: ``digest``, a ``hashlib`` object, is updated with
+    its bytes as stored, which are decoded as UTF-8 with no newline translation."""
     path = Path(path)
     try:
         data = path.read_bytes()

@@ -23,44 +23,26 @@ named by ``pure_cut``.
 
 The kernel takes an ensemble: ``ensemble_ranks`` gives the ranks of many
 states at the same masks, and ``subset_ranks`` is its one-member case. The
-members that share their dims and rank r are one stack of factors (B, d,
-r), and a dense plan depends only on (dims, r, masks), so the stack takes
-one plan and one level loop, with the member index as one more axis of the
-matrices a level writes. Each member keeps its own certified sides. A
-member in the support form (below) is a stack of its own.
+members that share their dims and rank r are one stack of factors (B, d, r)
+with one plan, since a dense plan depends only on (dims, r, masks); each
+member keeps its own certified sides, and a member in the support form is a
+stack of its own. The plan decides each cut's form (the support form from
+the nonzero rows of V, or V reshaped tall) and its level; one loop takes
+the levels in decreasing order of their bound, and a cut decomposed at full
+rank with margin certifies the cuts below it whose small side lies inside
+its own (``subset_ranks`` has the proofs). Each level's undecided cuts of
+one shape are stacked into chunks of at most ``CHUNK_BYTES`` with one SVD
+each, shared out among one thread per core the CPU affinity allows when a
+level spans more than one chunk. A stacked LAPACK call gives each matrix
+the bits of its own call, so a member's ranks do not depend on its stack.
+``subset_spectra`` runs the same plan with every cut decomposed and returns
+the singular values, from which ``rank_from_values`` counts the same ranks.
 
-The kernel plans each stack once and runs every plan through one level
-loop. The plan decides each cut's form: the support form, built from the m
-nonzero rows of V alone, when m² < d (GHZ and W states have m = 2 and m = n),
-else V reshaped in its tall orientation (rows ≥ columns), the faster LAPACK
-path. It decides the levels: a dense call takes its cuts in decreasing
-order of their bound min(d_S, d_rest·r), and a cut decomposed at full rank
-with margin certifies the cuts below it, in its own member, whose small
-side lies inside its own; a support-form call is one level that certifies
-nothing. Each level's undecided cuts of one shape, over every member, are
-stacked into chunks of at most ``CHUNK_BYTES`` with one SVD each. A level
-that spans more than one chunk shares its chunks out among one thread per
-core the process's CPU affinity allows (``taskset`` limits them; there is
-no setting), started and joined within the level; other work runs in the
-calling thread. The proofs that the support form and the inherited ranks
-change no rank are in ``subset_ranks``. A stacked LAPACK call gives each
-matrix the bits of its own call, so a member's ranks do not depend on the
-stack it runs in. The spectra form, ``subset_spectra``, runs the same
-plan with every cut decomposed and returns each cut's singular values, from
-which ``rank_from_values`` counts the same ranks; a pure product's block
-spectra come from it.
-
-The partial-transpose baseline ``ppt_minimum`` transposes the smaller side of
-the cut (ρ^{T_A} = (ρ^{T_rest})^T has the same spectrum) and uses an exact
-factor (a PureState, or a mixture from ``mix``): a pure state's value is
-−s_1·s_2 of its Schmidt coefficients across the cut, from one SVD, and when
-d_A·r < d_rest for the transposed part A of a mixture, it compresses the rest
-to ρ's support and solves a d_A²·r eigenproblem. A bare matrix, and a factor
-too wide to shrink, take the full d × d transpose of ``matrix``; the
-truncated factor ``factored`` gives a bare matrix is not exact and is not what
-the CLI passes. ``ensemble_ppt`` takes an ensemble, one stacked
-computation per part for the members that share their dims and path, and
-``ppt_minimum`` is its one-member case. A dense matrix from outside enters
+The partial-transpose baseline ``ppt_minimum`` (an ensemble in
+``ensemble_ppt``) transposes the smaller side of the cut and uses an exact
+factor where there is one: one SVD for a pure state, a compressed
+eigenproblem for a narrow mixture, else the full d × d transpose of
+``matrix`` (see ``ppt_minimum``). A dense matrix from outside enters
 through ``density_matrix`` alone, which validates it once; the eigh of its
 PSD check is the one ``factored`` then takes.
 
