@@ -136,8 +136,8 @@ def _traced_texts(lattice: criteria.RankLattice, render) -> list[str]:
 
 def _lattice_report(lattice: criteria.RankLattice, verdict: criteria.Verdict) -> dict:
     """The state rank, lattice rows and violation rows of a report, in
-    1-based particles. Both tables are read by slot (0 the full state, whose
-    parent text is null), and their rows are made as the writer reads them."""
+    1-based particles. Both tables read the lattice by slot (slot 0, the full
+    state, is a null parent), and their rows are made as the writer reads them."""
     texts = ["null", *_traced_texts(lattice, lambda subset: table_field(_one_based(subset)))]
     ranks = lattice.ranks.tolist()
     child, parent = verdict.pairs.T.tolist()

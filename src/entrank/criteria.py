@@ -196,8 +196,8 @@ def ensemble_lattices(
         for b, row in zip(members, ensemble_ranks([states[b] for b in members], kept, tol)):
             for k, rank in zip(todo, row):
                 ranks[b][k] = rank
-    traced = np.array(traced, dtype=np.int64)
-    ranks = np.array(ranks, dtype=np.int64)
+    traced, ranks = np.array(traced, dtype=np.int64), np.array(ranks, dtype=np.int64)
+    traced.flags.writeable = ranks.flags.writeable = False
     return [RankLattice(traced, row, max_depth, part_masks) for row in ranks]
 
 

@@ -511,6 +511,22 @@ def test_verdict_dataclass_shape():
     assert verdict.witnesses == ()
 
 
+def test_lattice_holds_read_only_slot_arrays_and_builds_records_on_read():
+    """Slot 0 is the full state and the entries follow in entry order; the
+    arrays cannot be written, and the particle-tuple entries and Violation
+    records are built only when first read."""
+    lattice = rank_lattice(ghz(3, 2), 2)
+    assert lattice.traced.tolist() == [0, 1, 2, 4, 3, 5, 6]
+    assert lattice.ranks.tolist() == [1, 2, 2, 2, 2, 2, 2]
+    with pytest.raises(ValueError):
+        lattice.ranks[1] = 1
+    result = verdict(lattice)
+    assert result.pairs.tolist() == [[1, 0], [2, 0], [3, 0]]
+    assert "entries" not in vars(lattice) and "witnesses" not in vars(result)
+    assert result.witnesses == tuple(Violation((i,), None, 2, 1) for i in range(3))
+    assert lattice.entries == {(0,): 2, (1,): 2, (2,): 2, (0, 1): 2, (0, 2): 2, (1, 2): 2}
+
+
 def test_lattice_depth_default_and_limits(monkeypatch):
     """The one budget helper: half the parts by default, a depth outside
     min(1, k - 1)..k - 1 is an input error (exit 2), and too many traced
