@@ -12,7 +12,6 @@ rows is neither built as dicts nor held as text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_string  # ensure_ascii form
 from typing import Iterable, Iterator
@@ -21,7 +20,6 @@ INF = float("inf")
 _INT_ONLY = {int}
 
 
-@dataclass(frozen=True)
 class Table:
     """A list of dicts that share the sorted ``keys``, as rows of values in
     key order. Each value is an int or JSON text already rendered at the
@@ -29,8 +27,10 @@ class Table:
     every row is one %-format of the key set's template. A table is written
     as a top-level value of a report; ``rows`` is read once."""
 
-    keys: tuple[str, ...]
-    rows: Iterable[tuple]
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys: tuple[str, ...], rows: Iterable[tuple]):
+        self.keys, self.rows = keys, rows
 
 
 def table_field(value) -> str:
