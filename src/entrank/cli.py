@@ -197,8 +197,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     depth = lattice.max_depth
     verdict = criteria.verdict(lattice)
 
-    # The state as loaded, not factored: a dense file's PPT value is that of
-    # its stored matrix, whatever the rank tolerance.
+    # The PPT reads the factor, which no rank tolerance enters: a dense file's
+    # value is within the dropped eigenvalues' 2-norm of its stored matrix's.
     ppt_rows = [_ppt_row(state, (i,)) for i in range(n)] if args.ppt and n >= 2 else []
     elapsed = time.perf_counter() - started
 
@@ -417,10 +417,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _bench_members(
     args, dims: tuple[int, ...], block: range, weights: Optional[np.ndarray]
 ) -> list[State]:
-    """The members of the indices ``block``: the Werner states at those
-    ``weights``, or the ensemble of the seeds seed + index."""
+    """The members of the indices ``block``, each with its factor: the
+    Werner states at those ``weights``, factored here so that each takes one
+    eigh for its lattice and PPT, or the ensemble of the seeds seed + index."""
     if args.kind == "werner":
-        return [catalog.werner(float(p)) for p in weights[block.start : block.stop]]
+        return [catalog.werner(float(p)).factored() for p in weights[block.start : block.stop]]
     seeds = range(args.seed + block.start, args.seed + block.stop)
     if args.kind == "product_mixture":
         return catalog.separable_ensemble(dims, seeds, args.max_terms, args.max_dim)

@@ -186,7 +186,7 @@ def ensemble_lattices(
     max_depth = lattice_depth(len(units), max_depth)
     part_masks = tuple(map(mask_of, units))
     traced = [0, *unions(part_masks, max_depth)]
-    states = [state.factored(tol) for state in states]
+    states = [state.factored() for state in states]
     ranks = [[None, *product_ranks(state, traced[1:], tol)] for state in states]
     groups: dict[tuple, list[int]] = {}
     for b, row in enumerate(ranks):

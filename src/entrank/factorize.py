@@ -188,9 +188,9 @@ def factorize_pure(state: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> Fact
     """Split a state of rank 1 into its finest tensor-product partition.
 
     The sweep budget is checked first, before the state is decomposed. Then
-    ψ is the factor V at ``tol`` when V has one column, else V's top left
-    singular vector, with its global phase canonicalized; a state of rank
-    above 1 is an input error.
+    ψ is the state's factor V (``factored``, which no tolerance enters) when
+    V has one column, else V's top left singular vector, with its global
+    phase canonicalized; a V of rank above 1 at ``tol`` is an input error.
 
     Every part of size one is a disentangled particle; every larger part is
     fully entangled (no subset of it has a pure reduced state). The result
@@ -200,7 +200,7 @@ def factorize_pure(state: State, tol: RankTolerance = DEFAULT_TOLERANCE) -> Fact
     internal inconsistency.
     """
     lattice_depth(state.n)
-    factor = state.factored(tol).factor
+    factor = state.factored().factor
     vec, rank = (factor[:, 0], 1) if factor.shape[1] == 1 else _top_vector(factor, tol)
     if rank != 1:
         raise InputError(
@@ -245,7 +245,7 @@ def product_ranks(state: State, traced: list[int], tol: RankTolerance) -> list[O
     taken when every product, and zero, lies more than slack away from that
     range of thresholds: it then equals the direct count, value by value.
     """
-    v = state.factored(tol).factor
+    v = state.factored().factor
     undecided: list[Optional[int]] = [None] * len(traced)
     if v.shape[1] != 1 or len(traced) * v.nbytes <= CHUNK_BYTES:
         return undecided

@@ -18,8 +18,8 @@ relative Hermiticity defect and the negative eigenvalues of a dense matrix.
 Amplitudes and dense matrices are rescaled only when they are off by more
 than 1e-12, so writing and re-reading a normalized state is bit-identical.
 A dense matrix goes through ``states.density_matrix`` alone, which keeps its
-Hermitian part at unit trace. Every load error names the file, those of the
-state constructors and of UTF-8 decoding too.
+Hermitian part at unit trace and its factor. Every load error names the
+file, those of the state constructors and of UTF-8 decoding too.
 """
 
 from __future__ import annotations
@@ -333,8 +333,10 @@ def density_payload(rho: DensityMatrix, metadata: Optional[dict] = None) -> dict
 
 def state_payload(state: State, metadata: Optional[dict] = None) -> dict:
     """The payload of the state's own form: ``pure`` for a PureState,
-    ``mixture`` for a state with an exact factor, whose columns √w_j·ψ_j
-    give the terms (w_j, ψ_j), and ``dense`` for a bare matrix."""
+    ``mixture`` for a state that carries its factor, whose columns √w_j·ψ_j
+    give the terms (w_j, ψ_j), and ``dense`` for a bare matrix. A loaded
+    dense file carries its eigen-factor, so it is written as a mixture; no
+    command writes a loaded state."""
     if isinstance(state, PureState):
         return pure_payload(state, metadata)
     if state.factor is None:

@@ -10,14 +10,15 @@ the most significant digit and a ket string like |011⟩ reads left to right.
 
 Every state is held as a factor V (d × r) with ρ = V V†: a PureState is the
 case r = 1 (V is its amplitude column), a mixture keeps the columns
-√w_j·ψ_j of its terms, and a DensityMatrix given only as a matrix gets V from
-one eigendecomposition (``factored``). The rank of the reduced state of a
-subset S is then the rank of V reshaped to (d_S, d_rest·r), the Schmidt rank
-of the purification across S | rest+ancilla, and one kernel,
-``subset_ranks``, takes every rank of every state, each subset an int mask
-(bit i = particle i) as ``unions`` enumerates them (``subset_rank``, its
-one-subset form, takes particles); the full mask gives the rank of the state
-itself. The kernel factors the state once and, for a pure state (r = 1),
+√w_j·ψ_j of its terms, and a dense matrix gets V from one eigendecomposition
+by ``_eigen_factor``, a rule that no rank tolerance enters: ``density_matrix``
+applies it to the eigh of its PSD check, ``factored`` to a matrix built
+without a factor. The rank of the reduced state of a subset S is then the
+rank of V reshaped to (d_S, d_rest·r), the Schmidt rank of the purification
+across S | rest+ancilla, and one kernel, ``subset_ranks``, takes every rank
+of every state, each subset an int mask (bit i = particle i) as ``unions``
+enumerates them (``subset_rank``, its one-subset form, takes particles); the
+full mask gives the rank of the state itself. The kernel factors the state once and, for a pure state (r = 1),
 computes a subset and its complement once, since they are the same cut,
 named by ``pure_cut``.
 
@@ -39,12 +40,11 @@ the bits of its own call, so a member's ranks do not depend on its stack.
 the singular values, from which ``rank_from_values`` counts the same ranks.
 
 The partial-transpose baseline ``ppt_minimum`` (an ensemble in
-``ensemble_ppt``) transposes the smaller side of the cut and uses an exact
-factor where there is one: one SVD for a pure state, a compressed
-eigenproblem for a narrow mixture, else the full d × d transpose of
-``matrix`` (see ``ppt_minimum``). A dense matrix from outside enters
-through ``density_matrix`` alone, which validates it once; the eigh of its
-PSD check is the one ``factored`` then takes.
+``ensemble_ppt``) reads only V as well. It transposes the smaller side of
+the cut: one SVD for r = 1, else one eigensolve of the transposed V V†,
+compressed first to ρ's support on the rest where that is smaller (see
+``ppt_minimum``). A dense matrix from outside enters through
+``density_matrix`` alone, which validates it once.
 
 All operations are pure functions and safe for concurrent use.
 """
@@ -53,10 +53,10 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations
-from math import comb, prod, sqrt
+from math import comb, prod
 from operator import index
 from typing import Iterable, Optional, Sequence, Union
 
@@ -177,7 +177,7 @@ class PureState:
         """V = the amplitude column (d × 1)."""
         return self.amplitudes[:, None]
 
-    def factored(self, tol: RankTolerance = DEFAULT_TOLERANCE) -> PureState:
+    def factored(self) -> PureState:
         """A pure state carries its factor already."""
         return self
 
@@ -186,16 +186,14 @@ class PureState:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix over the joint basis of ``dims``.
 
-    ``factor`` is V (d × r) with ``matrix`` = V V†, when known; ``factored``
-    supplies it for a matrix given without one. ``_eigh`` holds the eigh of
-    ``matrix`` that ``density_matrix`` ran for its PSD check, until the first
-    ``factored`` takes it.
+    ``factor`` is V (d × r) with ρ = V V†, from ``density_matrix`` or
+    ``mix``; ``factored`` supplies it for a matrix built without one
+    (``werner``, ``partial_trace``).
     """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
     factor: Optional[np.ndarray] = None
-    _eigh: list = field(default_factory=list, repr=False)
 
     @property
     def n(self) -> int:
@@ -205,25 +203,23 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def factored(self, tol: RankTolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
-        """This state with its factor V; a bare matrix gets it from one eigh.
-
-        The smallest eigenpairs are dropped while their total weight is at
-        most tol.cutoff(λ_max) / √d. Every reduced state has λ_max(ρ_S) >=
-        λ_max / √d, so the dropped part stays below every cutoff a rank is
-        taken at and cannot add a significant eigenvalue. Dropping up to
-        tol.cutoff(λ_max) itself could: a reduced state's cutoff is smaller
-        when its λ_max is. Ranks should be taken with the same ``tol``.
-        """
+    def factored(self) -> DensityMatrix:
+        """This state with its factor V; a bare matrix gets it from one eigh
+        by ``_eigen_factor``, the rule of ``density_matrix``."""
         if self.factor is not None:
             return self
-        try:
-            values, vectors = self._eigh.pop()
-        except IndexError:
-            values, vectors = np.linalg.eigh(self.matrix)
-        tail = tol.cutoff(float(values[-1])) / sqrt(self.dim)
-        keep = np.cumsum(np.clip(values, 0.0, None)) > tail
-        return replace(self, factor=vectors[:, keep] * np.sqrt(values[keep]))
+        return replace(self, factor=_eigen_factor(*np.linalg.eigh(self.matrix)))
+
+
+def _eigen_factor(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The factor V of a Hermitian matrix from its eigh (ascending
+    ``values``): the eigenvectors of the eigenvalues λ > d·ε·λ_max, each
+    scaled by √λ. That bound is eigh's backward error (LAPACK Users' Guide
+    §4.7), so a dropped value cannot be told from zero; a negative one that
+    validation accepted goes too. No rank tolerance enters, so one V serves
+    every cutoff and the PPT."""
+    keep = values > len(values) * np.finfo(values.dtype).eps * values[-1]
+    return vectors[:, keep] * np.sqrt(values[keep])
 
 
 State = Union[PureState, DensityMatrix]
@@ -278,9 +274,9 @@ def density_matrix(
 
     ‖M − M†‖_F must be at most atol·‖M‖_F and the trace within atol of 1. The
     Hermitian part (M + M†)/2 is stored, divided by its trace when that is off
-    by more than 1e-12, and must have no eigenvalue below -atol. The one eigh
-    of that check is kept for ``factored``. Operations that preserve these
-    invariants by construction build instances directly.
+    by more than 1e-12, and must have no eigenvalue below -atol. The eigh of
+    that check gives the factor, by ``_eigen_factor``. Operations that
+    preserve these invariants by construction build instances directly.
     """
     dims = validate_dims(dims, max_dim)
     mat = as_matrix(matrix)
@@ -303,7 +299,7 @@ def density_matrix(
     low = float(values[0])
     if low < -atol:
         raise NormalizationError(f"density matrix has negative eigenvalue {low:.3e}")
-    return DensityMatrix(dims=dims, matrix=mat, _eigh=[(values, vectors)])
+    return DensityMatrix(dims=dims, matrix=mat, factor=_eigen_factor(values, vectors))
 
 
 def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> DensityMatrix:
@@ -371,76 +367,68 @@ def _transposed(dims: tuple[int, ...], matrices: np.ndarray, part: tuple[int, ..
 
 def ppt_minimum(state: State, part: SubsetLike) -> float:
     """Smallest eigenvalue of ρ transposed on ``part`` = A; negative proves
-    entanglement across A | rest (the PPT baseline). It is the one-member
-    case of ``ensemble_ppt``.
+    entanglement across A | rest (the PPT baseline). It reads only the
+    state's factor V (d × r, from ``factored``) and is the one-member case of
+    ``ensemble_ppt``.
 
     When d_A > d_rest the rest is transposed instead: ρ^{T_A} = (ρ^{T_rest})^T
     has the same spectrum, and the smaller side is the one that compresses.
     The value then agrees with the transpose on A to rounding (≤ 1e-14).
 
-    A state with an exact factor of one column (a PureState, or a mixture of
-    one term) needs no eigensolve: for ψ with Schmidt coefficients s_1 ≥ s_2
-    ≥ ..., the eigenvalues of ρ^{T_A} are s_i² and ±s_i·s_j for i < j (Vidal
-    & Werner, PRA 65, 032314 (2002)), so the value is −s_1·s_2 from one SVD
-    of the cut's (d_A, d_rest) matrix, 0 at Schmidt rank 1. It agrees with
-    the dense value to rounding (≤ 1e-14), not bit for bit.
+    r = 1 needs no eigensolve: for ψ with Schmidt coefficients s_1 ≥ s_2 ≥
+    ..., the eigenvalues of ρ^{T_A} are s_i² and ±s_i·s_j for i < j (Vidal &
+    Werner, PRA 65, 032314 (2002)), so the value is −s_1·s_2 from one SVD of
+    the cut's (d_A, d_rest) matrix, 0 at Schmidt rank 1.
 
-    Any other state that carries an exact factor V (d × r: a mixture
-    built by ``mix``) is first compressed to ρ's support on the rest when
-    d_A·r < d_rest. With V regrouped as W (d_rest × d_A·r) = Q R, ρ =
-    (1_A ⊗ Q) ρ′ (1_A ⊗ Q)† for the state ρ′ on A ⊗ C^{d_A·r} whose factor is
-    R regrouped, and a transpose on A commutes with the isometry on the rest.
-    So ρ^{T_A} has the spectrum of ρ′^{T_A} (d_A²·r square) plus at least one
-    exact zero, and the value is min(λ_min(ρ′^{T_A}), 0); it agrees with the
-    dense value to rounding (≤ 1e-14 on unit-trace states), not bit for bit.
+    r > 1 regroups V as W (d_rest × d_A·r). Where d_A·r < d_rest, W = Q R
+    compresses it: ρ = (1_A ⊗ Q) ρ′ (1_A ⊗ Q)† for the state ρ′ on A ⊗
+    C^{d_A·r} whose factor is R regrouped, and a transpose on A commutes with
+    the isometry on the rest. So ρ^{T_A} has the spectrum of ρ′^{T_A} (d_A²·r
+    square) plus at least one exact zero, and the value is min(λ_min(ρ′^{T_A}),
+    0). Elsewhere ρ′ is V V† itself, d × d. Either way one eigvalsh of the
+    symmetrized transpose gives the value.
 
-    A bare matrix (a dense file, ``werner``) and a factor
-    too wide to shrink take one eigvalsh of the full d × d transpose, which
-    equals ``hermitian_eigenvalues`` of ρ^{T_A} exactly: ρ^{T_A} − (ρ^{T_A})†
-    = (ρ − ρ†)^{T_A}, so the Hermiticity defect is ρ's, already bounded by
-    validation or construction, and the transpose is only symmetrized. The
-    truncated factor that ``DensityMatrix.factored`` gives a bare matrix
-    drops an eigen-tail set by a rank tolerance, so it is not exact: pass
-    the matrix as loaded, not its ``factored`` form.
+    Every path agrees with the transpose of V V† to rounding (≤ 1e-14 on
+    unit-trace states). A dense matrix's V V† lacks the eigenpairs that
+    ``_eigen_factor`` dropped; by Weyl and ‖X^{T_A}‖_op ≤ ‖X‖_F, the value is
+    within their eigenvalues' 2-norm of the stored matrix's own.
     """
     return ensemble_ppt([state], part)[0]
 
 
 def ensemble_ppt(states: Sequence[State], part: SubsetLike) -> list[float]:
-    """``ppt_minimum`` of each of ``states`` on ``part``, in order. Members
-    that share their dims, their transposed side and their path (and r on a
-    factor path) are one stacked computation: one SVD for r = 1, one ``qr``
-    and one eigvalsh for a compressed mixture, one eigvalsh for the dense
-    transpose. A stacked decomposition gives each matrix the bits of its own,
-    so every value is the member's own ``ppt_minimum``."""
+    """``ppt_minimum`` of each of ``states`` on ``part``, in order. Each
+    member is factored, and the members that share their dims, their
+    transposed side and r are one stacked computation: one SVD for r = 1,
+    else one eigvalsh, after one ``qr`` where the group compresses. A stacked
+    decomposition gives each matrix the bits of its own, so every value is
+    the member's own ``ppt_minimum``."""
     part = tuple(part)
+    states = [state.factored() for state in states]
     groups: dict[tuple, list[int]] = {}
     for b, state in enumerate(states):
         side = _transposed_part(part, state.n)
-        d_a = prod(state.dims[i] for i in side)
-        if d_a * d_a > state.dim:
-            side, d_a = _complement(side, state.n), state.dim // d_a
-        r = 0 if state.factor is None else state.factor.shape[1]
-        if r > 1 and d_a * r >= state.dim // d_a:
-            r = 0  # too wide to shrink: the dense transpose
-        groups.setdefault((state.dims, side, r), []).append(b)
+        if prod(state.dims[i] for i in side) ** 2 > state.dim:
+            side = _complement(side, state.n)
+        groups.setdefault((state.dims, side, state.factor.shape[1]), []).append(b)
     out = [0.0] * len(states)
     for (dims, side, r), members in groups.items():
-        if r == 0:
-            values = _min_eigenvalues(dims, _stack([states[b].matrix for b in members]), side)
-        elif r == 1:
-            factors = _stack([states[b].factor for b in members])
+        factors = _stack([states[b].factor for b in members])
+        if r == 1:
             s = np.linalg.svd(_cuts(dims, factors, side), compute_uv=False)
             values = (0.0 - s[:, 0] * s[:, 1]).tolist()
         else:
-            factors = _stack([states[b].factor for b in members])
             d_a = prod(dims[i] for i in side)
             w = _cuts(dims, factors, _complement(side, len(dims)))
-            core = np.linalg.qr(w, mode="r").reshape(len(members), -1, d_a, r)
-            core = core.transpose(0, 2, 1, 3).reshape(len(members), -1, r)
-            compressed = core @ core.conj().swapaxes(1, 2)
-            values = _min_eigenvalues((d_a, d_a * r), compressed, (0,))
-            values = [min(value, 0.0) for value in values]
+            compress = d_a * r < w.shape[1]
+            core = np.linalg.qr(w, mode="r") if compress else w
+            k = core.shape[1]
+            core = core.reshape(len(members), k, d_a, r).transpose(0, 2, 1, 3)
+            core = core.reshape(len(members), d_a * k, r)
+            pt = _transposed((d_a, k), core @ core.conj().swapaxes(1, 2), (0,))
+            values = np.linalg.eigvalsh((pt + pt.conj().swapaxes(1, 2)) / 2)[:, 0].tolist()
+            if compress:
+                values = [min(value, 0.0) for value in values]
         for b, value in zip(members, values):
             out[b] = value
     return out
@@ -449,15 +437,6 @@ def ensemble_ppt(states: Sequence[State], part: SubsetLike) -> list[float]:
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """``arrays`` as one stack; a single array is a view, not a copy."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _min_eigenvalues(
-    dims: tuple[int, ...], matrices: np.ndarray, part: tuple[int, ...]
-) -> list[float]:
-    """The smallest eigenvalue of each of ``matrices`` transposed on ``part``
-    and symmetrized, from one stacked eigvalsh."""
-    pt = _transposed(dims, matrices, part)
-    return np.linalg.eigvalsh((pt + pt.conj().swapaxes(1, 2)) / 2)[:, 0].tolist()
 
 
 def bipartition_matrix(state: State, subset: SubsetLike) -> np.ndarray:
@@ -555,7 +534,7 @@ def ensemble_ranks(
     one stack through one plan (``_ensemble``). A stacked SVD gives each
     matrix the bits of its own, and a member's certified sides certify only
     its own cuts, so every row is the member's own ``subset_ranks``."""
-    return _ensemble([state.factored(tol) for state in states], masks, partial(_counts, tol))
+    return _ensemble([state.factored() for state in states], masks, partial(_counts, tol))
 
 
 def subset_spectra(state: State, masks: Iterable[int]) -> list[np.ndarray]:

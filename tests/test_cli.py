@@ -448,25 +448,67 @@ def test_ppt_product_state(capsys, product_file):
 
 
 def test_analyze_ppt_of_dense_file_ignores_rank_tolerance(capsys, tmp_path):
-    """The PPT rows are those of the stored matrix, not of the factor that
-    --rtol truncates: at rtol 1e-3 the factor drops the 1e-4 white-noise tail."""
+    """The PPT reads the factor, which no rank tolerance enters: the rows at
+    --rtol 1e-3, where the 1e-4 white-noise tail lies below the rank cutoff,
+    are those at the default, and each lies within the 2-norm of the dropped
+    eigenvalues of the stored matrix's transpose."""
     from entrank.catalog import haar_pure
-    from entrank.linalg import RankTolerance
+    from entrank.linalg import hermitian_eigenvalues
     from entrank.statefile import load_state
-    from entrank.states import DensityMatrix, ppt_minimum
+    from entrank.states import DensityMatrix
+    from oracles import partial_transpose
 
     psi = haar_pure((2, 2, 2), seed=5)
     noisy = (1 - 1e-4) * density_from_pure(psi).matrix + 1e-4 * np.eye(8) / 8
     path = tmp_path / "noisy.json"
     write_state_file(path, density_payload(DensityMatrix(dims=(2, 2, 2), matrix=noisy)))
-    code, out, _ = run(capsys, "analyze", path, "--json", "--ppt", "--rtol", "1e-3")
-    assert code == 0
+    rows = []
+    for flags in (["--rtol", "1e-3"], []):
+        code, out, _ = run(capsys, "analyze", path, "--json", "--ppt", *flags)
+        assert code == 0
+        rows.append(json.loads(out)["ppt"])
+    assert rows[0] == rows[1]
     loaded = load_state(path)
-    truncated = loaded.factored(RankTolerance(rtol=1e-3, atol=0.0))
-    assert truncated.factor.shape[1] == 1
-    for i, row in enumerate(json.loads(out)["ppt"]):
-        assert row["min_eigenvalue"] == ppt_minimum(loaded, (i,))
-        assert row["min_eigenvalue"] != ppt_minimum(truncated, (i,))
+    r = loaded.factor.shape[1]
+    bound = np.linalg.norm(np.linalg.eigvalsh(loaded.matrix)[: loaded.dim - r]) + 1e-14
+    for i, row in enumerate(rows[0]):
+        expected = hermitian_eigenvalues(partial_transpose(loaded, (i,)))[-1]
+        assert abs(row["min_eigenvalue"] - expected) <= bound
+
+
+def test_load_accepted_negative_noise_does_not_flag_a_separable_file(capsys, tmp_path):
+    """½|00⟩⟨00| + ½|11⟩⟨11| + 1e-7·(|00⟩⟨00| − |Ψ⁺⟩⟨Ψ⁺|) is separable but for
+    an eigenvalue −1e-7, which load accepts (``LOAD_TOL`` is 1e-6). The
+    factor drops it with the eigenvalues eigh cannot tell from zero, so no
+    part reads as entangled; the stored matrix's transpose reads −5e-8."""
+    from entrank.states import DensityMatrix
+
+    psi_plus = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
+    matrix = np.diag([0.5 + 1e-7, 0.0, 0.0, 0.5]) - 1e-7 * np.outer(psi_plus, psi_plus)
+    path = tmp_path / "noisy_product.json"
+    write_state_file(path, density_payload(DensityMatrix(dims=(2, 2), matrix=matrix + 0j)))
+    code, out, _ = run(capsys, "analyze", path, "--json", "--ppt")
+    assert code == 0
+    rows = json.loads(out)["ppt"]
+    assert [(row["min_eigenvalue"], row["flag"]) for row in rows] == [(0.0, "NOT-DETECTED")] * 2
+
+
+def test_zero_cutoff_ranks_of_a_dense_file_are_exact(capsys, tmp_path):
+    """A dense file's factor does not depend on the rank cutoff and keeps
+    only the eigenvalues above eigh's error, so at --rtol 0 --atol 0 a
+    generic rank-4 mixture of 8 qubits has state rank 4, and tracing out t
+    qubits leaves the closed-form rank min(2^(8−t), 4·2^t)."""
+    path = tmp_path / "mixed8.json"
+    write_state_file(path, density_payload(catalog.mixed_of_rank((2,) * 8, seed=7, rank=4)))
+    code, out, _ = run(
+        capsys, "analyze", path, "--json", "--rtol", "0", "--atol", "0", "--depth", "7"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["state_rank"] == 4
+    ranks = [(row["rank"], len(row["traced_out"])) for row in report["lattice"]]
+    assert len(ranks) == 2**8 - 2
+    assert all(rank == min(2 ** (8 - t), 4 * 2**t) for rank, t in ranks)
 
 
 def test_ppt_of_wide_pure_state_builds_no_dense_matrix(capsys, tmp_path):

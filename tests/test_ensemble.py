@@ -72,27 +72,31 @@ def bits(values):
 
 
 def ppt_alone(state, part):
-    """The PPT value from one 2-D decomposition, as before stacking."""
+    """The PPT value from one 2-D decomposition of the state's factor, as
+    before stacking: −s_1·s_2 for r = 1, else the transposed ρ′ = R R†
+    (compressed by ``qr`` where d_A·r < d_rest) or V V†."""
+    state = state.factored()
     n, d = state.n, state.dim
     part = tuple(sorted(part))
     d_a = prod(state.dims[i] for i in part)
     if d_a * d_a > d:
         part = tuple(i for i in range(n) if i not in part)
         d_a = d // d_a
-    v = state.factor
-    if v is not None and v.shape[1] == 1:
+    r = state.factor.shape[1]
+    if r == 1:
         s = np.linalg.svd(bipartition_matrix(state, part), compute_uv=False)
         return 0.0 - float(s[0] * s[1])
-    if v is not None and d_a * v.shape[1] < d // d_a:
-        r = v.shape[1]
-        rest = tuple(i for i in range(n) if i not in part)
-        core = np.linalg.qr(bipartition_matrix(state, rest), mode="r")
-        core = core.reshape(-1, d_a, r).transpose(1, 0, 2).reshape(-1, r)
-        compressed = DensityMatrix(dims=(d_a, d_a * r), matrix=core @ core.conj().T)
-        pt = partial_transpose(compressed, (0,))
-        return min(float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0]), 0.0)
-    pt = partial_transpose(state, part)
-    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+    rest = tuple(i for i in range(n) if i not in part)
+    compress = d_a * r < d // d_a
+    core = bipartition_matrix(state, rest)
+    if compress:
+        core = np.linalg.qr(core, mode="r")
+    k = core.shape[0]
+    core = core.reshape(k, d_a, r).transpose(1, 0, 2).reshape(-1, r)
+    compressed = DensityMatrix(dims=(d_a, k), matrix=core @ core.conj().T)
+    pt = partial_transpose(compressed, (0,))
+    value = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+    return min(value, 0.0) if compress else value
 
 
 @pytest.mark.parametrize("dims", DIMS, ids=lambda dims: "x".join(map(str, dims)))
@@ -135,7 +139,7 @@ def test_werner_grid_lattices_and_ppt_are_each_members_own():
 
 @pytest.mark.parametrize("dims", DIMS, ids=lambda dims: "x".join(map(str, dims)))
 def test_stacked_transpose_is_each_members_own_permutation(dims):
-    """The stacked transpose behind the dense PPT path gives every member, on
+    """The stacked transpose behind the PPT eigensolve gives every member, on
     every proper part, exactly the entries of the oracle's index permutation."""
     states = members(dims)
     matrices = np.stack([dense_matrix(state) for state in states])
@@ -150,8 +154,9 @@ def test_stacked_transpose_is_each_members_own_permutation(dims):
 @pytest.mark.parametrize("dims", DIMS, ids=lambda dims: "x".join(map(str, dims)))
 def test_ensemble_ppt_is_each_members_own_bit_for_bit(dims):
     """Pure members (one SVD), mixtures that compress (qr and eigvalsh),
-    mixtures too wide to and bare matrices (the dense transpose), over every
-    proper part, against one 2-D decomposition per member."""
+    mixtures too wide to (the transposed V V†) and bare matrices (factored
+    first), over every proper part, against one 2-D decomposition per
+    member."""
     states = members(dims)
     states += [DensityMatrix(dims=s.dims, matrix=s.matrix) for s in states[1:4]]
     n = len(dims)

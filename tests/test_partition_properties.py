@@ -198,7 +198,7 @@ def test_dense_form_ranks_are_those_of_one_svd_per_subset(mixture):
         for rtol in (1e-6, 1e-10, 1e-13):
             for atol in (RankTolerance().atol, 0.0):
                 tol = RankTolerance(rtol=rtol, atol=atol)
-                factored = state.factored(tol)
+                factored = state.factored()
                 expected = [
                     rank_from_values(bipartition_spectrum(factored, s), tol) for s in subsets
                 ]

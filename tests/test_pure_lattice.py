@@ -144,7 +144,7 @@ SPECTRA_STATES = {
 def test_ranks_counted_from_the_spectra_are_the_kernel_ranks(name, tol):
     """Cut for cut, over every subset and repeats, including those whose
     rank the kernel infers without an SVD."""
-    state = SPECTRA_STATES[name].factored(tol)
+    state = SPECTRA_STATES[name].factored()
     full = (1 << state.n) - 1
     subsets = list(range(1, full + 1)) + list(range(full, 0, -5))
     counted = [rank_from_values(s * s, tol) for s in subset_spectra(state, subsets)]

@@ -448,6 +448,21 @@ def test_state_payload_picks_the_state_form(tmp_path):
         assert np.allclose(dense_matrix(load_state(path)), dense_matrix(state), atol=1e-12)
 
 
+def test_state_payload_of_a_loaded_dense_state_is_its_factors_mixture(tmp_path):
+    """A loaded dense state carries its eigen-factor V, so ``state_payload``
+    writes the mixture of V's columns; read back, its matrix is the stored
+    one to 1e-12."""
+    from entrank.statefile import state_payload
+
+    rho = mixed_of_rank((2, 3), seed=6, rank=3)
+    loaded = load_state(write(tmp_path, density_payload(rho), "dense.json"))
+    payload = state_payload(loaded)
+    assert payload["kind"] == "mixture"
+    assert len(payload["terms"]) == 3
+    again = load_state(write(tmp_path, payload, "mixture.json"))
+    assert np.allclose(again.matrix, loaded.matrix, rtol=0.0, atol=1e-12)
+
+
 def test_amplitude_entries_list_every_nonzero_amplitude_in_order():
     """An amplitude of signed zeros is left out; any other keeps its entry, with
     its index per particle and the sign of a zero part, as the loop over every
