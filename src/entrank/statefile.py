@@ -7,9 +7,11 @@ Schema (format_version "1"):
 
 ``kind`` is one of pure, mixture, dense. A mixture carries ``terms``, each a
 weight plus an amplitude list; dense carries ``matrix`` as nested rows of
-re/im objects. Amplitudes are keyed by per-particle index vectors, unlisted
-basis states are zero, and no complex literals appear, so files stay
-dimension-explicit and portable. An optional ``metadata`` object records
+re/im objects, which ``load_state`` decodes straight to complex numbers
+(``_decode_object``), so a dense file is never held as one dict per cell.
+Amplitudes are keyed by per-particle index vectors, unlisted basis states
+are zero, and no complex literals appear, so files stay dimension-explicit
+and portable. An optional ``metadata`` object records
 provenance such as generator names and seeds.
 
 Loaded payloads must be normalized within ``LOAD_TOL`` (1e-6): the norm of
@@ -64,9 +66,51 @@ def _is_index(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class _ReFirst(complex):
+    """A cell decoded from an object written re first; a plain complex cell
+    was written im first, the writers' sorted order."""
+
+    __slots__ = ()
+
+
+def _decode_object(pairs: list) -> Any:
+    """``load_state``'s object hook: an object of exactly the fields re and
+    im, both floats, becomes a complex (a dense cell); every other object a
+    dict. ``_as_decoded`` gives the cell back as the object it was."""
+    if len(pairs) == 2:
+        (k0, v0), (k1, v1) = pairs
+        if type(v0) is float and type(v1) is float:
+            if k0 == "im" and k1 == "re":
+                return complex(v1, v0)
+            if k0 == "re" and k1 == "im":
+                return _ReFirst(v0, v1)
+    return dict(pairs)
+
+
+def _as_decoded(value: Any) -> Any:
+    """``value`` as plain ``json.loads`` gives it, each complex cell back to
+    its object with its fields in their order: the form that the object
+    checks read and the error messages show, so no message depends on the
+    hook."""
+    if isinstance(value, complex):
+        if isinstance(value, _ReFirst):
+            return {"re": value.real, "im": value.imag}
+        return {"im": value.imag, "re": value.real}
+    if isinstance(value, dict):
+        return {key: _as_decoded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_as_decoded(item) for item in value]
+    return value
+
+
+def _object(value: Any) -> Any:
+    """``value``, or the object of a complex cell where an object is expected."""
+    return _as_decoded(value) if isinstance(value, complex) else value
+
+
 def _parse_float(value: Any, where: str) -> float:
     if not _is_number(value):
-        raise StateFileError(f"{where}: expected a number, got {value!r}")
+        raise StateFileError(f"{where}: expected a number, got {_as_decoded(value)!r}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond the float range
@@ -75,8 +119,9 @@ def _parse_float(value: Any, where: str) -> float:
 
 def _checked_complex(entry: dict, where: str) -> complex:
     """complex(entry["re"], entry["im"]), or an error naming ``where`` and the
-    bad field. Only the cell loops call it, and a valid file never reaches
-    them: the bulk parsers take it."""
+    bad field. Only the cell loops call it. A valid file reaches them only
+    with a dense cell that the decoder left as an object (an int field);
+    the bulk parsers take the rest."""
     re = _parse_float(_require(entry, "re", where), where)
     im = _parse_float(_require(entry, "im", where), where)
     return complex(re, im)
@@ -125,6 +170,7 @@ def _amplitude_cells(entries: list, dims: tuple[int, ...], where: str) -> np.nda
         return f"{where}, amplitude {pos}"
 
     for pos, entry in enumerate(entries):
+        entry = _object(entry)
         if not isinstance(entry, dict):
             raise StateFileError(f"{at(pos)}: expected an object")
         index = entry.get("index")
@@ -158,26 +204,24 @@ def _normalized(amps: np.ndarray, where: str) -> np.ndarray:
 
 
 def _parse_matrix(rows: Any, d: int, where: str) -> np.ndarray:
-    """The d × d matrix of nested re/im rows, checked and converted in bulk
-    (one list per field, one type check); an input that fails the bulk
-    check goes through ``_matrix_cells``, which names its first bad cell."""
+    """The d × d matrix of nested rows of cells, converted in bulk by one
+    ``np.array`` when every cell is a complex, as ``load_state`` decodes
+    them; an input with any other cell, a dict too, goes through
+    ``_matrix_cells``, which names its first bad cell."""
     if not isinstance(rows, list) or len(rows) != d:
         raise StateFileError(f"{where}: matrix must have {d} rows")
-    if set(map(type, rows)) == {list} and set(map(len, rows)) == {d}:
-        try:
-            re = [cell["re"] for row in rows for cell in row]
-            im = [cell["im"] for row in rows for cell in row]
-            if _numbers(re, im):
-                out = np.empty(d * d, dtype=np.complex128)
-                out.real, out.imag = np.array(re, np.float64), np.array(im, np.float64)
-                return out.reshape(d, d)
-        except (TypeError, KeyError, OverflowError):
-            pass
+    if (
+        set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {d}
+        and set(map(type, chain.from_iterable(rows))) <= {complex, _ReFirst}
+    ):
+        return np.array(rows, np.complex128)
     return _matrix_cells(rows, d, where)
 
 
 def _matrix_cells(rows: list, d: int, where: str) -> np.ndarray:
-    """The matrix cell by cell, raising at the first bad row or cell."""
+    """The matrix cell by cell, raising at the first bad row or cell; a cell
+    is a complex or an object with re/im."""
     out = np.empty((d, d), dtype=np.complex128)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != d:
@@ -185,9 +229,11 @@ def _matrix_cells(rows: list, d: int, where: str) -> np.ndarray:
         values: list[complex] = []
         for cell in row:
             ctx = f"{where}, row {i}, column {len(values)}"
-            if not isinstance(cell, dict):
+            if isinstance(cell, dict):
+                cell = _checked_complex(cell, ctx)
+            elif not isinstance(cell, complex):
                 raise StateFileError(f"{ctx}: expected an object with re/im")
-            values.append(_checked_complex(cell, ctx))
+            values.append(cell)
         out[i] = values
     return out
 
@@ -198,12 +244,15 @@ def parse_state(
     context: str = "state file",
 ) -> State:
     """Validate a decoded state-file object and build the state it describes;
-    every error names ``context``, those of the constructors it calls too."""
+    every error names ``context``, those of the constructors it calls too.
+    Dense cells may be complex, as ``load_state`` decodes them, or objects
+    with re/im, with the same bits."""
+    payload = _object(payload)
     if not isinstance(payload, dict):
         raise StateFileError(f"{context}: top level must be an object")
     version = _require(payload, "format_version", context)
     if version != FORMAT_VERSION:
-        raise StateFileError(f"{context}: unsupported format_version {version!r}")
+        raise StateFileError(f"{context}: unsupported format_version {_as_decoded(version)!r}")
     kind = _require(payload, "kind", context)
     dims_raw = _require(payload, "dims", context)
     if not isinstance(dims_raw, list) or not all(
@@ -224,6 +273,7 @@ def parse_state(
             terms = []
             for pos, term in enumerate(terms_raw):
                 ctx = f"{context}, term {pos}"
+                term = _object(term)
                 if not isinstance(term, dict):
                     raise StateFileError(f"{ctx}: expected an object")
                 weight = _parse_float(_require(term, "weight", ctx), ctx)
@@ -239,7 +289,7 @@ def parse_state(
         raise
     except EntrankError as exc:
         raise type(exc)(f"{context}: {exc}") from exc
-    raise StateFileError(f"{context}: unknown kind {kind!r}")
+    raise StateFileError(f"{context}: unknown kind {_as_decoded(kind)!r}")
 
 
 def load_state(
@@ -263,7 +313,7 @@ def load_state(
         raise StateFileError(f"{path}: {exc}") from exc
     del data
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_decode_object)
     except json.JSONDecodeError as exc:
         raise StateFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

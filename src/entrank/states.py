@@ -10,7 +10,8 @@ the most significant digit and a ket string like |011⟩ reads left to right.
 
 Every state is held as a factor V (d × r) with ρ = V V†: a PureState is the
 case r = 1 (V is its amplitude column), a mixture keeps the columns
-√w_j·ψ_j of its terms, and a dense matrix gets V from one eigendecomposition
+√w_j·ψ_j of its terms (its d × d matrix is built only when ``matrix`` is
+read), and a dense matrix gets V from one eigendecomposition
 by ``_eigen_factor``, a rule that no rank tolerance enters: ``density_matrix``
 applies it to the eigh of its PSD check, ``factored`` to a matrix built
 without a factor. The rank of the reduced state of a subset S is then the
@@ -46,15 +47,16 @@ compressed first to ρ's support on the rest where that is smaller (see
 ``ppt_minimum``). A dense matrix from outside enters through
 ``density_matrix`` alone, which validates it once.
 
-All operations are pure functions and safe for concurrent use.
+All operations are pure functions and safe for concurrent use; a mixture's
+first ``matrix`` read stores the matrix that any read would build.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import combinations
 from math import comb, prod
 from operator import index
@@ -182,18 +184,36 @@ class PureState:
         return self
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix over the joint basis of ``dims``.
 
     ``factor`` is V (d × r) with ρ = V V†, from ``density_matrix`` or
     ``mix``; ``factored`` supplies it for a matrix built without one
-    (``werner``, ``partial_trace``).
+    (``werner``, ``partial_trace``). A mixture from ``mix`` stores no
+    matrix: it keeps its ``terms``, the columns ψ_j and weights w_j, and
+    ``matrix`` is built from them the first time it is read. No rank, PPT
+    or mixture payload reads it.
     """
 
-    dims: tuple[int, ...]
-    matrix: np.ndarray
-    factor: Optional[np.ndarray] = None
+    def __init__(
+        self,
+        dims: tuple[int, ...],
+        matrix: Optional[np.ndarray] = None,
+        factor: Optional[np.ndarray] = None,
+        *,
+        terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
+        self.dims = dims
+        self.factor = factor
+        self._terms = terms
+        if matrix is not None:
+            self.matrix = matrix
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """ρ (d × d); a mixture's is Σ_j w_j ψ_j ψ_j†, built on first read."""
+        columns, weights = self._terms
+        return (columns * weights) @ columns.conj().T
 
     @property
     def n(self) -> int:
@@ -201,14 +221,14 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return prod(self.dims)
 
     def factored(self) -> DensityMatrix:
         """This state with its factor V; a bare matrix gets it from one eigh
         by ``_eigen_factor``, the rule of ``density_matrix``."""
         if self.factor is not None:
             return self
-        return replace(self, factor=_eigen_factor(*np.linalg.eigh(self.matrix)))
+        return DensityMatrix(self.dims, self.matrix, _eigen_factor(*np.linalg.eigh(self.matrix)))
 
 
 def _eigen_factor(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -304,7 +324,8 @@ def density_matrix(
 
 def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> DensityMatrix:
     """Convex mixture sum_j w_j |psi_j><psi_j| of pure states on shared dims,
-    with the factor V = [√w_1·psi_1, ..., √w_r·psi_r]."""
+    with the factor V = [√w_1·psi_1, ..., √w_r·psi_r]; its d × d matrix is
+    built only when ``matrix`` is read."""
     if not terms:
         raise ShapeError("mixture requires at least one term")
     dims = terms[0][1].dims
@@ -319,8 +340,7 @@ def mix(terms: Sequence[tuple[float, PureState]], weight_atol: float = 1e-9) -> 
         raise NormalizationError(f"mixture weights sum to {total!r}, expected 1")
     columns = np.stack([psi.amplitudes for _, psi in terms], axis=1)
     weights = np.array([float(weight) for weight, _ in terms])
-    matrix = (columns * weights) @ columns.conj().T
-    return DensityMatrix(dims=dims, matrix=matrix, factor=columns * np.sqrt(weights))
+    return DensityMatrix(dims, factor=columns * np.sqrt(weights), terms=(columns, weights))
 
 
 def _complement(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -398,9 +418,10 @@ def ppt_minimum(state: State, part: SubsetLike) -> float:
 
 def ensemble_ppt(states: Sequence[State], part: SubsetLike) -> list[float]:
     """``ppt_minimum`` of each of ``states`` on ``part``, in order. Each
-    member is factored, and the members that share their dims, their
-    transposed side and r are one stacked computation: one SVD for r = 1,
-    else one eigvalsh, after one ``qr`` where the group compresses. A stacked
+    member is factored, and the members that share their dims and their
+    transposed side are stacked: the r = 1 members in one SVD, the members
+    of one r that compress in one eigvalsh after one ``qr``, and the other
+    r > 1 members, whose ρ′ is d × d whatever r, in one eigvalsh. A stacked
     decomposition gives each matrix the bits of its own, so every value is
     the member's own ``ppt_minimum``."""
     part = tuple(part)
@@ -408,30 +429,47 @@ def ensemble_ppt(states: Sequence[State], part: SubsetLike) -> list[float]:
     groups: dict[tuple, list[int]] = {}
     for b, state in enumerate(states):
         side = _transposed_part(part, state.n)
-        if prod(state.dims[i] for i in side) ** 2 > state.dim:
-            side = _complement(side, state.n)
-        groups.setdefault((state.dims, side, state.factor.shape[1]), []).append(b)
+        d_a = prod(state.dims[i] for i in side)
+        if d_a * d_a > state.dim:
+            side, d_a = _complement(side, state.n), state.dim // d_a
+        r = state.factor.shape[1]
+        # r, or 0 for r > 1 without compression (d_A·r ≥ d_rest)
+        key = r if r == 1 or d_a * r < state.dim // d_a else 0
+        groups.setdefault((state.dims, side, key), []).append(b)
     out = [0.0] * len(states)
-    for (dims, side, r), members in groups.items():
-        factors = _stack([states[b].factor for b in members])
-        if r == 1:
+    for (dims, side, key), members in groups.items():
+        if key == 1:
+            factors = _stack([states[b].factor for b in members])
             s = np.linalg.svd(_cuts(dims, factors, side), compute_uv=False)
             values = (0.0 - s[:, 0] * s[:, 1]).tolist()
         else:
-            d_a = prod(dims[i] for i in side)
-            w = _cuts(dims, factors, _complement(side, len(dims)))
-            compress = d_a * r < w.shape[1]
-            core = np.linalg.qr(w, mode="r") if compress else w
-            k = core.shape[1]
-            core = core.reshape(len(members), k, d_a, r).transpose(0, 2, 1, 3)
-            core = core.reshape(len(members), d_a * k, r)
-            pt = _transposed((d_a, k), core @ core.conj().swapaxes(1, 2), (0,))
+            by_r: dict[int, list[int]] = {}
+            for b in members:
+                by_r.setdefault(states[b].factor.shape[1], []).append(b)
+            members = [b for same_r in by_r.values() for b in same_r]
+            pt = np.concatenate([
+                _transposed_core(dims, side, _stack([states[b].factor for b in same_r]))
+                for same_r in by_r.values()
+            ])
             values = np.linalg.eigvalsh((pt + pt.conj().swapaxes(1, 2)) / 2)[:, 0].tolist()
-            if compress:
+            if key:  # compressed: ρ^{T_A} has at least one more exact zero
                 values = [min(value, 0.0) for value in values]
         for b, value in zip(members, values):
             out[b] = value
     return out
+
+
+def _transposed_core(dims: tuple[int, ...], side: tuple[int, ...], factors: np.ndarray) -> np.ndarray:
+    """ρ′^{T_A} of each of the stack ``factors`` (B, d, r) over ``dims``,
+    with A = ``side`` (see ``ppt_minimum``): W = V regrouped (d_rest ×
+    d_A·r), compressed to its ``qr`` factor R where d_A·r < d_rest."""
+    d_a, r = prod(dims[i] for i in side), factors.shape[2]
+    w = _cuts(dims, factors, _complement(side, len(dims)))
+    core = np.linalg.qr(w, mode="r") if d_a * r < w.shape[1] else w
+    k = core.shape[1]
+    core = core.reshape(len(factors), k, d_a, r).transpose(0, 2, 1, 3)
+    core = core.reshape(len(factors), d_a * k, r)
+    return _transposed((d_a, k), core @ core.conj().swapaxes(1, 2), (0,))
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:

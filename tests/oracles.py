@@ -7,7 +7,8 @@ instruments that build test inputs live here too: ``masks``,
 ``place_parts``, ``tensor_pure``, ``density_from_pure``, ``dense_matrix``,
 ``random_unitary`` and ``apply_local_unitaries``. ``graph_state`` and
 ``graph_rank`` are a closed form of lattice ranks: a graph state's reduced
-ranks are powers of two read from its adjacency matrix over GF(2). ``partial_transpose`` is
+ranks are powers of two read from its adjacency matrix over GF(2); ``dicke``
+and ``dicke_rank`` another, for the Dicke states D(n, k). ``partial_transpose`` is
 the reference of the PPT paths, one index permutation written apart from
 the package's transposes. ``kron_chain`` is the reference layout of a
 product, chained ``np.kron``, against which ``states.tensor_product`` and the
@@ -18,7 +19,7 @@ catalog's batched draws.
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
@@ -186,6 +187,23 @@ def graph_rank(adjacency, traced):
                 rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return 2**rank
+
+
+def dicke(n, k):
+    """The Dicke state D(n, k): the equal superposition of the C(n, k) basis
+    states of n qubits with k ones."""
+    amps = np.zeros(2**n, dtype=complex)
+    for index in range(2**n):
+        if bin(index).count("1") == k:
+            amps[index] = 1 / np.sqrt(comb(n, k))
+    return PureState(dims=(2,) * n, amplitudes=amps)
+
+
+def dicke_rank(n, k, kept):
+    """The rank of D(n, k)'s reduced state on ``kept`` of its qubits: the
+    number of ones j the kept qubits can hold, j from max(0, k − n + kept)
+    to min(k, kept), each a Schmidt vector of its own."""
+    return min(k, kept) - max(0, k - n + kept) + 1
 
 
 def masks(subsets):

@@ -42,6 +42,8 @@ from entrank.states import (
 )
 from oracles import (
     density_from_pure,
+    dicke,
+    dicke_rank,
     graph_rank,
     graph_state,
     monotonicity_oracle,
@@ -225,6 +227,20 @@ def test_graph_state_lattices_are_the_gf2_ranks():
         assert lattice.entries == {t: graph_rank(adjacency, t) for t in lattice.entries}
         checked += len(lattice.entries)
     assert checked > 1000
+
+
+def test_dicke_state_lattices_are_the_closed_form():
+    """Every default-depth entry of the Dicke states D(n, k), n = 3..10 and
+    k = 0..n (11958 entries), is min(k, m) − max(0, k − n + m) + 1 with m
+    qubits kept, at the default tolerance."""
+    checked = 0
+    for n in range(3, 11):
+        for k in range(n + 1):
+            lattice = rank_lattice(dicke(n, k))
+            assert lattice.state_rank == 1
+            assert lattice.entries == {t: dicke_rank(n, k, n - len(t)) for t in lattice.entries}
+            checked += len(lattice.entries)
+    assert checked == 11958
 
 
 # ---------------------------------------------------------------- verdict

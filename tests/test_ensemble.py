@@ -167,6 +167,19 @@ def test_ensemble_ppt_is_each_members_own_bit_for_bit(dims):
             assert bits(values) == bits(ppt_minimum(s, part) for s in states), part
 
 
+def test_uncompressed_members_of_every_r_share_one_eigvalsh(monkeypatch):
+    """On 3x3, members of r = 2, 3, 4 do not compress (d_A·r ≥ d_rest), so
+    every ρ′ is d × d whatever r: one stacked eigvalsh takes them all, and
+    each value is still the member's own."""
+    states = [mixed_of_rank((3, 3), seed=50 + k, rank=r) for k, r in enumerate((2, 3, 4, 2))]
+    alone = [ppt_alone(state, (0,)) for state in states]
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    assert bits(ensemble_ppt(states, (0,))) == bits(alone)
+    assert shapes == [(4, 9, 9)]
+
+
 def certifying_stack():
     """Two rank-2 mixtures on three qubits: ``certifies`` is generic, so its
     two-qubit reduced state on {0, 1} has full rank 4 with margin and

@@ -368,8 +368,9 @@ def test_amplitude_errors_the_bulk_check_hands_to_the_entry_loop(entry, message)
 
 
 def test_valid_files_load_in_bulk_bit_for_bit(tmp_path, monkeypatch):
-    """Valid pure, mixture and dense files never reach the entry loops, and
-    the bulk arrays equal the loops' bit for bit, ints and floats alike."""
+    """Valid pure, mixture and dense files, decoded as ``load_state`` decodes
+    them, never reach the entry loops, and the bulk arrays equal the loops'
+    bit for bit, ints and floats alike."""
     from entrank import statefile
 
     basis = {"format_version": "1", "kind": "pure", "dims": [2, 3, 2],
@@ -387,6 +388,7 @@ def test_valid_files_load_in_bulk_bit_for_bit(tmp_path, monkeypatch):
         else:
             for amps in [t["amplitudes"] for t in payload.get("terms", [payload])]:
                 expected.append(statefile._amplitude_cells(amps, tuple(payload["dims"]), "x"))
+    paths = [write(tmp_path, payload, f"{k}.json") for k, payload in enumerate(payloads)]
 
     def refuse(*args):
         raise AssertionError("a valid file reached the entry loop")
@@ -394,13 +396,14 @@ def test_valid_files_load_in_bulk_bit_for_bit(tmp_path, monkeypatch):
     monkeypatch.setattr(statefile, "_amplitude_cells", refuse)
     monkeypatch.setattr(statefile, "_matrix_cells", refuse)
     got = []
-    for payload in payloads:
+    for path in paths:
+        payload = json.loads(path.read_text(), object_pairs_hook=statefile._decode_object)
         if payload["kind"] == "dense":
             got.append(statefile._parse_matrix(payload["matrix"], 6, "x"))
         else:
             for amps in [t["amplitudes"] for t in payload.get("terms", [payload])]:
                 got.append(statefile._parse_amplitudes(amps, tuple(payload["dims"]), "x"))
-        parse_state(payload, max_dim=64)
+        load_state(path, max_dim=64)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
 
 
@@ -494,3 +497,150 @@ def entries_one_by_one(psi):
         index = [int(i) for i in np.unravel_index(flat, psi.dims)]
         entries.append({"index": index, "re": float(value.real), "im": float(value.imag)})
     return entries
+
+
+# ------------------------------------------------- the decoder's complex cells
+
+CELL = '{"im": 0.0, "re": 0.0}'
+AMP = '{"im": 0.0, "index": [0], "re": 1.0}'
+
+
+def _dense_text(cell=CELL, row=None, matrix=None, metadata=""):
+    """A 2 × 2 dense file of ρ = 1/2, with ``cell`` at row 1, column 0."""
+    rows = ['[{"im": 0.0, "re": 0.5}, ' + CELL + "]", f'[{cell}, {{"im": 0.0, "re": 0.5}}]']
+    if row is not None:
+        rows[1] = row
+    matrix = matrix or "[" + ", ".join(rows) + "]"
+    return f'{{"dims": [2], "format_version": "1", "kind": "dense", "matrix": {matrix}{metadata}}}'
+
+
+def _pure_text(amps=f"[{AMP}]", version='"1"', kind='"pure"', dims="[2]", metadata=""):
+    return (f'{{"amplitudes": {amps}, "dims": {dims}, "format_version": {version}, '
+            f'"kind": {kind}{metadata}}}')
+
+
+def _mixture_text(terms):
+    return f'{{"dims": [2], "format_version": "1", "kind": "mixture", "terms": {terms}}}'
+
+
+# (file text, exit code of `analyze`, its error line after the file's path);
+# each line is the one that plain json.loads decoding gave before the decoder
+# turned re/im objects into complex numbers.
+DECODER_CASES = {
+    "cell-bool-re": (_dense_text('{"im": 0.0, "re": true}'), 2,
+                     ", row 1, column 0: expected a number, got True"),
+    "cell-string-im": (_dense_text('{"im": "0", "re": 0.0}'), 2,
+                       ", row 1, column 0: expected a number, got '0'"),
+    "cell-missing-im": (_dense_text('{"re": 0.0}'), 2,
+                        ", row 1, column 0: missing required field 'im'"),
+    "cell-extra-key": (_dense_text('{"im": 0.0, "re": 0.0, "x": 1}'), 0, None),
+    "cell-huge-int": (_dense_text('{"im": 0.0, "re": ' + "9" * 400 + "}"), 2,
+                      ", row 1, column 0: number too large for a float"),
+    "cell-nan": (_dense_text('{"im": 0.0, "re": NaN}'), 2, ": matrix contains NaN or Inf entries"),
+    "cell-infinity": (_dense_text('{"im": Infinity, "re": 0.0}'), 2,
+                      ": matrix contains NaN or Inf entries"),
+    "cell-duplicate-key": (_dense_text('{"im": 0.0, "re": 0.7, "re": 0.0}'), 0, None),
+    "cell-duplicate-re-no-im": (_dense_text('{"re": 0.0, "re": 0.0}'), 2,
+                                ", row 1, column 0: missing required field 'im'"),
+    "cell-ints": (_dense_text('{"im": 0, "re": 0}'), 0, None),
+    "cell-re-first": (_dense_text('{"re": 0.0, "im": 0.0}'), 0, None),
+    "cell-signed-zeros": (_dense_text('{"re": -0.0, "im": -0.0}'), 0, None),
+    "cell-re-is-a-cell": (_dense_text('{"im": 0.0, "re": ' + CELL + "}"), 2,
+                          ", row 1, column 0: expected a number, got {'im': 0.0, 're': 0.0}"),
+    "cell-re-is-a-re-first-object": (
+        _dense_text('{"im": 0.0, "re": {"re": 1.0, "im": 2}}'), 2,
+        ", row 1, column 0: expected a number, got {'re': 1.0, 'im': 2}"),
+    "cell-number": (_dense_text("0.0"), 2, ", row 1, column 0: expected an object with re/im"),
+    "cell-list": (_dense_text("[0.0, 0.0]"), 2, ", row 1, column 0: expected an object with re/im"),
+    "row-is-a-cell": (_dense_text(row=CELL), 2, ", row 1: expected 2 entries"),
+    "matrix-is-a-cell": (_dense_text(matrix=CELL), 2, ": matrix must have 2 rows"),
+    "dense-metadata-cells": (_dense_text(metadata=', "metadata": {"z": {"re": 1.0, "im": 0.0}, '
+                                                  '"w": [{"im": 2.0, "re": 1.0}]}'), 0, None),
+    "amplitude-is-a-cell": (_pure_text('[{"im": 0.0, "re": 1.0}]'), 2,
+                            ", amplitude 0: missing required field 'index'"),
+    "amplitude-is-a-re-first-cell": (_pure_text(f'[{AMP}, {{"re": 1.0, "im": 0.0}}]'), 2,
+                                     ", amplitude 1: missing required field 'index'"),
+    "amplitude-re-is-a-cell": (_pure_text('[{"im": 0.0, "index": [0], "re": ' + CELL + "}]"), 2,
+                               ", amplitude 0: expected a number, got {'im': 0.0, 're': 0.0}"),
+    "amplitudes-is-a-cell": (_pure_text(CELL), 2, ": amplitude list expected"),
+    "index-holds-a-cell": (_pure_text('[{"im": 0.0, "index": [' + CELL + '], "re": 1.0}]'), 2,
+                           ", amplitude 0: index must list one integer per particle"),
+    "index-is-a-cell": (_pure_text('[{"im": 0.0, "index": ' + CELL + ', "re": 1.0}]'), 2,
+                        ", amplitude 0: index must list one integer per particle"),
+    "amplitude-ints": (_pure_text('[{"im": 0, "index": [1], "re": 1}]'), 0, None),
+    "pure-metadata-is-a-cell": (_pure_text(metadata=', "metadata": {"im": 0.5, "re": 0.25}'),
+                                0, None),
+    "version-is-a-cell": (_pure_text(version='{"im": 0.0, "re": 1.0}'), 2,
+                          ": unsupported format_version {'im': 0.0, 're': 1.0}"),
+    "kind-is-a-re-first-cell": (_pure_text(kind='{"re": 1.0, "im": -0.0}'), 2,
+                                ": unknown kind {'re': 1.0, 'im': -0.0}"),
+    "kind-holds-a-cell": (_pure_text(kind='{"a": [{"re": 1.0, "im": 2.0}]}'), 2,
+                          ": unknown kind {'a': [{'re': 1.0, 'im': 2.0}]}"),
+    "dims-hold-a-cell": (_pure_text(dims='[{"im": 0.0, "re": 2.0}]'), 2,
+                         ": dims must be a list of integers"),
+    "top-level-is-a-cell": ('{"im": 0.0, "re": 1.0}', 2,
+                            ": missing required field 'format_version'"),
+    "term-is-a-cell": (_mixture_text(f"[{CELL}]"), 2, ", term 0: missing required field 'weight'"),
+    "terms-is-a-cell": (_mixture_text(CELL), 2, ": mixture needs a nonempty terms list"),
+    "weight-is-a-cell": (
+        _mixture_text(f'[{{"amplitudes": [{AMP}], "weight": {{"im": 0.0, "re": 1.0}}}}]'), 2,
+        ", term 0: expected a number, got {'im': 0.0, 're': 1.0}"),
+}
+
+
+@pytest.mark.parametrize("name", list(DECODER_CASES))
+def test_decoded_cells_keep_every_exit_code_error_line_and_bit(name, tmp_path, capsys):
+    """Bad and edge dense cells, and re/im objects where no cell belongs,
+    give ``analyze`` the exit code and error line of plain JSON decoding; a
+    valid file loads to the bits that ``parse_state`` gives its plain
+    decoding, whose cells are dicts."""
+    from entrank.cli import main
+
+    text, code, line = DECODER_CASES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == code
+    assert capsys.readouterr().err == ("" if line is None else f"error: {path}{line}\n")
+    if line is None:
+        state, plain = load_state(path), parse_state(json.loads(text), context=str(path))
+        for field in ("amplitudes", "matrix", "factor"):
+            if hasattr(plain, field):
+                assert getattr(state, field).tobytes() == getattr(plain, field).tobytes(), field
+
+
+def test_dense_cells_decode_straight_to_complex(tmp_path):
+    """``load_state`` decodes each cell of a written dense file straight to
+    a complex, in either field order, and leaves every other object a dict."""
+    from entrank import statefile
+
+    assert json.loads('{"im": -0.0, "re": 0.5}', object_pairs_hook=statefile._decode_object) \
+        == complex(0.5, -0.0)
+    decoded = json.loads(_dense_text('{"re": 0.25, "im": 1.0}', metadata=', "metadata": {"a": 1}'),
+                         object_pairs_hook=statefile._decode_object)
+    assert type(decoded) is dict and decoded["metadata"] == {"a": 1}
+    assert [list(map(complex, row)) for row in decoded["matrix"]] == [[0.5, 0], [0.25 + 1j, 0.5]]
+    assert statefile._as_decoded(decoded) == json.loads(
+        _dense_text('{"re": 0.25, "im": 1.0}', metadata=', "metadata": {"a": 1}'))
+
+
+def test_a_dense_load_peaks_well_below_its_dict_payload(tmp_path):
+    """``load_state`` of a dense (2,)*8 file, written compact as the
+    benchmark's are, peaks (tracemalloc) well below the payload that plain
+    JSON decoding builds, a dict per cell: its bytes and their text (4 MB
+    each) set the peak, not the cells."""
+    import tracemalloc
+
+    path = tmp_path / "dense8.json"
+    text = json.dumps(density_payload(mixed_of_rank((2,) * 8, seed=5, rank=4)))
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        payload = json.loads(text)
+        dict_payload = tracemalloc.get_traced_memory()[0]
+        del payload
+        tracemalloc.reset_peak()
+        load_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * dict_payload

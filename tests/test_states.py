@@ -162,6 +162,58 @@ def test_mix_rejects_mismatched_dims():
         mix([(0.5, haar_pure((2,), seed=0)), (0.5, haar_pure((3,), seed=0))])
 
 
+def _ten_qubit_terms():
+    """Four Haar terms on (2,)*10, d = 1024: a d × d complex matrix is 16 MB."""
+    return [(w, haar_pure((2,) * 10, seed=70 + j)) for j, w in enumerate([0.4, 0.3, 0.2, 0.1])]
+
+
+def _traced_peak(build):
+    """(result, tracemalloc peak in bytes) of ``build()``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_mixture_holds_no_matrix_and_ranks_ppt_and_payload_never_build_it(monkeypatch):
+    """``mix`` of a (2,)*10 rank-4 mixture allocates less than one d × d
+    complex matrix, and its ranks, its PPT and its payload never read
+    ``matrix``."""
+    from entrank.statefile import state_payload
+    from entrank.states import ensemble_ppt
+
+    rho, peak = _traced_peak(lambda: mix(_ten_qubit_terms()))
+    assert peak < 1024 * 1024 * 16
+
+    def refuse(self):
+        raise AssertionError("the mixture's matrix was built")
+
+    monkeypatch.setattr(DensityMatrix, "matrix", property(refuse))
+    sizes = [bin(mask).count("1") for mask in range(1, 1 << 10)]
+    assert subset_ranks(rho, range(1, 1 << 10)) == [min(2**k, 4 * 2 ** (10 - k)) for k in sizes]
+    assert ensemble_ppt([rho], (0,))[0] < 0
+    assert state_payload(rho)["kind"] == "mixture"
+    assert rho.dim == 1024 and rho.factored() is rho
+
+
+def test_a_mixtures_matrix_is_built_on_first_read_bit_for_bit():
+    """The first read of a mixture's ``matrix`` builds it, as Σ_j w_j ψ_j ψ_j†
+    = (columns * w) @ columns† bit for bit; a second read returns it."""
+    terms = _ten_qubit_terms()
+    rho = mix(terms)
+    columns = np.stack([psi.amplitudes for _, psi in terms], axis=1)
+    weights = np.array([w for w, _ in terms])
+    expected = (columns * weights) @ columns.conj().T
+    first, peak = _traced_peak(lambda: rho.matrix)
+    assert peak >= 1024 * 1024 * 16
+    assert rho.matrix is first
+    assert first.tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------------ tensor product
 
 
