@@ -261,7 +261,8 @@ def product_ranks(state: State, traced: list[int], tol: RankTolerance) -> list[O
     # Per block, the row of each entry's b ∩ T in the block's spectra.
     rows = [sum(((masks >> i) & 1) << j for j, i in enumerate(part)) for part in partition]
     tables = [_block_spectra(factor) for factor in factors]
-    step = max(1, CHUNK_BYTES // (8 * prod(table.shape[1] for table in tables)))
+    # Room for the values and their two ± slack temporaries within CHUNK_BYTES.
+    step = max(1, CHUNK_BYTES // (3 * 8 * prod(table.shape[1] for table in tables)))
     ranks: list[Optional[int]] = []
     for lo in range(0, len(masks), step):
         values = tensor_product([table[row[lo : lo + step]] for table, row in zip(tables, rows)])
@@ -271,6 +272,7 @@ def product_ranks(state: State, traced: list[int], tol: RankTolerance) -> list[O
         above = values - slack > high
         certain = (above | (values + slack < low)).all(axis=1) & (slack < low[:, 0])
         ranks += [int(c) if ok else None for c, ok in zip(above.sum(axis=1), certain)]
+        del values, top  # freed before the next chunk's values are built
     return ranks
 
 

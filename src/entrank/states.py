@@ -33,10 +33,14 @@ the nonzero rows of V, or V reshaped tall) and its level; one loop takes
 the levels in decreasing order of their bound, and a cut decomposed at full
 rank with margin certifies the cuts below it whose small side lies inside
 its own (``subset_ranks`` has the proofs). Each level's undecided cuts of
-one shape are stacked into chunks of at most ``CHUNK_BYTES`` with one SVD
-each, shared out among one thread per core the CPU affinity allows when a
-level spans more than one chunk. A stacked LAPACK call gives each matrix
-the bits of its own call, so a member's ranks do not depend on its stack.
+one shape are stacked into chunks whose working set fits ``CHUNK_BYTES``,
+decided one after another in the calling thread; the BLAS library's own
+threads are the only parallelism. At a positive cutoff a dense-form chunk
+first goes to one stacked Cholesky factorization, which proves each of its
+cuts at full rank with margin, exactly what its SVD would give; a chunk it
+does not prove gets one stacked SVD. A stacked LAPACK call gives each
+matrix the bits of its own call, so a member's ranks do not depend on its
+stack.
 ``subset_spectra`` runs the same plan with every cut decomposed and returns
 the singular values, from which ``rank_from_values`` counts the same ranks.
 
@@ -53,8 +57,6 @@ first ``matrix`` read stores the matrix that any read would build.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
@@ -560,6 +562,46 @@ def subset_ranks(
     rtol = 0) certifies nothing. X ⊊ P makes the certifier's bound strictly
     larger (every dimension is at least 2), so the levels are the bounds,
     each certified from the levels before it.
+
+    Full-rank certificate. At a positive cutoff each dense-form chunk is
+    first offered to ``_full_rank``, which decides all its cuts without an
+    SVD or fails. Take one tall cut M (rows × cols, n = rows + cols, exact
+    singular values s_1 ≥ … ≥ s_cols), G = M†M and T = tr G = ‖M‖_F²,
+    with ε the machine epsilon (twice the unit roundoff). It computes Ĝ =
+    fl(M†M), F̂ = fl(‖Ĝ‖_F), c = ``CERTIFY_MARGIN``·tol.cutoff(F̂) + δ with
+    δ = ε·T·(16·n + ``CERTIFY_MARGIN``·rtol·(16·n + cols²)), and one stacked
+    Cholesky factorization of Ĝ − c·1. Standard rounding bounds give, when
+    it runs to completion:
+
+    1. Ĝ = G + E with |E| ≤ √2·γ_{rows+2}·|M|†|M| (a complex product;
+       Higham, *Accuracy and Stability of Numerical Algorithms*, §3.5), so
+       ‖E‖₂ ≤ 2ε·n·T, the trace of |M|†|M| being T.
+    2. The factor R̂ satisfies R̂†R̂ = A + ΔA for A = fl(Ĝ − c·1), with |ΔA|
+       ≤ γ_{cols+1}·|R̂†||R̂| up to the complex constant (ibid., Ch. 10), so
+       ‖ΔA‖₂ ≤ 2ε·n·T. R̂†R̂ ⪰ 0 and the shift rounds by at most ε·T, so
+       λ_min(Ĝ) ≥ c − (2n + 1)·ε·T, and with 1., s²_cols ≥ c − (4n + 1)·ε·T.
+       In particular c ≤ 1.01·T.
+    3. The SVD returns each s_i within 4ε·n·s_1 (LAPACK Users' Guide §4.9,
+       the model ``product_ranks`` uses), so its ŝ²_cols ≥ s²_cols − 8ε·n·T
+       and ŝ²_1 ≤ s²_1 + 9ε·n·T. F̂ ≥ ‖Ĝ‖_F − (cols² + 2)·ε·T ≥ s²_1 −
+       (2n + cols² + 2)·ε·T: a sum of 2·cols² squares loses at most
+       γ_{2·cols²} of itself, and ‖Ĝ‖_F ≥ λ_max(Ĝ).
+
+    Since tol.cutoff is monotone with slope rtol, 3. gives
+    ``CERTIFY_MARGIN``·cutoff(ŝ²_1) ≤ ``CERTIFY_MARGIN``·cutoff(F̂) +
+    ``CERTIFY_MARGIN``·rtol·(12n + cols²)·ε·T, while 2. and 3. give ŝ²_cols
+    ≥ ``CERTIFY_MARGIN``·cutoff(F̂) + δ − (12n + 1)·ε·T. δ exceeds the sum
+    of the two error terms by at least (4n − 1)·ε·T ≥ 7·ε·T, which covers
+    the relative ε roundings of the squares, of the cutoff and of c (each
+    at most 1.01·T). So the SVD's smallest s² is at least
+    ``CERTIFY_MARGIN`` times its cutoff, which is positive (at atol = 0,
+    rtol·ŝ²_1 ≥ rtol·F̂/√cols > 0 outside the subnormal range; the
+    certificate needs cutoff(F̂) > 0): the SVD would count every s², rank =
+    cols, the bound, and certify. That is the certificate's result, so the
+    ranks and certified sides are bit for bit the SVD's. A factorization
+    that fails proves nothing, and its chunk gets the stacked SVD; numpy
+    reports no status per matrix, so the chunk is not split. The support
+    form, a zero cutoff and ``subset_spectra`` use the SVD alone.
     """
     return ensemble_ranks([state], masks, tol)[0]
 
@@ -570,8 +612,9 @@ def ensemble_ranks(
     """``subset_ranks`` of each of ``states`` at the same ``masks``, in
     order: each member is factored, and the members of one (dims, r) run as
     one stack through one plan (``_ensemble``). A stacked SVD gives each
-    matrix the bits of its own, and a member's certified sides certify only
-    its own cuts, so every row is the member's own ``subset_ranks``."""
+    matrix the bits of its own, the full-rank certificate gives each what
+    its own SVD would, and a member's certified sides certify only its own
+    cuts, so every row is the member's own ``subset_ranks``."""
     return _ensemble([state.factored() for state in states], masks, partial(_counts, tol))
 
 
@@ -582,7 +625,7 @@ def subset_spectra(state: State, masks: Iterable[int]) -> list[np.ndarray]:
     ``tol``. ``state`` must carry its factor. A row is the spectrum of the
     plan's matrix (min(d_S, d_rest·r) values, or m in the support form): the
     cut's nonzero singular values, then zeros to rounding."""
-    return _ensemble([state], masks, lambda s: [(row, False) for row in s])[0]
+    return _ensemble([state], masks, _spectra)[0]
 
 
 def _ensemble(states: Sequence[State], masks: Iterable[int], reduce) -> list[list]:
@@ -626,7 +669,8 @@ def _kernel(dims: tuple[int, ...], factors: np.ndarray, masks: list[int], reduce
     # ancilla (bit n).
     support = np.flatnonzero(factors[0].any(axis=1))
     m = len(support)
-    if count == 1 and m * m < d:
+    dense = count > 1 or m * m >= d
+    if not dense:
         fill, size = _support_fill(dims, factors[0], support), m * m * r
         plan = [((m * r, (m * r, m)), mask, 0, ()) for mask in cuts]
     else:
@@ -653,8 +697,12 @@ def _kernel(dims: tuple[int, ...], factors: np.ndarray, masks: list[int], reduce
             plan.append(((rows, shape), axes, min(d_s, d_y), sides))
 
     out = [[None] * len(plan) for _ in range(count)]
-    step = min(len(plan) * count, max(1, CHUNK_BYTES // (size * factors.itemsize)))
-    buffers = [np.empty(step * size, factors.dtype)]
+    # Room within ``CHUNK_BYTES`` for a chunk's stack and, in the dense form,
+    # its conjugate, Gram matrices and their Cholesky factors (``_full_rank``).
+    room = size * factors.itemsize * (4 if dense else 1)
+    step = min(len(plan) * count, max(1, CHUNK_BYTES // room))
+    buffer = np.empty(step * size, factors.dtype)
+    reduce = partial(reduce, dense)
     levels: dict[int, list[int]] = {}
     for k, entry in enumerate(plan):
         levels.setdefault(entry[2], []).append(k)
@@ -680,7 +728,7 @@ def _kernel(dims: tuple[int, ...], factors: np.ndarray, masks: list[int], reduce
                         out[b][k] = bound
             for b in members:
                 batch += [(plan[k][0], plan[k][1], b, k) for k in left]
-        results = _decompose(batch, fill, step, buffers, reduce)
+        results = _decompose(batch, fill, step, buffer, reduce)
         for (_, _, b, k), (result, certifies) in zip(batch, results):
             out[b][k] = result
             if certifies:
@@ -744,78 +792,78 @@ def _contained(masks: np.ndarray, supersets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decompose(batch: list, fill, step: int, buffers: list, reduce) -> list:
+def _decompose(batch: list, fill, step: int, buffer: np.ndarray, reduce) -> list:
     """The result of each cut of ``batch``, in order: entries whose first
     item is the cut's (rows, shape), the rest what ``fill`` reads.
 
-    The cuts are grouped by (rows, shape) and stacked into chunks of at most
-    ``step`` matrices with one SVD each; ``fill(stack, entries)`` writes a
-    chunk's matrices into a stack of that shape, and ``reduce`` turns the
-    chunk's singular values, one descending row per matrix, into a (result,
-    certifies) pair per matrix: ``_counts`` for ranks, the rows for spectra.
-    Work beyond one chunk is split into interleaved shares, one thread per
-    core the process may use, while this thread waits (with it taking a
-    share, two threads ran the stacked SVDs no faster than one). Each share
-    reuses a stack buffer of ``step`` matrices from ``buffers``, which the
-    caller seeds with one, keeps for all its batches, and which grows to one
-    per thread: memory a worker thread allocated would stay in its own heap,
-    which nothing else reuses, and add to the process's peak.
+    The cuts are grouped by (rows, shape) and stacked, in the calling thread,
+    into chunks of at most ``step`` matrices in ``buffer``, which the caller
+    keeps for all its batches: ``fill(stack, entries)`` writes a chunk's
+    matrices into a stack of that shape, and ``reduce`` turns the stack, as
+    (matrices, rows, rest), into a (result, certifies) pair per matrix:
+    ``_counts`` for ranks, the singular values for spectra. The one
+    parallelism is the BLAS library's own threads inside each call.
     """
     groups: dict[tuple, list] = {}
     for j, entry in enumerate(batch):
         groups.setdefault(entry[0], []).append((j, entry))
-    chunks = [
-        (key, members[lo : lo + step])
-        for key, members in groups.items()
-        for lo in range(0, len(members), step)
-    ]
-    workers = min(len(chunks), _workers()) if len(batch) > step else 1
-    while len(buffers) < workers:
-        buffers.append(np.empty_like(buffers[0]))
-    shares: list = [None] * workers
-
-    def share(k: int) -> None:
-        try:
-            shares[k] = [_decompose_chunk(c, fill, buffers[k], reduce) for c in chunks[k::workers]]
-        except Exception as exc:  # raised below, after every thread has ended
-            shares[k] = exc
-
-    if workers == 1:
-        share(0)
-    else:
-        threads = [threading.Thread(target=share, args=(k,)) for k in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
     out: list = [None] * len(batch)
-    for k, results in enumerate(shares):
-        if isinstance(results, Exception):
-            raise results
-        for (_, members), chunk_results in zip(chunks[k::workers], results):
-            for (j, _), result in zip(members, chunk_results):
+    for (rows, shape), members in groups.items():
+        for lo in range(0, len(members), step):
+            chunk = members[lo : lo + step]
+            stack = buffer[: len(chunk) * prod(shape)].reshape((len(chunk),) + shape)
+            fill(stack, [entry for _, entry in chunk])
+            for (j, _), result in zip(chunk, reduce(stack.reshape(len(chunk), rows, -1))):
                 out[j] = result
     return out
 
 
-def _decompose_chunk(chunk: tuple, fill, buffer: np.ndarray, reduce) -> list:
-    """``reduce`` of one chunk's singular values: its cuts written by ``fill``
-    into ``buffer`` as one stack of (rows, rest) matrices, and one SVD."""
-    (rows, shape), members = chunk
-    stack = buffer[: len(members) * prod(shape)].reshape((len(members),) + shape)
-    fill(stack, [entry for _, entry in members])
-    return reduce(np.linalg.svd(stack.reshape(len(members), rows, -1), compute_uv=False))
-
-
-def _counts(tol: RankTolerance, s: np.ndarray) -> list[tuple[int, bool]]:
-    """(rank, certifies) of each row of singular values ``s``: the count of
-    s² above tol.cutoff of the largest, and whether the row is at full rank
-    with its smallest s² at least ``CERTIFY_MARGIN`` times a positive cutoff."""
+def _counts(tol: RankTolerance, dense: bool, stack: np.ndarray) -> list[tuple[int, bool]]:
+    """(rank, certifies) of each tall matrix of ``stack`` (B, rows, cols),
+    as its SVD gives them: the count of s² above tol.cutoff of the largest,
+    and whether the matrix is at full rank with its smallest s² at least
+    ``CERTIFY_MARGIN`` times a positive cutoff. A dense-form stack
+    (``dense``) at a positive cutoff first goes to ``_full_rank``; when that
+    proves every matrix at full rank with margin, each gets (cols, True)
+    without an SVD (the proof is in ``subset_ranks``). Otherwise one stacked
+    SVD decides the stack."""
+    if dense and (tol.atol or tol.rtol) and _full_rank(tol, stack):
+        return [(stack.shape[2], True)] * len(stack)
+    s = np.linalg.svd(stack, compute_uv=False)
     s2 = s * s
     cutoff = tol.cutoff(s2[:, 0])
     counts = (s2 > cutoff[:, None]).sum(axis=1)
     certifies = (s2[:, -1] >= CERTIFY_MARGIN * cutoff) & (cutoff > 0)
     return list(zip(counts.tolist(), certifies.tolist()))
+
+
+def _spectra(dense: bool, stack: np.ndarray) -> list[tuple[np.ndarray, bool]]:
+    """The descending singular values of each matrix of ``stack``, from one
+    stacked SVD whatever the form; none certifies."""
+    return [(row, False) for row in np.linalg.svd(stack, compute_uv=False)]
+
+
+def _full_rank(tol: RankTolerance, stack: np.ndarray) -> bool:
+    """Whether one stacked Cholesky factorization of G − c·1 succeeds for
+    the Gram matrix G = M†M of every M in ``stack`` (B, rows, cols), with
+    c = ``CERTIFY_MARGIN``·tol.cutoff(‖G‖_F) + δ and δ = ε·tr G·(16·n +
+    ``CERTIFY_MARGIN``·rtol·(16·n + cols²)), n = rows + cols: the proof, in
+    ``subset_ranks``, that each M's SVD gives full rank and certifies."""
+    rows, cols = stack.shape[1:]
+    gram = stack.conj().swapaxes(1, 2) @ stack
+    entries = gram.view(float).reshape(len(gram), -1)
+    margin = CERTIFY_MARGIN * tol.cutoff(np.sqrt(np.einsum("bi,bi->b", entries, entries)))
+    if not margin.all():
+        return False
+    diagonal = gram.reshape(len(gram), -1)[:, :: cols + 1]
+    n = rows + cols
+    rounding = 16 * n + CERTIFY_MARGIN * tol.rtol * (16 * n + cols * cols)
+    diagonal -= (margin + np.finfo(float).eps * diagonal.real.sum(axis=1) * rounding)[:, None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def subset_rank(
@@ -825,9 +873,3 @@ def subset_rank(
     (``subset_ranks`` of their mask)."""
     return subset_ranks(state, [mask_of(normalize_subset(subset, state.n))], tol)[0]
 
-
-def _workers() -> int:
-    """Cores this process may run on: its CPU affinity, which taskset limits."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

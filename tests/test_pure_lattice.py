@@ -389,6 +389,27 @@ def test_partition_lattice_of_a_block_product_is_the_kernel_lattice(name, tol, m
     assert criteria.rank_lattice(psi, depth, tol, parts=parts) == lattice
 
 
+def test_product_ranks_stay_within_a_chunk():
+    """Counting block12's default-depth lattice from its blocks (the probe,
+    the sweeps, the block spectra and the table of products in steps that
+    leave room for the values ± slack) allocates less than 1.25 ×
+    ``CHUNK_BYTES`` at its peak."""
+    import tracemalloc
+
+    from entrank.states import unions
+
+    traced = unions([1 << i for i in range(12)], 6)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ranks = factorize.product_ranks(BLOCK12, traced, DEFAULT_TOLERANCE)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert None not in ranks
+    assert peak < 1.25 * CHUNK_BYTES, peak
+
+
 def analyze_bytes(capsys, path, *flags):
     """analyze --json's exit code and report, without its timing line."""
     code = cli.main(["analyze", "--json", *flags, str(path)])

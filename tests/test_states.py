@@ -744,19 +744,13 @@ def test_subset_ranks_takes_masks_and_subset_rank_takes_particles(monkeypatch):
         with pytest.raises(PartitionError):
             subset_ranks(psi, [1, bad])
     assert subset_ranks(psi, [np.int64(1), np.uint8(6), np.intp(7)]) == [2, 2, 1]
-    stacks = []
-    svd = np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        stacks.append(np.array(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    decided = decided_stacks(monkeypatch)
     for order in ([0b011, 0b100], [0b100, 0b011]):
-        del stacks[:]
+        del decided[:]
         assert subset_ranks(psi, order) == [2, 2]
-        assert [stack.shape[0] for stack in stacks] == [1]
-        assert np.array_equal(stacks[0], bipartition_matrix(psi, (0, 1))[None])
+        assert [stack.shape[0] for stack, _ in decided] == [1]
+        assert np.array_equal(decided[0][0], bipartition_matrix(psi, (0, 1))[None])
+        assert tally(decided) == (1, 1)
     monkeypatch.undo()
     assert subset_rank(psi, [2, 0]) == subset_ranks(psi, [0b101])[0] == 3
     for subset in ((), (3,), (-1,), (0, 0)):
@@ -770,15 +764,9 @@ def test_subset_ranks_decomposes_each_cut_once(monkeypatch):
     which 20 form 10 complementary pairs, so there are 32 cuts. The 10
     balanced ones are decomposed and certify the other 22. A rank-2 mixture
     keeps all 42 cuts; its 35 of bound 8 certify the 6 five-qubit ones and
-    the state rank."""
-    decomposed = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        decomposed.append(a.shape[0] if a.ndim == 3 else 1)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    the state rank. Each call's cuts decided directly are one stack, which
+    the Cholesky certificate takes whole."""
+    decided = decided_stacks(monkeypatch)
     kept = [tuple(range(6))] + [
         tuple(i for i in range(6) if i not in traced)
         for k in range(1, 4)
@@ -787,78 +775,21 @@ def test_subset_ranks_decomposes_each_cut_once(monkeypatch):
     psi = haar_pure((2,) * 6, seed=69)
     subsets = kept + kept[:5]
     expected = per_subset_ranks(psi, subsets, RankTolerance())
-    del decomposed[:]
+    del decided[:]
     assert subset_ranks(psi, masks(subsets)) == expected
-    assert decomposed == [10]
+    assert [(len(stack), by) for stack, by in decided] == [(10, True)]
     rho = mixed_of_rank((2,) * 6, seed=69, rank=2)
     expected = per_subset_ranks(rho, subsets, RankTolerance())
-    del decomposed[:]
+    del decided[:]
     assert subset_ranks(rho, masks(subsets)) == expected
-    assert decomposed == [35]
+    assert [(len(stack), by) for stack, by in decided] == [(35, True)]
 
 
-def depth5_kept():
-    """The kept sets of a 10-particle lattice at depth 5."""
-    return [
-        tuple(i for i in range(10) if i not in traced)
-        for k in range(1, 6)
-        for traced in combinations(range(10), k)
-    ]
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_subset_ranks_threaded_and_inline_paths_agree(workers, monkeypatch):
-    """Haar 2^10 at depth 5: 637 cuts of 16 kB, more than one chunk. With two
-    allowed cores the chunks run on two worker threads, with one they run in
-    the calling thread."""
-    import threading
-
-    from entrank import states
-
-    ran_on = set()
-    decompose_chunk = states._decompose_chunk
-
-    def recording(*args):
-        ran_on.add(threading.current_thread())
-        return decompose_chunk(*args)
-
-    monkeypatch.setattr(states, "_workers", lambda: workers)
-    monkeypatch.setattr(states, "_decompose_chunk", recording)
-    psi = haar_pure((2,) * 10, seed=67)
-    kept = depth5_kept()
-    assert len(kept) == 637
-    tol = RankTolerance()
-    assert subset_ranks(psi, masks(kept), tol) == per_subset_ranks(psi, kept, tol)
-    if workers == 1:
-        assert ran_on == {threading.current_thread()}
-    else:
-        assert len(ran_on) == 2 and threading.current_thread() not in ran_on
-
-
-def test_subset_ranks_raises_a_worker_error_after_joining(monkeypatch):
-    import threading
-
-    from entrank import states
-
-    def failing(*args):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(states, "_workers", lambda: 2)
-    monkeypatch.setattr(states, "_decompose_chunk", failing)
-    before = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError):
-        subset_ranks(haar_pure((2,) * 10, seed=67), masks(depth5_kept()))
-    assert threading.active_count() == before
-
-
-def test_subset_ranks_from_more_caller_threads_than_cores(monkeypatch):
-    """Concurrent callers, each with its own worker threads, get their own ranks."""
+def test_subset_ranks_from_more_caller_threads_than_cores():
+    """Concurrent callers, each decomposing in its own thread, get their own ranks."""
     import sys
     import threading
 
-    from entrank import states
-
-    monkeypatch.setattr(states, "_workers", lambda: 2)
     tol = RankTolerance()
     cases = [haar_pure((2,) * 10, seed=71 + k) for k in range(2)] + [ghz(10, 2)]
     subsets = [s for k in range(5, 10) for s in combinations(range(10), k)]
@@ -920,38 +851,6 @@ def test_subset_spectra_are_the_spectra_of_the_cuts(name):
     assert_same_spectra(rows, spectra_oracle(state, subsets))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_subset_spectra_threaded_and_inline_paths_agree(workers, monkeypatch):
-    """Haar 2^10 at depth 5, as for the ranks: with one allowed core every
-    chunk runs in the calling thread, with two the levels of more than one
-    chunk run on worker threads, and either gives the spectra of the other
-    bit for bit."""
-    import threading
-
-    from entrank import states
-
-    psi = haar_pure((2,) * 10, seed=67)
-    kept = depth5_kept()
-    ran_on = set()
-    decompose_chunk = states._decompose_chunk
-
-    def recording(*args):
-        ran_on.add(threading.current_thread())
-        return decompose_chunk(*args)
-
-    monkeypatch.setattr(states, "_decompose_chunk", recording)
-    spectra = {}
-    for count in (workers, 3 - workers):
-        monkeypatch.setattr(states, "_workers", lambda: count)
-        ran_on.clear()
-        spectra[count] = subset_spectra(psi, masks(kept))
-        if count == workers:
-            off_caller = ran_on - {threading.current_thread()}
-            assert not off_caller if workers == 1 else off_caller
-    assert all(np.array_equal(a, b) for a, b in zip(spectra[1], spectra[2]))
-    assert_same_spectra(spectra[workers], spectra_oracle(psi, kept))
-
-
 def _run_python(code):
     import os
     import subprocess
@@ -965,15 +864,22 @@ def _run_python(code):
 
 
 def test_small_lattice_starts_no_thread_and_cli_skips_concurrent_futures():
-    """Work within one chunk runs inline: a bench-sized lattice starts no
-    thread, and neither it nor importing the CLI loads concurrent.futures."""
+    """The kernel decomposes in the calling thread: neither a bench-sized
+    lattice nor lattices of many chunks (Haar 2^10 at depth 5, a rank-4
+    mixture of 2^10 at depth 9) start a thread, and neither they nor
+    importing the CLI load concurrent.futures."""
     _run_python(
         "import sys, threading\n"
         "import entrank.cli\n"
-        "from entrank.catalog import haar_pure\n"
+        "from entrank.catalog import haar_pure, mixed_of_rank\n"
         "from entrank.criteria import rank_lattice\n"
+        "from entrank.states import CHUNK_BYTES\n"
         "before = threading.active_count()\n"
         "rank_lattice(haar_pure((2,) * 5, seed=68), 2)\n"
+        "cases = [(haar_pure((2,) * 10, seed=67), 5),\n"
+        "         (mixed_of_rank((2,) * 10, seed=89, rank=4), 9)]\n"
+        "for state, depth in cases:\n"
+        "    assert len(rank_lattice(state, depth).ranks) * 16 * 2**10 > CHUNK_BYTES\n"
         "assert threading.active_count() == before, threading.enumerate()\n"
         "assert 'concurrent.futures' not in sys.modules\n"
     )
@@ -991,17 +897,33 @@ def lattice_kept(n, depth):
     ]
 
 
-def count_decomposed(monkeypatch):
-    """A list that collects the number of matrices of every SVD call."""
-    decomposed = []
-    svd = np.linalg.svd
+def decided_stacks(monkeypatch):
+    """A list that collects [stack, by certificate] for every stack of cuts
+    that ``_counts`` decides directly: a copy of the stack (B, rows, cols),
+    and whether ``_full_rank``'s Cholesky certificate took it (else its
+    stacked SVD did)."""
+    from entrank import states
 
-    def counting(a, *args, **kwargs):
-        decomposed.append(a.shape[0] if a.ndim == 3 else 1)
-        return svd(a, *args, **kwargs)
+    decided = []
+    counts, full_rank = states._counts, states._full_rank
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return decomposed
+    def counting(tol, dense, stack):
+        decided.append([stack.copy(), False])
+        return counts(tol, dense, stack)
+
+    def certificate(tol, stack):
+        decided[-1][1] = full_rank(tol, stack)
+        return decided[-1][1]
+
+    monkeypatch.setattr(states, "_counts", counting)
+    monkeypatch.setattr(states, "_full_rank", certificate)
+    return decided
+
+
+def tally(decided):
+    """(cuts decided directly, of which the certificate took) of ``decided_stacks``."""
+    return (sum(len(stack) for stack, _ in decided),
+            sum(len(stack) for stack, by in decided if by))
 
 
 @pytest.mark.parametrize("depth", [5, 9])
@@ -1069,28 +991,30 @@ def test_inferred_ranks_of_a_lattice_over_parts(rank):
 
 
 @pytest.mark.parametrize(
-    "state, depth, decomposed",
+    "state, depth, decided, by_certificate",
     [
-        (haar_pure((2,) * 10, seed=88), 5, 126),
-        (mixed_of_rank((2,) * 10, seed=89, rank=4), 9, 210),
-        (ghz(10, 2), 5, 512),
+        (haar_pure((2,) * 10, seed=88), 5, 126, 126),
+        (mixed_of_rank((2,) * 10, seed=89, rank=4), 9, 210, 210),
+        (ghz(10, 2), 5, 512, 0),
     ],
     ids=["haar", "rank4", "ghz"],
 )
 def test_inferred_ranks_decompose_only_what_no_cut_certifies(
-    state, depth, decomposed, monkeypatch
+    state, depth, decided, by_certificate, monkeypatch
 ):
-    """Haar 2^10 to depth 5 decomposes its 126 balanced cuts, which certify
-    every smaller one and the state rank; a rank-4 mixture to depth 9 its 210
-    cuts with d_S = 4·d_rest. GHZ(10) has two nonzero amplitudes (2² < 2^10),
-    so its 511 proper cuts and the state rank are one support-form stack of
-    512 matrices, with nothing inferred."""
+    """Haar 2^10 to depth 5 decides its 126 balanced cuts directly, which
+    certify every smaller one and the state rank; a rank-4 mixture to depth
+    9 its 210 cuts with d_S = 4·d_rest. All of them are at full rank with
+    margin, and the Cholesky certificate takes every chunk. GHZ(10) has two
+    nonzero amplitudes (2² < 2^10), so its 511 proper cuts and the state
+    rank are one support-form stack of 512 matrices, with nothing inferred
+    and every matrix decomposed by the SVD."""
     kept = lattice_kept(10, depth)
     tol = RankTolerance()
     expected = per_subset_ranks(state, kept, tol)
-    counts = count_decomposed(monkeypatch)
+    stacks = decided_stacks(monkeypatch)
     assert subset_ranks(state, masks(kept), tol) == expected
-    assert sum(counts) == decomposed
+    assert tally(stacks) == (decided, by_certificate)
 
 
 def paired_state(margin, rtol, seed):
@@ -1111,19 +1035,175 @@ def paired_state(margin, rtol, seed):
 
 
 @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-13])
-@pytest.mark.parametrize("margin, inferred", [(50, 0), (200, 80)])
-def test_inference_margin_boundary(margin, inferred, rtol, monkeypatch):
+@pytest.mark.parametrize("margin, inferred, by_certificate", [(50, 0, 2), (200, 80, 0)])
+def test_inference_margin_boundary(margin, inferred, by_certificate, rtol, monkeypatch):
     """The 16 balanced cuts that split every pair certify their 80 four-qubit
     subsets at 200x the cutoff, and nothing at 50x, where the 126 balanced and
-    210 four-qubit cuts are all decomposed; the ranks are those of one SVD
-    per cut either way."""
+    210 four-qubit cuts are all decided directly; the ranks are those of one
+    SVD per cut either way. Every chunk but the last one at 50x holds a
+    rank-deficient cut, so the Cholesky certificate takes only that chunk's
+    two four-qubit cuts, at full rank with a margin of over 300x."""
     psi = paired_state(margin, rtol, seed=90)
     subsets = [s for k in (5, 4) for s in combinations(range(10), k)]
     tol = RankTolerance(rtol=rtol, atol=0.0)
     expected = per_subset_ranks(psi, subsets, tol)
-    counts = count_decomposed(monkeypatch)
+    decided = decided_stacks(monkeypatch)
     assert subset_ranks(psi, masks(subsets), tol) == expected
-    assert sum(counts) == 126 + 210 - inferred
+    assert tally(decided) == (126 + 210 - inferred, by_certificate)
+
+
+# ------------------------------------------------- full-rank certificate
+
+
+def refusing_cholesky(*args, **kwargs):
+    raise np.linalg.LinAlgError("refused: the SVD decides every chunk")
+
+
+def certificate_against_svd(monkeypatch, call):
+    """Run ``call()`` as it is and again with ``np.linalg.cholesky`` raising,
+    so that the stacked SVD decides every chunk. Assert the same result and
+    the same (rank, certifies) of every cut decided directly, chunk by chunk
+    (so the same certified sides), and return how many cuts the certificate
+    took in the first run."""
+    from entrank import states
+
+    counts, cholesky = states._counts, np.linalg.cholesky
+    chunks, taken = [], []
+
+    def recording(tol, dense, stack):
+        chunks[-1].append(counts(tol, dense, stack))
+        return chunks[-1][-1]
+
+    def counting(a, *args, **kwargs):
+        out = cholesky(a, *args, **kwargs)
+        taken.append(len(a))
+        return out
+
+    results = []
+    with monkeypatch.context() as m:
+        m.setattr(states, "_counts", recording)
+        for factorization in (counting, refusing_cholesky):
+            m.setattr(np.linalg, "cholesky", factorization)
+            chunks.append([])
+            results.append(call())
+    assert results[0] == results[1]
+    assert chunks[0] == chunks[1]
+    return sum(taken)
+
+
+def pair_splitting_masks():
+    """The 32 five-qubit masks of ``paired_state`` with one qubit of each pair."""
+    return [sum(1 << (k + 5 * bit) for k, bit in enumerate(bits))
+            for bits in np.ndindex(*(2,) * 5)]
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-13, 1e-16])
+@pytest.mark.parametrize("margin", [50, 99, 101, 200])
+def test_the_certificate_decides_as_the_svd_near_the_margin(margin, rtol, monkeypatch):
+    """``paired_state``'s cuts that split every pair have their smallest
+    eigenvalue at ``margin`` times the cutoff: the Cholesky certificate
+    gives every rank and every certified side that the SVD alone gives, on
+    the margin test's lattice and on each such cut alone (a chunk of one).
+    At 200x it takes those cuts where its rounding term δ is far below the
+    cutoff (rtol ≥ 1e-13); at 50x and 99x it takes none of them."""
+    psi = paired_state(margin, rtol, seed=90)
+    tol = RankTolerance(rtol=rtol, atol=0.0)
+    subsets = [s for k in (5, 4) for s in combinations(range(10), k)]
+    certificate_against_svd(monkeypatch, lambda: subset_ranks(psi, masks(subsets), tol))
+    alone = sum(
+        certificate_against_svd(monkeypatch, lambda: subset_ranks(psi, [mask], tol))
+        for mask in pair_splitting_masks()
+    )
+    if margin < 100:
+        assert alone == 0
+    if margin == 200 and rtol >= 1e-13:
+        assert alone == 32
+
+
+def prescribed_cut(s2, seed):
+    """A pure state of 11 qubits whose cut of its last five qubits is the
+    64×32 matrix U·diag(√s2)·V† with Haar U and V, normalized."""
+    rng = np.random.default_rng(seed)
+    m = (random_unitary(64, rng)[:, :32] * np.sqrt(s2)) @ random_unitary(32, rng).conj().T
+    return PureState((2,) * 11, (m / np.linalg.norm(m)).reshape(-1))
+
+
+def margin_spectrum(margin, tol):
+    """32 values of s²: one near 1, then 31 from 1e-2 down to ``margin``
+    times the cutoff, which is atol (the values then sum to 1) or else
+    rtol·λ_max (normalizing keeps the ratio). ‖ρ_S‖_F exceeds λ_max by a
+    relative 1e-4 or less."""
+    rest = np.geomspace(1e-2, margin * (tol.atol or tol.rtol), 31)
+    return np.concatenate([[1 - rest.sum() if tol.atol else 1.0], rest])
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [RankTolerance(rtol=rtol, atol=0.0) for rtol in (1e-6, 1e-10, 1e-13, 1e-16)]
+    + [RankTolerance(rtol=0.0, atol=1e-16)],
+    ids=["rtol1e-6", "rtol1e-10", "rtol1e-13", "rtol1e-16", "atol1e-16"],
+)
+@pytest.mark.parametrize("margin", [50, 99, 99.9, 99.99, 99.999, 101, 200])
+def test_the_certificate_decides_as_the_svd_on_dense_cuts_at_the_margin(
+    margin, tol, monkeypatch
+):
+    """Eight random 64×32 cuts, each a chunk of one, with the smallest
+    eigenvalue at ``margin`` times the cutoff. Their Gram matrices carry
+    rounding of about 1e-3 of that eigenvalue when the cutoff is near 1e-16,
+    more than the gap to 100·cutoff at 99.99x and 99.999x: there only the
+    rounding term δ keeps the certificate from taking a cut that the SVD
+    does not certify."""
+    for seed in range(8):
+        psi = prescribed_cut(margin_spectrum(margin, tol), seed=95 + seed)
+        certificate_against_svd(monkeypatch, lambda: subset_ranks(psi, [0b11111 << 6], tol))
+
+
+def dyadic_perturbation(k, seed):
+    """|0…0⟩ + 2^−k·φ on 8 qubits, left unnormalized: φ has entries ±1/16
+    and φ_0 = 0, so every amplitude is a dyadic rational, stored exactly.
+    Each cut is a rank-one matrix plus 2^−k times a fixed one, so its small
+    eigenvalues scale as 2^−2k."""
+    rng = np.random.default_rng(seed)
+    amps = rng.choice([-1.0, 1.0], 2**8) * 2.0 ** (-4 - k)
+    amps[0] = 1.0
+    return PureState((2,) * 8, amps.astype(complex))
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-13, 1e-16])
+def test_the_certificate_decides_as_the_svd_across_a_dyadic_sweep(rtol, monkeypatch):
+    """k sweeps 2^−2k from 1 past 100·rtol down to 2^−60: each lattice to
+    depth 4, at ``rtol`` with atol 0 and at the default tolerance, gets from
+    the certificate the ranks and certified sides of the SVD alone. The
+    certificate takes chunks at small k, and the ranks change over the sweep."""
+    taken, seen = 0, set()
+    for k in range(31):
+        psi = dyadic_perturbation(k, seed=94)
+        kept = masks(lattice_kept(8, 4))
+        for tol in (RankTolerance(rtol=rtol, atol=0.0), RankTolerance()):
+            taken += certificate_against_svd(monkeypatch, lambda: subset_ranks(psi, kept, tol))
+            seen.add(tuple(subset_ranks(psi, kept, tol)))
+    assert taken > 0 and len(seen) > 2
+
+
+def test_the_certificate_decides_as_the_svd_on_a_mixture_and_a_bench_ensemble(
+    monkeypatch, capsys
+):
+    """A rank-4 mixture of 2^10 at depth 9, whose 210 cuts decided directly
+    all go to the certificate, and a ``bench`` of 100 product mixtures
+    on 2,2,2,2, whose CSV row is the same with and without it."""
+    from entrank.cli import main
+    from entrank.criteria import rank_lattice
+
+    rho = mixed_of_rank((2,) * 10, seed=89, rank=4)
+    taken = certificate_against_svd(monkeypatch, lambda: rank_lattice(rho, 9).ranks.tolist())
+    assert taken == 210
+
+    def bench():
+        code = main(["bench", "--kind", "product_mixture", "--dims", "2,2,2,2",
+                     "--count", "100", "--seed", "7102"])
+        return code, capsys.readouterr().out
+
+    assert certificate_against_svd(monkeypatch, bench) > 0
 
 
 def test_a_zero_cutoff_certifies_nothing():
@@ -1138,19 +1218,6 @@ def test_a_zero_cutoff_certifies_nothing():
 
 
 # ---------------------------------------------------------- support form
-
-
-def svd_inputs(monkeypatch):
-    """A list that collects the shape and byte size of every SVD input."""
-    inputs = []
-    svd = np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        inputs.append((a.shape, a.nbytes))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return inputs
 
 
 def sparse_state(name):
@@ -1177,8 +1244,8 @@ CUTOFFS = [
 def test_support_form_equals_one_svd_per_subset(name, monkeypatch):
     """Every subset, at three rtols with and without atol. A state with m
     nonzero rows of V, m² < d, is decomposed as (m·r, m) support matrices
-    built by ``_support_fill`` only; Bell (2² = 4) stays dense, its one 2×2
-    cut of the same shape as a support matrix."""
+    built by ``_support_fill`` only and decided by the SVD alone; Bell (2² =
+    4) stays dense, its one 2×2 cut of the same shape as a support matrix."""
     from entrank import states
 
     state = sparse_state(name)
@@ -1188,34 +1255,35 @@ def test_support_form_equals_one_svd_per_subset(name, monkeypatch):
     support_fill = states._support_fill
     for tol in CUTOFFS:
         expected = per_subset_ranks(state, subsets, tol)
-        inputs = svd_inputs(monkeypatch)
+        decided = decided_stacks(monkeypatch)
         forms = []
         monkeypatch.setattr(
             states, "_support_fill", lambda *args: forms.append("support") or support_fill(*args)
         )
         assert subset_ranks(state, masks(subsets), tol) == expected, tol
         monkeypatch.undo()
-        shapes = {shape[1:] for shape, _ in inputs}
+        shapes = {stack.shape[1:] for stack, _ in decided}
         assert bool(forms) == (m * m < state.dim), forms
         if forms:
             assert shapes == {(m * r, m)}, shapes
+            assert tally(decided)[1] == 0
 
 
 def test_the_support_form_rule_reads_m_and_d(monkeypatch):
     """GHZ(3) has m = 2 nonzero amplitudes, 2² < 8: its three cuts and the
     state rank are one stack of 2×2 support matrices. W(3) has m = 3, 3² ≥ 8:
-    its three cuts stay dense, d_S · d_rest = 8 entries each, in one stack,
-    and certify the state rank."""
+    its three cuts stay dense, d_S · d_rest = 8 entries each, in one stack
+    that the Cholesky certificate takes, and certify the state rank."""
     from entrank.catalog import w
 
     subsets = every_subset_twice(3)
     expected = [2 if len(s) < 3 else 1 for s in subsets]
-    inputs = svd_inputs(monkeypatch)
+    decided = decided_stacks(monkeypatch)
     assert subset_ranks(ghz(3, 2), masks(subsets)) == expected
-    assert [shape for shape, _ in inputs] == [(4, 2, 2)]
-    del inputs[:]
+    assert [(stack.shape, by) for stack, by in decided] == [((4, 2, 2), False)]
+    del decided[:]
     assert subset_ranks(w(3), masks(subsets)) == expected
-    assert [shape for shape, _ in inputs] == [(3, 4, 2)]
+    assert [(stack.shape, by) for stack, by in decided] == [((3, 4, 2), True)]
 
 
 @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-13])
@@ -1237,19 +1305,51 @@ def test_a_tilted_ghz_state_at_the_cutoff(factor, rank, rtol):
 def test_no_stack_exceeds_a_chunk(monkeypatch):
     """W(12) to depth 6 is 2048 support matrices of 12×12 (4.7 MB), a GHZ/W
     mixture to depth 9 1023 of 22×11, and Haar 2^10 to depth 5 126 dense
-    cuts of 16 kB: every SVD input of more than one matrix fits in
-    ``CHUNK_BYTES``."""
+    cuts of 16 kB: every stack of more than one matrix fits in
+    ``CHUNK_BYTES``, a dense one four times over, for its conjugate, Gram
+    matrices and Cholesky factors."""
     from entrank.catalog import w
     from entrank.states import CHUNK_BYTES
 
-    cases = [(w(12), 6, 2048), (sparse_state("ghz_w_mixture"), 9, 1023),
-             (haar_pure((2,) * 10, seed=91), 5, 126)]
-    inputs = svd_inputs(monkeypatch)
-    for state, depth, matrices in cases:
-        del inputs[:]
+    cases = [(w(12), 6, 2048, 0, 1), (sparse_state("ghz_w_mixture"), 9, 1023, 0, 1),
+             (haar_pure((2,) * 10, seed=91), 5, 126, 126, 4)]
+    decided = decided_stacks(monkeypatch)
+    for state, depth, matrices, by_certificate, room in cases:
+        del decided[:]
         subset_ranks(state, masks(lattice_kept(state.n, depth)))
-        assert len(inputs) > 1 and sum(shape[0] for shape, _ in inputs) == matrices
-        assert all(nbytes <= CHUNK_BYTES or shape[0] == 1 for shape, nbytes in inputs)
+        assert len(decided) > 1 and tally(decided) == (matrices, by_certificate)
+        assert all(room * stack.nbytes <= CHUNK_BYTES or len(stack) == 1 for stack, _ in decided)
+
+
+def test_a_kernel_step_stays_within_its_chunk(monkeypatch):
+    """``CHUNK_BYTES`` bounds a step's whole working set, and the kernel
+    decomposes in the calling thread: in ``rank_lattice`` of a 12-qubit Haar
+    state at depth 6 (chunks of 64×64 cuts), no ``_decompose`` call
+    allocates more than 0.75 × ``CHUNK_BYTES`` beyond what it started with,
+    for the conjugate, Gram matrices and Cholesky factors of its stacks (the
+    stack buffer is the kernel's, allocated before)."""
+    import tracemalloc
+
+    from entrank import states
+    from entrank.criteria import rank_lattice
+
+    decompose, peaks = states._decompose, []
+
+    def measured(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = decompose(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    monkeypatch.setattr(states, "_decompose", measured)
+    psi = haar_pure((2,) * 12, seed=93)
+    tracemalloc.start()
+    try:
+        rank_lattice(psi, 6)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 1 and max(peaks) < 0.75 * states.CHUNK_BYTES, peaks
 
 
 @pytest.mark.parametrize("name, cuts", [("ghz10", 512), ("w10", 512), ("ghz_w_mixture", 1023)])
@@ -1263,9 +1363,9 @@ def test_no_support_form_cut_certifies_another(name, cuts, monkeypatch):
     kept = lattice_kept(10, 9)
     tol = RankTolerance()
     expected = per_subset_ranks(state, kept, tol)
-    counts = count_decomposed(monkeypatch)
+    decided = decided_stacks(monkeypatch)
     assert subset_ranks(state, masks(kept), tol) == expected
-    assert sum(counts) == cuts
+    assert tally(decided) == (cuts, 0)
 
 
 def support_bound(state, subset):
